@@ -14,6 +14,7 @@ from .fields import (
     field_from_function,
     to_spectrum,
     from_spectrum,
+    filtered,
     lp_norm,
     weighted_lp_norm,
     scale_integral,

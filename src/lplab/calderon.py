@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, ScaleGrid
-from .kernels import KernelFamily, KernelSpec, plateau, _unit_directions
-
-
-def _as_family(fam) -> KernelFamily:
-    if isinstance(fam, KernelSpec):
-        return KernelFamily((fam,))
-    return fam
+from .kernels import KernelSpec, _as_family, _unit_directions, plateau
 
 
 @dataclass(frozen=True)
@@ -119,6 +113,26 @@ def _j_window(r_min: float, r_max: float, lo: float, hi: float, b: float) -> ran
     return range(j_lo, j_hi + 1)
 
 
+def _annulus_sum(xi, out: np.ndarray, term, r1: float, r2: float, b: float, j_min=None):
+    """Add term(s, sub, s|sub|) into ``out`` at each j (from ``j_min`` on, if
+    given), where s = b^j and sub holds the points of stacked coords ``xi``
+    with r1 < s|xi| < r2.  Returns ``out``."""
+    xi = np.asarray(xi, dtype=float)
+    r = np.sqrt(np.sum(xi * xi, axis=0))
+    pos = r[r > 0]
+    if pos.size == 0:
+        return out
+    window = _j_window(float(pos.min()), float(pos.max()), r1, r2, b)
+    for j in range(window.start if j_min is None else max(j_min, window.start), window.stop):
+        s = b**j
+        mask = (s * r > r1) & (s * r < r2)
+        if not np.any(mask):
+            continue
+        sub = xi[(slice(None),) + np.nonzero(mask)]
+        out[mask] += term(s, sub, s * r[mask])
+    return out
+
+
 @dataclass(frozen=True)
 class PartitionSystem:
     """The analyzing kernel phi, its dual symbol eta, and the construction data."""
@@ -135,16 +149,12 @@ class PartitionSystem:
 
     def reproducing_sum(self, xi) -> np.ndarray:
         """sum_j phi_hat(b^j xi) eta_hat(b^j xi), summed over the support window."""
-        xi = np.asarray(xi, dtype=float)
-        r = np.sqrt(np.sum(xi * xi, axis=0))
-        pos = r[r > 0]
-        if pos.size == 0:
-            return np.zeros(r.shape, dtype=complex)
-        out = np.zeros(r.shape, dtype=complex)
-        for j in _j_window(float(pos.min()), float(pos.max()), self.r1, self.r2, self.b):
-            s = self.b**j
-            out += np.asarray(self.phi.symbol(s * xi)) * np.asarray(self.eta_symbol(s * xi))
-        return out
+        out = np.zeros(np.shape(xi)[1:], dtype=complex)
+        return _annulus_sum(xi, out, self._term, self.r1, self.r2, self.b)
+
+    def _term(self, s, sub, _sr):
+        """phi_hat(s xi) eta_hat(s xi), the summand of the reproducing sum."""
+        return np.asarray(self.phi.symbol(s * sub)) * np.asarray(self.eta_symbol(s * sub))
 
 
 def build_partition(
@@ -185,20 +195,10 @@ def build_partition(
         return plateau(r, r1, m, H, r2)
 
     def psi_big(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.sqrt(np.sum(xi * xi, axis=0))
-        out = np.zeros(r.shape)
-        pos = r[r > 0]
-        if pos.size == 0:
-            return out
-        for j in _j_window(float(pos.min()), float(pos.max()), r1, r2, b):
-            s = b**j
-            mask = (s * r > r1) & (s * r < r2)
-            if not np.any(mask):
-                continue
-            sub = xi[(slice(None),) + np.nonzero(mask)]
-            out[mask] += theta(s * r[mask]) * np.abs(np.asarray(phi.symbol(s * sub))) ** 2
-        return out
+        def term(s, sub, sr):
+            return theta(sr) * np.abs(np.asarray(phi.symbol(s * sub))) ** 2
+
+        return _annulus_sum(xi, np.zeros(np.shape(xi)[1:]), term, r1, r2, b)
 
     # normalizer must stay bounded below on the annulus (construction guarantee)
     probe_r = np.exp(np.linspace(math.log(r1 * 1.0001), math.log(r2 * 0.9999), 512))
@@ -274,21 +274,9 @@ def build_zeta(P: PartitionSystem, J: float) -> ZetaSymbol:
     j_start = math.ceil(math.log(J) / math.log(P.b) - 1e-9)
 
     def symbol(xi):
-        xi = np.asarray(xi, dtype=float)
-        r = np.sqrt(np.sum(xi * xi, axis=0))
-        out = np.ones(r.shape, dtype=complex)
-        pos = r[r > 0]
-        if pos.size == 0:
-            return out
-        window = _j_window(float(pos.min()), float(pos.max()), P.r1, P.r2, P.b)
-        for j in range(max(j_start, window.start), window.stop):
-            s = P.b**j
-            mask = (s * r > P.r1) & (s * r < P.r2)
-            if not np.any(mask):
-                continue
-            sub = xi[(slice(None),) + np.nonzero(mask)]
-            out[mask] -= np.asarray(P.phi.symbol(s * sub)) * np.asarray(P.eta_symbol(s * sub))
-        return out
+        out = np.ones(np.shape(xi)[1:], dtype=complex)
+        return _annulus_sum(xi, out, lambda s, sub, sr: -P._term(s, sub, sr),
+                            P.r1, P.r2, P.b, j_min=j_start)
 
     return ZetaSymbol(float(J), P, symbol)
 

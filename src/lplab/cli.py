@@ -8,7 +8,7 @@
     lplab transform g --kernel NAME --q Q    apply a square function to a field
 
 Exit status: 0 on pass, 1 when a scenario's acceptance bound fails, 2 on
-configuration errors.
+bad input (invalid configs or options, missing or malformed field files).
 """
 
 from __future__ import annotations
@@ -23,16 +23,18 @@ import numpy as np
 
 from . import io as lpio
 from .calderon import build_partition, find_intervals, reproduction_residual
-from .constants import c_const, check_conditions
+from .constants import c_const
 from .experiments import (
+    CONSTANTS_GRID,
     ConfigError,
     ExperimentConfig,
+    constants_audit,
     emit_report,
     resolve_kernel,
     run_experiment,
 )
-from .fields import Grid, ScaleGrid
-from .kernels import BUILTIN_KERNELS, KernelFamily, constant_multiplier, make_builtin
+from .fields import ScaleGrid
+from .kernels import BUILTIN_KERNELS, KernelFamily, make_builtin
 from .maximal import (
     GrandMaxConfig,
     PeetreParams,
@@ -44,13 +46,16 @@ from .maximal import (
 from .transforms import g_function
 
 
+def _bad_input(reason) -> int:
+    print(f"config error: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     try:
-        cfg = ExperimentConfig.from_json(args.config)
-        report = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        report = run_experiment(ExperimentConfig.from_json(args.config))
+    except (ConfigError, OSError) as exc:
+        return _bad_input(exc)
     emit_report(report, args.out)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.scenario}: {report.criterion}")
@@ -76,13 +81,11 @@ def _cmd_calderon_build(args) -> int:
     try:
         phi = resolve_kernel(args.kernel, args.params)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(exc)
     cover = find_intervals(phi)
     b = args.b if args.b is not None else max(0.5, cover.b0)
     if not (cover.b0 <= b < 1):
-        print(f"config error: b must lie in [{cover.b0:.4g}, 1)", file=sys.stderr)
-        return 2
+        return _bad_input(f"b must lie in [{cover.b0:.4g}, 1)")
     P = build_partition(KernelFamily((phi,)), b, cover)
     residual = reproduction_residual(P)
     out = lpio.ensure_dir(args.out)
@@ -110,21 +113,11 @@ def _cmd_calderon_build(args) -> int:
 
 def _cmd_constants_report(args) -> int:
     try:
-        phi = resolve_kernel(args.phi)
-        psi = resolve_kernel(args.psi)
+        cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
+                                          "phi": {"name": args.phi}, "psi": {"name": args.psi}})
+        P, psi, A, report = constants_audit(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cover = find_intervals(phi)
-    P = build_partition(KernelFamily((phi,)), max(0.5, cover.b0), cover)
-    grid = Grid(1, 8192, 256.0)
-    if args.psi == "annulus_bump":
-        A = max(1.0, 1.05 * P.r2 / 0.5)
-        theta = constant_multiplier(0.0)
-    else:
-        A = 1.0
-        theta = constant_multiplier(1.0)
-    report = check_conditions(P, phi, psi, theta, A, args.N, grid)
+        return _bad_input(exc)
     out = lpio.ensure_dir(args.out)
     payload = {
         "phi": args.phi,
@@ -147,27 +140,28 @@ def _cmd_constants_report(args) -> int:
         for j in sorted(report.c_values):
             # box-limited diagnostic values: keep the sweep going past
             # sliver-support scales instead of raising on their tails
-            c = c_const(P, psi, j, args.L, grid, tail_check=False).value \
+            c = c_const(P, psi, j, args.L, CONSTANTS_GRID, tail_check=False).value \
                 if args.L != args.N else report.c_values[j]
             fh.write(f"{j},{c!r}\n")
-    ok = report.all_passed
     for k, v in report.condition_verdicts.items():
         print(f"{'PASS' if v.passed else 'FAIL'} {k}: {v.measured:.6g}")
-    return 0 if ok else 1
+    return 0 if report.all_passed else 1
 
 
 def _cmd_maximal(args) -> int:
-    f = lpio.read_field(args.infile)
+    try:  # every option is checked, whichever op it serves
+        f = lpio.read_field(args.infile)
+        params = PeetreParams(args.N, args.R)
+        scales = default_grand_scales(f.grid, args.scale_count)
+        gm_cfg = GrandMaxConfig(make_builtin(args.mollifier), scales)
+    except (OSError, ValueError) as exc:
+        return _bad_input(exc)
     if args.op == "peetre":
-        result = peetre_max(f, PeetreParams(args.N, args.R))
+        result = peetre_max(f, params)
     elif args.op == "hl":
         result = hl_max(f)
-    elif args.op == "grand":
-        scales = default_grand_scales(f.grid, args.scale_count)
-        result = grand_max(f, GrandMaxConfig(make_builtin(args.mollifier), scales))
     else:
-        print(f"config error: unknown op {args.op!r}", file=sys.stderr)
-        return 2
+        result = grand_max(f, gm_cfg)
     lpio.write_field(args.outfile, result)
     if args.csv:
         lpio.field_to_csv(args.csv, result)
@@ -178,11 +172,12 @@ def _cmd_maximal(args) -> int:
 def _cmd_transform_g(args) -> int:
     try:
         psi = resolve_kernel(args.kernel, args.params)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    f = lpio.read_field(args.infile)
-    scales = ScaleGrid.log_spaced(args.t_min, args.t_max, args.scale_count)
+        if not args.q > 0:
+            raise ConfigError(f"q must be positive, got {args.q}")
+        f = lpio.read_field(args.infile)
+        scales = ScaleGrid.log_spaced(args.t_min, args.t_max, args.scale_count)
+    except (OSError, ValueError) as exc:
+        return _bad_input(exc)
     result = g_function(f, psi, scales, args.q)
     lpio.write_field(args.outfile, result)
     if args.csv:

@@ -38,32 +38,30 @@ from .kernels import (
 NOISE_FLOOR = 1e-9
 
 
-def _weighted_modulus(grid: Grid, spectrum_values: np.ndarray, L: float) -> SampledField:
-    fg = grid.frequency_grid()
-    spatial = from_spectrum(SpectralField(fg, spectrum_values))
-    w = (1.0 + grid.radii()) ** L
-    return SampledField(grid, w * np.abs(spatial.values))
-
-
-def _require_resolution(grid: Grid, r2: float):
-    if grid.spacing > 1.0 / (4.0 * r2):
+def _weighted_modulus(P: PartitionSystem, grid: Grid, symbol, L: float) -> SampledField:
+    """(1 + |x|)^L |inverse transform of symbol(xi)| on a grid resolving P's annulus."""
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    if grid.spacing > 1.0 / (4.0 * P.r2):
         raise ValueError(
             f"grid spacing {grid.spacing:.4g} too coarse for the annulus "
-            f"(need <= {1.0 / (4.0 * r2):.4g})"
+            f"(need <= {1.0 / (4.0 * P.r2):.4g})"
         )
+    fg = grid.frequency_grid()
+    spatial = from_spectrum(SpectralField(fg, symbol(fg.coords())))
+    w = (1.0 + grid.radii()) ** L
+    return SampledField(grid, w * np.abs(spatial.values))
 
 
 def c0_profile(P: PartitionSystem, psi: KernelSpec, t: float, L: float, grid: Grid) -> SampledField:
     """The weighted modulus field C0(psi, t, L, .) on ``grid``."""
     if not t > 0:
         raise ValueError("t must be positive")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    _require_resolution(grid, P.r2)
-    fg = grid.frequency_grid()
-    xi = fg.coords()
-    integrand = np.asarray(psi.symbol(xi / t)) * np.asarray(P.eta_symbol(xi))
-    return _weighted_modulus(grid, integrand, L)
+
+    def integrand(xi):
+        return np.asarray(psi.symbol(xi / t)) * np.asarray(P.eta_symbol(xi))
+
+    return _weighted_modulus(P, grid, integrand, L)
 
 
 @dataclass(frozen=True)
@@ -108,14 +106,12 @@ def c_const(P: PartitionSystem, psi: KernelSpec, j: int, L: float, grid: Grid,
 def d_const(P: PartitionSystem, theta_mult: KernelSpec, J: float, L: float,
             grid: Grid, tail_check: bool = True) -> IntegralEstimate:
     """D(Theta, J, L): x-integral of the weighted modulus of zeta_J * Theta."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    _require_resolution(grid, P.r2)
     zeta = build_zeta(P, J)
-    fg = grid.frequency_grid()
-    xi = fg.coords()
-    integrand = np.asarray(zeta.symbol(xi)) * np.asarray(theta_mult.symbol(xi))
-    return _integrate_profile(_weighted_modulus(grid, integrand, L), enforce=tail_check)
+
+    def integrand(xi):
+        return np.asarray(zeta.symbol(xi)) * np.asarray(theta_mult.symbol(xi))
+
+    return _integrate_profile(_weighted_modulus(P, grid, integrand, L), enforce=tail_check)
 
 
 def fit_decay_exponent(ts, values, floor_rel: float = NOISE_FLOOR, reliable=None) -> float:

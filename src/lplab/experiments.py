@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ import numpy as np
 from . import families
 from .calderon import build_partition, find_intervals
 from .constants import check_conditions
-from .fields import Grid, SampledField, ScaleGrid, lp_norm, weighted_lp_norm
+from .fields import Grid, SampledField, ScaleGrid, lp_norm, to_spectrum, weighted_lp_norm
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -65,6 +65,20 @@ SCENARIOS = (
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (reported, never silently downgraded)."""
+
+
+def _number(key: str, v, kind=float):
+    """``v`` if it is a JSON number of the kind (float admits integers)."""
+    if isinstance(v, bool) or not isinstance(v, (int,) if kind is int else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {v!r}")
+    return v
+
+
+def _log_scales(key: str, s: dict, default_count: int) -> ScaleGrid:
+    return ScaleGrid.log_spaced(float(_number(f"{key}.t_min", s["t_min"])),
+                                float(_number(f"{key}.t_max", s["t_max"])),
+                                _number(f"{key}.count", s.get("count", default_count), int))
 
 
 def resolve_kernel(name: str, params=None) -> KernelSpec:
@@ -124,12 +138,40 @@ class ExperimentConfig:
             setattr(cfg, k, v)
         if isinstance(cfg.epsilons, list):
             cfg.epsilons = tuple(cfg.epsilons)
+        cfg._check_types_and_ranges()
         return cfg
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                return cls.from_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+
+    def _check_types_and_ranges(self):
+        for key in ("p", "q", "N", "b", "discrete_b"):
+            if not _number(key, getattr(self, key)) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.A is not None:
+            _number("A", self.A)
+        for key in ("seed", "atom_count"):
+            _number(key, getattr(self, key), int)
+        if not isinstance(self.epsilons, tuple):
+            raise ConfigError(f"epsilons must be a list, got {self.epsilons!r}")
+        for e in self.epsilons:
+            _number("epsilons[]", e)
+        for key in ("phi", "grid", "scales", "test_family", "psi", "weight", "grand_scales"):
+            v = getattr(self, key)
+            if not isinstance(v, dict) and (v is not None or key in ("phi", "grid", "scales")):
+                raise ConfigError(f"{key} must be a JSON object, got {v!r}")
+        try:
+            self.make_grand_scales(self.make_grid())
+            self.make_scales()
+        except KeyError as exc:
+            raise ConfigError(f"grid or scales entry lacks the key {exc}") from exc
+        except ValueError as exc:  # raised by Grid and ScaleGrid
+            raise ConfigError(str(exc)) from exc
 
     def psi_spec(self, default_name: str) -> dict:
         """The configured psi kernel, or the scenario's natural default
@@ -139,13 +181,18 @@ class ExperimentConfig:
 
     def make_grid(self) -> Grid:
         g = self.grid
-        return Grid(int(g.get("dimension", 1)), int(g["points_per_axis"]),
-                    float(g["half_extent"]))
+        return Grid(_number("grid.dimension", g.get("dimension", 1), int),
+                    _number("grid.points_per_axis", g["points_per_axis"], int),
+                    float(_number("grid.half_extent", g["half_extent"])))
 
     def make_scales(self) -> ScaleGrid:
-        s = self.scales
-        return ScaleGrid.log_spaced(float(s["t_min"]), float(s["t_max"]),
-                                    int(s.get("count", 128)))
+        return _log_scales("scales", self.scales, 128)
+
+    def make_grand_scales(self, grid: Grid) -> ScaleGrid:
+        """The configured grand-maximal scale grid, or the grid's default."""
+        if not self.grand_scales:
+            return default_grand_scales(grid)
+        return _log_scales("grand_scales", self.grand_scales, 64)
 
     def make_family(self) -> list:
         fam = dict(self.test_family)
@@ -226,8 +273,6 @@ def _translation_gap(tf, measure) -> float:
     """Relative ratio change under a translate of the first family member
     (unweighted scenarios only; the periodic grid makes this a pure
     discretization diagnostic)."""
-    from dataclasses import replace
-
     _, lhs0, rhs0 = measure(replace(tf, lam=1.0, shift=0.0))
     _, lhs1, rhs1 = measure(replace(tf, lam=1.0, shift=1.5))
     if rhs0 <= 0 or rhs1 <= 0:
@@ -246,12 +291,57 @@ def _environment(cfg: ExperimentConfig) -> dict:
 
 def _build_partition_for(cfg: ExperimentConfig, phi: KernelSpec):
     cover = find_intervals(phi, dimension=cfg.make_grid().dimension)
-    b = max(cfg.b, cover.b0)
-    return build_partition(KernelFamily((phi,)), b, cover)
+    if cfg.b < cover.b0:
+        raise ConfigError(f"b must lie in [b0, 1) = [{cover.b0:.4g}, 1) for {phi.name}, "
+                          f"got {cfg.b}")
+    return build_partition(KernelFamily((phi,)), cfg.b, cover)
 
 
-def _constants_grid() -> Grid:
-    return Grid(1, 8192, 256.0)
+#: the 1-d grid resolving the partition annulus for the constants audit
+CONSTANTS_GRID = Grid(1, 8192, 256.0)
+
+
+def _resolve_psi(cfg: ExperimentConfig, phi: KernelSpec, default_name: str):
+    """The configured psi and its config entry; ``phi_gradient`` is d/dx phi."""
+    psi_cfg = cfg.psi_spec(default_name)
+    if psi_cfg.get("name") == "phi_gradient":
+        return derived_kernel(f"ddx_{phi.name}", phi, coordinate_multiplier(0)), psi_cfg
+    return resolve_kernel(**psi_cfg), psi_cfg
+
+
+def _splitting(cfg: ExperimentConfig, P, phi: KernelSpec, psi: KernelSpec, psi_cfg: dict,
+               vanishing: bool) -> tuple:
+    """The pair (A, Theta) with psi_hat = phi_hat * Theta on {|xi| < r2/A},
+    checked on a probe of that ball.  A vanishing psi takes Theta = 0 and A
+    past its support edge (first param, default 1/2); the gradient pair the
+    derivative multiplier, any other psi Theta = 1, at the configured A."""
+    # a vanishing symbol is exactly 0 on the ball; two agreeing symbols differ by round-off
+    if vanishing:
+        support_edge = (psi_cfg.get("params") or [0.5])[0]
+        A, theta, tol = max(1.0, 1.05 * P.r2 / support_edge), constant_multiplier(0.0), 1e-12
+    else:
+        gradient = psi_cfg.get("name") == "phi_gradient"
+        theta = coordinate_multiplier(0) if gradient else constant_multiplier(1.0)
+        A, tol = cfg.A or 1.0, 1e-8
+    probe = np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :]
+    product = np.asarray(phi.symbol(probe)) * np.asarray(theta.symbol(probe))
+    gap = float(np.max(np.abs(np.asarray(psi.symbol(probe)) - product)))
+    if gap > tol:
+        raise ConfigError(
+            f"psi_hat differs from phi_hat * {theta.name} near the origin (max {gap:.2e} "
+            f"on |xi| < {P.r2 / A:.3g}); this scenario needs that relation"
+        )
+    return A, theta
+
+
+def constants_audit(cfg: ExperimentConfig) -> tuple:
+    """(P, psi, A, report): the partition, psi (default: the annulus bump, the
+    vanishing case), A and the admissibility audit on CONSTANTS_GRID."""
+    phi = resolve_kernel(**cfg.phi)
+    psi, psi_cfg = _resolve_psi(cfg, phi, "annulus_bump")
+    P = _build_partition_for(cfg, phi)
+    A, theta = _splitting(cfg, P, phi, psi, psi_cfg, psi_cfg.get("name") == "annulus_bump")
+    return P, psi, A, check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
@@ -298,8 +388,6 @@ class _SpectralRatioOracle:
         self._m_phi = multiplier(phi)
 
     def ratio(self, f: SampledField) -> float:
-        from .fields import to_spectrum
-
         power = np.abs(to_spectrum(f).values) ** 2
         num = float(np.sum(power * self._m_psi))
         den = float(np.sum(power * self._m_phi))
@@ -313,49 +401,14 @@ def _run_ladder_compare(cfg: ExperimentConfig, vanishing: bool) -> Report:
     weight = resolve_weight(cfg.weight)
     wf = weight.materialize(grid)
 
-    if vanishing:
-        psi_cfg = cfg.psi_spec("annulus_bump")
-        psi = resolve_kernel(**psi_cfg)
-        theta = constant_multiplier(0.0)
-    else:
-        psi_cfg = cfg.psi_spec("phi_gradient")
-        if psi_cfg.get("name") == "phi_gradient":
-            psi = derived_kernel(f"ddx_{phi.name}", phi, coordinate_multiplier(0))
-            theta = coordinate_multiplier(0)
-        else:
-            psi = resolve_kernel(**psi_cfg)
-            theta = constant_multiplier(1.0)
+    psi, psi_cfg = _resolve_psi(cfg, phi, "annulus_bump" if vanishing else "phi_gradient")
 
     diagnostics: dict = {}
     if cfg.verify_conditions or vanishing:
         P = _build_partition_for(cfg, phi)
-        if vanishing:
-            support_edge = (psi_cfg.get("params") or [0.5])[0]
-            A = max(1.0, 1.05 * P.r2 / support_edge)
-            # symbol must vanish on the sampled low-frequency ball
-            probe = np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :]
-            low = float(np.max(np.abs(np.asarray(psi.symbol(probe)))))
-            if low > 1e-12:
-                raise ConfigError(
-                    f"psi symbol does not vanish near the origin (max {low:.2e} "
-                    f"on |xi| < {P.r2 / A:.3g})"
-                )
-        else:
-            A = cfg.A or 1.0
-            if psi_cfg.get("name") != "phi_gradient":
-                # explicit psi pairs with Theta = 1: the symbols must agree
-                # on the low-frequency ball for the splitting to make sense
-                probe = np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :]
-                gap = float(np.max(np.abs(
-                    np.asarray(psi.symbol(probe)) - np.asarray(phi.symbol(probe))
-                )))
-                if gap > 1e-8:
-                    raise ConfigError(
-                        f"psi and phi symbols differ near the origin (max {gap:.2e}); "
-                        "this scenario needs the low-frequency agreement"
-                    )
+        A, theta = _splitting(cfg, P, phi, psi, psi_cfg, vanishing)
         if cfg.verify_conditions:
-            audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), _constants_grid())
+            audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
             diagnostics["conditions"] = {
                 k: {"passed": v.passed, "measured": v.measured}
                 for k, v in audit.condition_verdicts.items()
@@ -391,7 +444,7 @@ def _run_ladder_compare(cfg: ExperimentConfig, vanishing: bool) -> Report:
     diagnostics["boundary_leakage"] = leakage
     if family and unit_weight:
         diagnostics["translation_gap"] = _translation_gap(family[0], measure)
-    if vanishing and unit_weight and cfg.q == 2.0:
+    if use_oracle:
         diagnostics["max_oracle_gap"] = max(oracle_gaps)
         passed = max(oracle_gaps) <= 0.02
         criterion = "ratio matches the spectral-multiplier oracle within 2%"
@@ -415,14 +468,7 @@ def _run_hardy_lower(cfg: ExperimentConfig) -> Report:
             raise ConfigError(
                 f"analysis kernel must be mean-zero (symbol(0) residual {canc.residual:.2e})"
             )
-    if cfg.grand_scales:
-        gs = cfg.grand_scales
-        grand_scales = ScaleGrid.log_spaced(float(gs["t_min"]), float(gs["t_max"]),
-                                            int(gs.get("count", 64)))
-    else:
-        grand_scales = default_grand_scales(grid)
-    mollifier = make_builtin("gaussian")
-    gm_cfg = GrandMaxConfig(mollifier, grand_scales)
+    gm_cfg = GrandMaxConfig(make_builtin("gaussian"), cfg.make_grand_scales(grid))
 
     def measure(tf):
         f = tf.sample(grid)
@@ -496,8 +542,7 @@ def _run_synthesis_atoms(cfg: ExperimentConfig) -> Report:
         psi = make_builtin("annulus_bump", [1.0, 1.2, 1.7, 2.0])
     else:
         psi = resolve_kernel(**psi_cfg)
-    mollifier = make_builtin("gaussian")
-    gm_cfg = GrandMaxConfig(mollifier, default_grand_scales(grid))
+    gm_cfg = GrandMaxConfig(make_builtin("gaussian"), default_grand_scales(grid))
     cube_side = min(4.0, grid.half_extent / 2.0)
 
     rows = []
@@ -529,18 +574,7 @@ def _run_synthesis_atoms(cfg: ExperimentConfig) -> Report:
 
 
 def _run_constants_audit(cfg: ExperimentConfig) -> Report:
-    phi = resolve_kernel(**cfg.phi)
-    psi_cfg = cfg.psi_spec("annulus_bump")
-    psi = resolve_kernel(**psi_cfg)
-    P = _build_partition_for(cfg, phi)
-    if psi_cfg.get("name") == "annulus_bump":
-        support_edge = (psi_cfg.get("params") or [0.5])[0]
-        A = max(1.0, 1.05 * P.r2 / support_edge)
-        theta = constant_multiplier(0.0)
-    else:
-        A = cfg.A or 1.0
-        theta = constant_multiplier(1.0)
-    audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), _constants_grid())
+    *_, audit = constants_audit(cfg)
     rows = [
         {"fname": k, "lambda": 0.0, "lhs": v.measured, "rhs": math.nan,
          "ratio": math.nan, "passed": v.passed}
@@ -561,38 +595,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
+def emit_report(report: Report, out_dir) -> list:
     """Write report.json, ratios.csv and plot-ready per-shape CSVs; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out / "report.json"
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    if "csv" in formats:
-        path = out / "ratios.csv"
-        with open(path, "w") as fh:
-            fh.write("fname,lambda,lhs,rhs,ratio\n")
-            for r in report.rows:
-                fh.write(
-                    f"{r['fname']},{_fmt(r['lambda'])},{_fmt(r['lhs'])},"
-                    f"{_fmt(r['rhs'])},{_fmt(r['ratio'])}\n"
-                )
-        written.append(path)
-        plotdir = out / "plotdata"
-        plotdir.mkdir(exist_ok=True)
-        by_shape: dict = {}
+    json_path = out / "report.json"
+    with open(json_path, "w") as fh:
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    csv_path = out / "ratios.csv"
+    with open(csv_path, "w") as fh:
+        fh.write("fname,lambda,lhs,rhs,ratio\n")
         for r in report.rows:
-            shape = r["fname"].split("[")[0]
-            by_shape.setdefault(shape, []).append(r)
-        for shape, rws in by_shape.items():
-            ppath = plotdir / f"{shape}.csv"
-            with open(ppath, "w") as fh:
-                fh.write("lambda,ratio\n")
-                for r in rws:
-                    fh.write(f"{_fmt(r['lambda'])},{_fmt(r['ratio'])}\n")
-            written.append(ppath)
+            fh.write(
+                f"{r['fname']},{_fmt(r['lambda'])},{_fmt(r['lhs'])},"
+                f"{_fmt(r['rhs'])},{_fmt(r['ratio'])}\n"
+            )
+    written = [json_path, csv_path]
+    plotdir = out / "plotdata"
+    plotdir.mkdir(exist_ok=True)
+    by_shape: dict = {}
+    for r in report.rows:
+        shape = r["fname"].split("[")[0]
+        by_shape.setdefault(shape, []).append(r)
+    for shape, rws in by_shape.items():
+        ppath = plotdir / f"{shape}.csv"
+        with open(ppath, "w") as fh:
+            fh.write("lambda,ratio\n")
+            for r in rws:
+                fh.write(f"{_fmt(r['lambda'])},{_fmt(r['ratio'])}\n")
+        written.append(ppath)
     return written

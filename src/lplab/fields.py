@@ -159,6 +159,16 @@ def from_spectrum(F: SpectralField) -> SampledField:
     return SampledField(spatial, vals)
 
 
+def filtered(f: SampledField, multipliers):
+    """Yield inverse(f_hat * m(xi)) per multiplier m, a callable on stacked
+    frequency coordinates: one forward transform for all of them, and one
+    field at a time, so callers reduce as the results stream."""
+    spec = to_spectrum(f)
+    coords = spec.grid.coords()
+    for m in multipliers:
+        yield from_spectrum(SpectralField(spec.grid, spec.values * np.asarray(m(coords))))
+
+
 def lp_norm(f: SampledField, p: float) -> float:
     """(sum |f|^p * cell_volume)^(1/p).  Quasi-norm for 0 < p < 1 permitted."""
     if not p > 0:

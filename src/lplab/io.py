@@ -12,6 +12,7 @@ parts, ready for plotting.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -32,16 +33,29 @@ def write_field(path, f: SampledField) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
+def _header(fh, path, fmt: str) -> tuple:
+    data = fh.read(struct.calcsize(fmt))
+    if len(data) != struct.calcsize(fmt):
+        raise ValueError(f"{path}: truncated header")
+    return struct.unpack(fmt, data)
+
+
+def _payload(fh, path, nbytes: int) -> bytes:
+    """The rest of the file, which must be exactly ``nbytes`` long."""
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != nbytes:
+        raise ValueError(f"{path}: payload holds {size} bytes, the header implies {nbytes}")
+    return fh.read(nbytes)
+
+
 def read_field(path) -> SampledField:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FIELD_MAGIC:
             raise ValueError(f"{path}: not a field container (magic {magic!r})")
-        dim, p, half = struct.unpack("<IId", fh.read(16))
-        grid = Grid(dim, p, half)
-        payload = fh.read(16 * grid.cell_count)
-        vals = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    return SampledField(grid, vals)
+        grid = Grid(*_header(fh, path, "<IId"))
+        payload = _payload(fh, path, 16 * grid.cell_count)
+    return SampledField(grid, np.frombuffer(payload, dtype="<c16").reshape(grid.shape))
 
 
 def write_scale_field(path, sf: ScaleField) -> None:
@@ -61,12 +75,12 @@ def read_scale_field(path) -> ScaleField:
         magic = fh.read(4)
         if magic != _SCALE_MAGIC:
             raise ValueError(f"{path}: not a scale-field container (magic {magic!r})")
-        dim, p, half, count, ratio = struct.unpack("<IIdId", fh.read(28))
+        dim, p, half, count, ratio = _header(fh, path, "<IIdId")
         grid = Grid(dim, p, half)
-        scales = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        sg = ScaleGrid(scales, ratio=None if np.isnan(ratio) else float(ratio))
-        payload = fh.read(16 * count * grid.cell_count)
-        vals = np.frombuffer(payload, dtype="<c16").reshape((count,) + grid.shape)
+        payload = _payload(fh, path, 8 * count + 16 * count * grid.cell_count)
+        sg = ScaleGrid(np.frombuffer(payload[: 8 * count], dtype="<f8"),
+                       ratio=None if np.isnan(ratio) else float(ratio))
+        vals = np.frombuffer(payload[8 * count :], dtype="<c16").reshape((count,) + grid.shape)
     return ScaleField(grid, sg, vals)
 
 

@@ -92,8 +92,6 @@ class KernelSpec:
 
     name: str
     symbol: object  # callable (dim, ...) -> (...)
-    claimed_decay: DecaySpec | None = None
-    multiplier_flag: bool = False
     claims_cancellation: bool = False
 
     def __call__(self, xi):
@@ -118,6 +116,11 @@ class KernelFamily:
 
     def __iter__(self):
         return iter(self.members)
+
+
+def _as_family(fam) -> KernelFamily:
+    """A KernelFamily as is; a single KernelSpec as a one-member family."""
+    return KernelFamily((fam,)) if isinstance(fam, KernelSpec) else fam
 
 
 BUILTIN_KERNELS = ("poissonQ", "gaussian", "mexican_hat", "annulus_bump")
@@ -156,7 +159,7 @@ def constant_multiplier(value: complex) -> KernelSpec:
     def symbol(xi):
         return np.full(np.asarray(xi).shape[1:], v, dtype=complex)
 
-    return KernelSpec(f"const({value})", symbol, multiplier_flag=True)
+    return KernelSpec(f"const({value})", symbol)
 
 
 def coordinate_multiplier(axis: int) -> KernelSpec:
@@ -166,7 +169,7 @@ def coordinate_multiplier(axis: int) -> KernelSpec:
         xi = np.asarray(xi, dtype=float)
         return 2.0j * np.pi * xi[axis]
 
-    return KernelSpec(f"ddx{axis}", symbol, multiplier_flag=True, claims_cancellation=True)
+    return KernelSpec(f"ddx{axis}", symbol, claims_cancellation=True)
 
 
 def derived_kernel(name: str, base: KernelSpec, multiplier: KernelSpec) -> KernelSpec:
@@ -192,12 +195,7 @@ def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
     def profile(r):
         return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
 
-    return KernelSpec(
-        name or f"power_tail({tau})",
-        radial_symbol(profile),
-        claimed_decay=DecaySpec(l=2, tau=tau),
-        claims_cancellation=True,
-    )
+    return KernelSpec(name or f"power_tail({tau})", radial_symbol(profile), claims_cancellation=True)
 
 
 def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:
@@ -250,8 +248,7 @@ def check_nondegeneracy(
     log t around the grid argmax, so a generous log grid recovers smooth
     maxima to high accuracy.
     """
-    if isinstance(fam, KernelSpec):
-        fam = KernelFamily((fam,))
+    fam = _as_family(fam)
     if t_range.count < 2 or t_range.spans_decades() < 4.0:
         raise ValueError("scale range must span at least 4 decades")
     dirs = _unit_directions(dimension, directions)

@@ -22,15 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .fields import (
-    Grid,
-    SampledField,
-    ScaleGrid,
-    SpectralField,
-    from_spectrum,
-    to_spectrum,
-)
-from .kernels import KernelSpec
+from .fields import Grid, SampledField, ScaleGrid, filtered
+from .kernels import KernelSpec, coordinate_multiplier
 
 
 @dataclass(frozen=True)
@@ -59,62 +52,75 @@ def _shift_window_view(absf: np.ndarray):
     return sliding_window_view(dbl, absf.shape[-1], axis=-1)
 
 
-def peetre_max(F: SampledField, params: PeetreParams, cutoff: bool = False) -> SampledField:
-    """Exact discrete sup of |F(x-y)| / (1 + R|y|)^N over all grid offsets y.
-
-    Brute force over the full periodic grid by default.  With ``cutoff``
-    (1-d only) shifts are visited in decreasing weight order and the scan
-    stops once remaining terms provably stay below 1e-14 of the running
-    result everywhere.
-    """
+def peetre_max(F: SampledField, params: PeetreParams) -> SampledField:
+    """Exact discrete sup of |F(x-y)| / (1 + R|y|)^N over all grid offsets y,
+    by brute force over the full periodic grid."""
     g = F.grid
     absf = np.abs(F.values)
     w = (1.0 + params.R * _wrapped_offsets(g)) ** (-params.N)
     if g.dimension == 1:
         n = g.points_per_axis
         out = np.zeros(n)
-        order = np.argsort(w)[::-1] if cutoff else np.arange(n)
-        fmax = float(absf.max())
         win = _shift_window_view(absf)
         chunk = 512
         for start in range(0, n, chunk):
-            shifts = order[start : start + chunk]
-            if cutoff and w[shifts[0]] * fmax <= 1e-14 * out.min():
-                break
+            shifts = np.arange(start, min(start + chunk, n))
             rows = win[(-shifts) % n]  # (chunk, n)
             np.maximum(out, np.max(rows * w[shifts, None], axis=0), out=out)
         return SampledField(g, out)
-    # 2-d: roll along the first axis, vectorize the second via the same trick
+    # 2-d: roll along the first axis, vectorize the second via the same view
     p = g.points_per_axis
     out = np.zeros((p, p))
     idx = (-np.arange(p)) % p
     for s1 in range(p):
         rolled = np.roll(absf, s1, axis=0)
-        win = sliding_window_view(
-            np.concatenate([rolled, rolled], axis=1), p, axis=1
-        )[:, idx, :]  # (p, s2, x2)
+        win = _shift_window_view(rolled)[:, idx, :]  # (p, s2, x2)
         np.maximum(out, np.max(win * w[s1][None, :, None], axis=1), out=out)
     return SampledField(g, out)
 
 
-def _hl_max_1d(absf: np.ndarray, spacing: float) -> np.ndarray:
-    n = absf.size
-    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([absf, absf]))])
-    # width-1 windows are the samples themselves; seeding with them keeps
-    # M(f) >= |f| exact (cumsum differencing would round at the eps level)
-    out = absf.astype(float).copy()
-    for w in range(2, n + 1):
-        means = (csum[w : w + n] - csum[:n]) / w  # window starting at each cell
-        # dilate so out[x] maximizes over windows [x-w+1, x] (those containing x)
-        origin = w - 1 - w // 2
-        np.maximum(out, ndimage.maximum_filter1d(means, w, mode="wrap", origin=origin), out=out)
-    return out
+def _window_means(vals: np.ndarray, widths):
+    """Yield, per width, the means of 1-d ``vals`` over every periodic window
+    of that many cells, indexed by the window's first cell."""
+    n = vals.size
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]))])
+    for w in widths:
+        yield (csum[w : w + n] - csum[:n]) / w
 
 
 def _disc_footprint(radius_cells: float, p: int) -> np.ndarray:
     k = np.minimum(np.arange(p), p - np.arange(p))
     d2 = k[:, None] ** 2 + k[None, :] ** 2
     return d2 <= radius_cells**2 + 1e-9
+
+
+def _disc_means(vals: np.ndarray, radii_cells):
+    """Yield (footprint, means) per radius with a nonempty footprint: the
+    means of 2-d nonnegative ``vals`` over the periodic disc of that radius
+    (in cells) centred at every cell, by FFT convolution; the footprint is
+    the disc around cell (0, 0), wrapped."""
+    p = vals.shape[0]
+    vhat = np.fft.fft2(vals)
+    for rc in radii_cells:
+        fp = _disc_footprint(rc, p)
+        cells = int(fp.sum())
+        if cells == 0:
+            continue
+        means = np.real(np.fft.ifft2(vhat * np.fft.fft2(fp))) / cells
+        yield fp, np.maximum(means, 0.0)
+
+
+def _hl_max_1d(absf: np.ndarray) -> np.ndarray:
+    n = absf.size
+    # width-1 windows are the samples themselves; seeding with them keeps
+    # M(f) >= |f| exact (cumsum differencing would round at the eps level)
+    out = absf.astype(float).copy()
+    widths = range(2, n + 1)
+    for w, means in zip(widths, _window_means(absf, widths)):
+        # dilate so out[x] maximizes over windows [x-w+1, x] (those containing x)
+        origin = w - 1 - w // 2
+        np.maximum(out, ndimage.maximum_filter1d(means, w, mode="wrap", origin=origin), out=out)
+    return out
 
 
 def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:
@@ -126,15 +132,9 @@ def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:
         radii = np.exp(
             np.linspace(math.log(grid.spacing / 2.0), math.log(grid.half_extent), count)
         )
-    fhat = np.fft.fft2(absf)
     out = absf.astype(float).copy()  # the degenerate single-cell ball
-    for r in np.asarray(radii, dtype=float):
-        fp = _disc_footprint(r / grid.spacing, p)
-        cells = int(fp.sum())
-        if cells == 0:
-            continue
-        means = np.real(np.fft.ifft2(fhat * np.fft.fft2(fp))) / cells
-        means = np.maximum(means, 0.0)
+    radii_cells = np.asarray(radii, dtype=float) / grid.spacing
+    for fp, means in _disc_means(absf, radii_cells):
         # uncentered: take the best ball center within distance r of each point
         shifted = np.fft.fftshift(fp)
         np.maximum(out, ndimage.maximum_filter(means, footprint=shifted, mode="wrap"), out=out)
@@ -151,7 +151,7 @@ def hl_max(f: SampledField, radii=None) -> SampledField:
     g = f.grid
     absf = np.abs(f.values)
     if g.dimension == 1:
-        return SampledField(g, _hl_max_1d(absf, g.spacing))
+        return SampledField(g, _hl_max_1d(absf))
     return SampledField(g, _hl_max_2d(absf, g, radii))
 
 
@@ -175,26 +175,17 @@ def default_grand_scales(grid: Grid, count: int = 64) -> ScaleGrid:
 
 def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
     """Pointwise max over the scale grid of |Phi_t * f| (convolutions spectral)."""
-    spec = to_spectrum(f)
-    fg = spec.grid
-    coords = fg.coords()
     out = np.zeros(f.grid.shape)
-    for t in cfg.scales.scales:
-        mult = np.asarray(cfg.mollifier.symbol(t * coords))
-        conv = from_spectrum(SpectralField(fg, spec.values * mult))
+    mollify = (lambda xi, t=t: cfg.mollifier.symbol(t * xi) for t in cfg.scales.scales)
+    for conv in filtered(f, mollify):
         np.maximum(out, np.abs(conv.values), out=out)
     return SampledField(f.grid, out)
 
 
 def spectral_gradient(f: SampledField) -> list:
     """Partial derivatives via the multiplier 2*pi*i*xi_k, one field per axis."""
-    spec = to_spectrum(f)
-    coords = spec.grid.coords()
-    outs = []
-    for k in range(f.grid.dimension):
-        mult = 2.0j * np.pi * coords[k]
-        outs.append(from_spectrum(SpectralField(spec.grid, spec.values * mult)))
-    return outs
+    axes = range(f.grid.dimension)
+    return list(filtered(f, (coordinate_multiplier(k).symbol for k in axes)))
 
 
 @dataclass(frozen=True)

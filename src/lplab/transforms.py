@@ -27,6 +27,7 @@ from .fields import (
     SampledField,
     ScaleGrid,
     SpectralField,
+    filtered,
     from_spectrum,
     scale_integral,
     to_spectrum,
@@ -55,14 +56,16 @@ class ScaleField:
         return SampledField(self.grid, self.values[k])
 
 
+def _dilates(psi: KernelSpec, ts):
+    """The multipliers xi -> psi_hat(t xi), one per scale t."""
+    return (lambda xi, t=t: psi.symbol(t * xi) for t in ts)
+
+
 def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
     """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale."""
-    spec = to_spectrum(f)
-    coords = spec.grid.coords()
     out = np.empty((scales.count,) + f.grid.shape, dtype=complex)
-    for k, t in enumerate(scales.scales):
-        mult = np.asarray(psi.symbol(t * coords))
-        out[k] = from_spectrum(SpectralField(spec.grid, spec.values * mult)).values
+    for k, conv in enumerate(filtered(f, _dilates(psi, scales.scales))):
+        out[k] = conv.values
     return ScaleField(f.grid, scales, out)
 
 
@@ -80,12 +83,8 @@ def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2
     js = list(j_range)
     if not js:
         raise ValueError("empty j range")
-    spec = to_spectrum(f)
-    coords = spec.grid.coords()
     acc = np.zeros(f.grid.shape)
-    for j in js:
-        mult = np.asarray(psi.symbol(b**j * coords))
-        conv = from_spectrum(SpectralField(spec.grid, spec.values * mult))
+    for conv in filtered(f, _dilates(psi, (b**j for j in js))):
         acc += np.abs(conv.values) ** q
     return SampledField(f.grid, acc ** (1.0 / q))
 
@@ -105,7 +104,7 @@ def conjugate_kernel(psi: KernelSpec) -> KernelSpec:
     def symbol(xi):
         return np.conj(np.asarray(psi.symbol(xi)))
 
-    return KernelSpec(f"conj({psi.name})", symbol, multiplier_flag=psi.multiplier_flag)
+    return KernelSpec(f"conj({psi.name})", symbol)
 
 
 def calderon_constant(psi: KernelSpec, dimension: int = 1) -> float:
@@ -129,8 +128,7 @@ def calderon_normalize(psi: KernelSpec, dimension: int = 1) -> KernelSpec:
     def symbol(xi):
         return scale * np.asarray(psi.symbol(xi))
 
-    return KernelSpec(f"{psi.name}_norm", symbol, psi.claimed_decay, psi.multiplier_flag,
-                      psi.claims_cancellation)
+    return KernelSpec(f"{psi.name}_norm", symbol, psi.claims_cancellation)
 
 
 def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
@@ -174,24 +172,28 @@ def _cube_mask(grid: Grid, center, side: float) -> np.ndarray:
     return mask
 
 
-def _moment_basis(grid: Grid, mask: np.ndarray, center, side: float, order: int) -> list:
-    """Orthonormal basis (grid inner product on the cube) of monomials up to ``order``."""
-    coords = grid.coords()
-    scaled = [(coords[k] - center[k]) / (side / 2.0) for k in range(grid.dimension)]
-    monomials = []
+def _cube_monomials(grid: Grid, mask: np.ndarray, coords, order: int) -> list:
+    """The monomials prod_k coords[k]^e_k of degree <= ``order``, zero off the mask."""
     if grid.dimension == 1:
         powers = [(a,) for a in range(order + 1)]
     else:
         powers = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
+    monomials = []
     for pw in powers:
         m = np.ones(grid.shape)
         for k, e in enumerate(pw):
-            m = m * scaled[k] ** e
-        m = np.where(mask, m, 0.0)
-        monomials.append(m)
+            m = m * coords[k] ** e
+        monomials.append(np.where(mask, m, 0.0))
+    return monomials
+
+
+def _moment_basis(grid: Grid, mask: np.ndarray, center, side: float, order: int) -> list:
+    """Orthonormal basis (grid inner product on the cube) of monomials up to ``order``."""
+    coords = grid.coords()
+    scaled = [(coords[k] - center[k]) / (side / 2.0) for k in range(grid.dimension)]
     vol = grid.cell_volume
     basis = []
-    for m in monomials:
+    for m in _cube_monomials(grid, mask, scaled, order):
         v = m.astype(float)
         for b in basis:
             v = v - np.sum(v * b) * vol * b
@@ -242,11 +244,9 @@ def make_atom(
     fg = grid.frequency_grid()
     lowpass = np.exp(-((fg.radii() / kcut) ** 2))
     for k in range(scales.count):
-        noise = rng.standard_normal(grid.shape)
-        smooth = from_spectrum(
-            SpectralField(fg, to_spectrum(SampledField(grid, noise)).values * lowpass)
-        ).values.real
-        slice_k = smooth * window
+        noise = SampledField(grid, rng.standard_normal(grid.shape))
+        (smooth,) = filtered(noise, [lambda xi: lowpass])
+        slice_k = smooth.values.real * window
         for b in basis:
             slice_k = slice_k - np.sum(slice_k * b) * vol * b
         vals[k] = slice_k
@@ -283,19 +283,9 @@ def validate_atom(a: Atom) -> AtomValidation:
     sup = float(np.max(scale_integral(np.abs(vals), a.values.scales, 2.0)))
     bound = (a.cube_side**n) ** (-1.0 / a.p)
     size_ratio = sup / bound
-    coords = grid.coords()
     vol = grid.cell_volume
     worst = 0.0
-    if n == 1:
-        powers = [(e,) for e in range(a.moment_order + 1)]
-    else:
-        powers = [(e1, e2) for e1 in range(a.moment_order + 1)
-                  for e2 in range(a.moment_order + 1 - e1)]
-    for pw in powers:
-        mono = np.ones(grid.shape)
-        for k, e in enumerate(pw):
-            mono = mono * coords[k] ** e
-        mono = np.where(mask, mono, 0.0)
+    for mono in _cube_monomials(grid, mask, grid.coords(), a.moment_order):
         mono_norm = math.sqrt(float(np.sum(mono**2)) * vol)
         for k in range(vals.shape[0]):
             slice_norm = math.sqrt(float(np.sum(np.abs(vals[k]) ** 2)) * vol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, SampledField
-from .maximal import _disc_footprint, hl_max
+from .maximal import _disc_means, _window_means, hl_max
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,6 @@ def _singular_cell_average(grid: Grid, a: float) -> float:
     return float(np.mean(np.hypot(xx, yy) ** a))
 
 
-def _window_means_1d(vals: np.ndarray, width: int) -> np.ndarray:
-    n = vals.size
-    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]))])
-    return (csum[width : width + n] - csum[:n]) / width
-
-
 def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:
     """Estimate [w]_{A_p} over grid-aligned balls of the given radii."""
     if not p > 1:
@@ -99,26 +93,17 @@ def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:
     if np.any(wf <= 0):
         raise ValueError("weight must be strictly positive on the grid")
     sig = wf ** (-1.0 / (p - 1.0))
-    best = 0.0
     radii = np.asarray(ball_radii, dtype=float)
     if grid.dimension == 1:
-        for r in radii:
-            width = max(1, int(round(2.0 * r / grid.spacing)))
-            width = min(width, grid.points_per_axis)
-            mw = _window_means_1d(wf, width)
-            ms = _window_means_1d(sig, width)
-            best = max(best, float(np.max(mw * ms ** (p - 1.0))))
-        return best
-    fw = np.fft.fft2(wf)
-    fs = np.fft.fft2(sig)
-    for r in radii:
-        fp = _disc_footprint(r / grid.spacing, grid.points_per_axis)
-        cells = int(fp.sum())
-        if cells == 0:
-            continue
-        fpk = np.fft.fft2(fp)
-        mw = np.maximum(np.real(np.fft.ifft2(fw * fpk)) / cells, 0.0)
-        ms = np.maximum(np.real(np.fft.ifft2(fs * fpk)) / cells, 0.0)
+        widths = [min(max(1, int(round(2.0 * r / grid.spacing))), grid.points_per_axis)
+                  for r in radii]
+        means_w, means_s = _window_means(wf, widths), _window_means(sig, widths)
+    else:
+        cells = radii / grid.spacing
+        means_w = (m for _, m in _disc_means(wf, cells))
+        means_s = (m for _, m in _disc_means(sig, cells))
+    best = 0.0
+    for mw, ms in zip(means_w, means_s):
         best = max(best, float(np.max(mw * ms ** (p - 1.0))))
     return best
 

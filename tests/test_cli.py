@@ -93,3 +93,46 @@ def test_run_scenario_and_exit_codes(tmp_path):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert main(["run", str(bad_path), "--out", str(out)]) == 2
+
+
+def _write_config(directory, **overrides):
+    cfg = {
+        "scenario": "constants_audit",
+        "grid": {"dimension": 1, "points_per_axis": 1024, "half_extent": 16.0},
+    }
+    cfg.update(overrides)
+    path = directory / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _cut(field_path, size):
+    path = field_path.with_name("cut.bin")
+    path.write_bytes(field_path.read_bytes()[:size])
+    return str(path)
+
+
+# each builds an argv from (tmp_path, stored field path)
+BAD_INPUTS = {
+    "peetre_negative_N": lambda d, f: ["maximal", "--op", "peetre", "--N", "-1",
+                                       "--in", str(f), "--out", str(d / "o.bin")],
+    "g_zero_q": lambda d, f: ["transform", "g", "--q", "0", "--in", str(f),
+                              "--out", str(d / "o.bin")],
+    "truncated_payload": lambda d, f: ["maximal", "--op", "hl", "--in", _cut(f, 1000),
+                                       "--out", str(d / "o.bin")],
+    "truncated_header": lambda d, f: ["transform", "g", "--in", _cut(f, 10),
+                                      "--out", str(d / "o.bin")],
+    "missing_field": lambda d, f: ["maximal", "--op", "hl", "--in", str(d / "none.bin"),
+                                   "--out", str(d / "o.bin")],
+    "points_per_axis_1000": lambda d, f: [
+        "run", _write_config(d, grid={"dimension": 1, "points_per_axis": 1000,
+                                      "half_extent": 16.0}), "--out", str(d / "run")],
+    "p_as_string": lambda d, f: ["run", _write_config(d, p="1.0"), "--out", str(d / "run")],
+    "b_below_b0": lambda d, f: ["run", _write_config(d, b=0.1), "--out", str(d / "run")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, stored_field, tmp_path, capsys):
+    assert main(BAD_INPUTS[case](tmp_path, stored_field)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -47,6 +47,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="admissible"):
             cfg.validate()
 
+    def test_b_below_b0_rejected(self):
+        # poissonQ has b0 ~ 0.186; the partition is never built at a silently raised b
+        with pytest.raises(ConfigError, match="b0"):
+            run_experiment(fast_config("constants_audit", b=0.1))
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", "1.0"), ("N", True), ("seed", 1.5), ("grid", [1024]),
+        ("scales", {"t_min": 1.0, "t_max": 0.5, "count": 8}),
+    ])
+    def test_bad_types_and_ranges_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            fast_config("cor31", **{key: value})
+
     def test_unknown_kernel_name(self):
         cfg = fast_config("cor31", p=1.0, phi={"name": "sinc", "params": []})
         with pytest.raises(ConfigError):

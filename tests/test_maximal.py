@@ -63,13 +63,6 @@ class TestPeetre:
         assert np.all(higher_n <= base + 1e-15)
         assert np.all(higher_r <= base + 1e-15)
 
-    def test_cutoff_matches_full_scan(self, grid1d_small, rng):
-        f = SampledField(grid1d_small, rng.standard_normal(1024))
-        p = PeetreParams(4.0, 8.0)
-        full = peetre_max(f, p).values.real
-        cut = peetre_max(f, p, cutoff=True).values.real
-        assert np.max(np.abs(full - cut)) <= 1e-13 * np.max(full)
-
     def test_2d_matches_brute_force(self):
         grid = Grid(2, 16, 4.0)
         rng = np.random.default_rng(11)
