@@ -14,7 +14,6 @@ bad input (invalid configs or options, missing or malformed field files).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -98,9 +97,7 @@ def _cmd_calderon_build(args) -> int:
         "r2": P.r2,
         "reproducing_residual": residual,
     }
-    with open(out / "partition.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    lpio.write_json(out / "partition.json", report)
     radii = np.exp(np.linspace(math.log(P.r1 / 2.0), math.log(2.0 * P.r2), 512))
     eta = P.eta_symbol(radii[np.newaxis, :])
     with open(out / "eta_ray.csv", "w") as fh:
@@ -132,9 +129,7 @@ def _cmd_constants_report(args) -> int:
             for k, v in report.condition_verdicts.items()
         },
     }
-    with open(out / "conditions.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    lpio.write_json(out / "conditions.json", payload)
     with open(out / "c_values.csv", "w") as fh:
         fh.write("j,c\n")
         for j in sorted(report.c_values):

@@ -39,6 +39,7 @@ from . import families
 from .calderon import build_partition, find_intervals
 from .constants import check_conditions
 from .fields import Grid, SampledField, ScaleGrid, lp_norm, to_spectrum, weighted_lp_norm
+from .io import restore_nonfinite, write_json
 from .kernels import (
     KernelFamily,
     KernelSpec,
@@ -243,7 +244,8 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(**d)
+        """The report of ``to_dict`` or of a parsed report.json."""
+        return cls(**restore_nonfinite(d))
 
 
 def _row(fname: str, lam: float, lhs: float, rhs: float) -> dict:
@@ -600,9 +602,7 @@ def emit_report(report: Report, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
-    with open(json_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_dict())
     csv_path = out / "ratios.csv"
     with open(csv_path, "w") as fh:
         fh.write("fname,lambda,lhs,rhs,ratio\n")

@@ -8,10 +8,16 @@ before the per-scale payloads.
 
 CSV dumps carry one sample per row: index, coordinates, real and imaginary
 parts, ready for plotting.
+
+JSON reports are strict JSON: non-finite floats are spelled as the strings
+"NaN", "Infinity" and "-Infinity" (the protobuf JSON convention), and
+``restore_nonfinite`` turns them back into floats.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -108,3 +114,34 @@ def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
+
+
+_NONFINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _spell_nonfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _spell_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_spell_nonfinite(v) for v in obj]
+    return obj
+
+
+def restore_nonfinite(obj):
+    """Inverse of the spelling ``write_json`` gives non-finite floats."""
+    if isinstance(obj, str):
+        return _NONFINITE.get(obj, obj)
+    if isinstance(obj, dict):
+        return {k: restore_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [restore_nonfinite(v) for v in obj]
+    return obj
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as strict, indented, key-sorted JSON."""
+    with open(path, "w") as fh:
+        json.dump(_spell_nonfinite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -9,8 +9,11 @@ grid itself.  The Peetre operator
 runs over every grid offset y with the periodic (wrapped) distance.  The
 Hardy-Littlewood operator takes uncentered averages over grid-aligned balls
 containing the point: every contiguous window in 1-d, discs of sampled radii
-in 2-d.  The grand maximal function is the pointwise sup over a scale grid
-of mollifications |Phi_t * f| with a unit-mass mollifier.
+in 2-d.  In 2-d each disc's means come from one FFT convolution and are
+dilated over the disc as a union of row segments, one running max per
+distinct segment width, at O(R p^2) per radius of R cells.  The grand
+maximal function is the pointwise sup over a scale grid of mollifications
+|Phi_t * f| with a unit-mass mollifier.
 """
 
 from __future__ import annotations
@@ -110,6 +113,26 @@ def _disc_means(vals: np.ndarray, radii_cells):
         yield fp, np.maximum(means, 0.0)
 
 
+def _disc_dilate(means: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """out[x] = max of ``means`` over x + the offsets of the wrapped footprint
+    ``fp`` (as yielded by ``_disc_means``), by decomposing the disc into row
+    segments: each footprint row is one wrapped run of columns centred on
+    offset 0, so one running max per distinct row width, rolled by every row
+    offset of that width, covers it.  Max is exact, so this equals the
+    footprint filter bit for bit at O(R p^2) instead of O(R^2 p^2)."""
+    p = means.shape[1]
+    widths = fp.sum(axis=1)
+    out = np.full(means.shape, -np.inf)
+    for w in np.unique(widths[widths > 0]):
+        if w == p:
+            rowmax = np.broadcast_to(means.max(axis=1, keepdims=True), means.shape)
+        else:
+            rowmax = ndimage.maximum_filter1d(means, int(w), axis=1, mode="wrap")
+        for row in np.flatnonzero(widths == w):
+            np.maximum(out, np.roll(rowmax, -row, axis=0), out=out)
+    return out
+
+
 def _hl_max_1d(absf: np.ndarray) -> np.ndarray:
     n = absf.size
     # width-1 windows are the samples themselves; seeding with them keeps
@@ -136,8 +159,7 @@ def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:
     radii_cells = np.asarray(radii, dtype=float) / grid.spacing
     for fp, means in _disc_means(absf, radii_cells):
         # uncentered: take the best ball center within distance r of each point
-        shifted = np.fft.fftshift(fp)
-        np.maximum(out, ndimage.maximum_filter(means, footprint=shifted, mode="wrap"), out=out)
+        np.maximum(out, _disc_dilate(means, fp), out=out)
     return out
 
 

@@ -71,6 +71,22 @@ def test_constants_report(tmp_path):
     assert lines[0] == "j,c"
 
 
+def test_constants_report_box_limited_d_fails_cleanly(tmp_path, capsys):
+    # Theta = 1 leaves D(Theta, A, N) with a boundary tail above 5% of D
+    out = tmp_path / "cons"
+    assert main(["constants", "report", "--phi", "poissonQ", "--psi", "poissonQ",
+                 "--out", str(out)]) == 1
+    assert "FAIL psi_multiplier_tail" in capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads((out / "conditions.json").read_text(), parse_constant=reject)
+    verdict = payload["verdicts"]["psi_multiplier_tail"]
+    assert not verdict["passed"]
+    assert verdict["measured"] == payload["d_value"] > 0
+
+
 def test_run_scenario_and_exit_codes(tmp_path):
     cfg = {
         "scenario": "prop36",

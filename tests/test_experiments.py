@@ -153,6 +153,20 @@ class TestReports:
         loaded = Report.from_dict(json.loads((tmp_path / "report.json").read_text()))
         assert loaded == rep
 
+    def test_report_json_is_strict_and_round_trips_nonfinite(self, tmp_path):
+        rep = run_experiment(fast_config("constants_audit", N=2))
+        assert math.isnan(rep.family_max_ratio)  # the audit rows carry NaN rhs/ratio
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        emit_report(rep, tmp_path)
+        parsed = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert parsed["family_max_ratio"] == "NaN"
+        # the default (non-strict) dump spells NaN and +-inf apart, floats exactly
+        restored = Report.from_dict(parsed).to_dict()
+        assert json.dumps(restored, sort_keys=True) == json.dumps(rep.to_dict(), sort_keys=True)
+
     def test_plotdata_emitted_per_shape(self, tmp_path):
         rep = run_experiment(fast_config("cor31", p=1.0))
         emit_report(rep, tmp_path)

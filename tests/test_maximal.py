@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lplab import (
     GrandMaxConfig,
@@ -21,7 +23,7 @@ from lplab import (
     scale_transform,
 )
 from lplab.fields import SpectralField
-from lplab.maximal import spectral_gradient
+from lplab.maximal import _disc_means, spectral_gradient
 
 
 def band_noise(grid, seed, center=1.5, width=4.0):
@@ -129,6 +131,23 @@ class TestHardyLittlewood:
                     mean = vals[ball].mean()
                     brute[ball] = np.maximum(brute[ball], mean)
         assert np.max(np.abs(out - brute)) <= 1e-12
+
+    def test_2d_128_default_radii_within_budget(self):
+        grid = Grid(2, 128, 8.0)
+        vals = np.random.default_rng(13).standard_normal((128, 128))
+        f = SampledField(grid, vals)
+        start = time.perf_counter()
+        out = hl_max(f).values.real
+        elapsed = time.perf_counter() - start
+        assert np.all(out >= np.abs(vals))
+        assert elapsed <= 5.0, f"hl_max at 128^2 took {elapsed:.2f}s (budget 5s)"
+        # small discs, checked against the full-footprint maximum filter
+        radii_cells = np.array([1.5, 3.0])
+        expect = np.abs(vals)
+        for fp, means in _disc_means(np.abs(vals), radii_cells):
+            dilated = ndimage.maximum_filter(means, footprint=np.fft.fftshift(fp), mode="wrap")
+            expect = np.maximum(expect, dilated)
+        assert np.array_equal(hl_max(f, radii_cells * grid.spacing).values.real, expect)
 
 
 class TestGrandMax:

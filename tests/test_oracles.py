@@ -3,15 +3,19 @@
 ``fields.filtered`` is checked against explicit DFT sums in the continuous
 Fourier convention; the periodic window and disc means behind the maximal
 operators and the A_p characteristic against direct averages over the
-cells of each window or disc.
+cells of each window or disc; the row-segment disc dilation against the
+full-footprint maximum filter.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from lplab.fields import Grid, SampledField, filtered
-from lplab.maximal import _disc_means, _window_means
+from lplab.maximal import _disc_dilate, _disc_means, _window_means
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -78,3 +82,20 @@ def test_disc_means_match_direct_averages(p, seed, radii):
         # expect[c] = mean of vals[c + y] over the offsets y in the disc
         expect = sum(np.roll(vals, (-a, -b), axis=(0, 1)) for a, b in disc) / len(disc)
         assert np.max(np.abs(means - expect)) <= 1e-12 * 10.0
+
+
+@SETTINGS
+@given(p=st.sampled_from([4, 8, 16, 32]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_disc_dilate_matches_footprint_filter(p, seed, data):
+    # radii up to p cells give wrapped and full-row discs; sqrt(integer) radii
+    # put lattice points exactly on the footprint's 1e-9 boundary
+    radius = st.one_of(st.floats(0.0, float(p)), st.integers(0, p * p).map(math.sqrt))
+    radii = data.draw(st.lists(radius, min_size=1, max_size=4))
+    vals = np.random.default_rng(seed).uniform(0.0, 10.0, (p, p))
+    for fp, means in _disc_means(vals, radii):
+        for row in fp:
+            w = int(row.sum())  # empty, or one wrapped run of columns centred on 0
+            assert w in (0, p) or w % 2 == 1
+            assert sorted(np.flatnonzero(row)) == sorted(np.arange(-(w // 2), (w + 1) // 2) % p)
+        expect = ndimage.maximum_filter(means, footprint=np.fft.fftshift(fp), mode="wrap")
+        assert np.array_equal(_disc_dilate(means, fp), expect)
