@@ -144,8 +144,12 @@ class PartitionSystem:
     r1: float
     r2: float
     intervals: tuple
-    theta: object  # radial plateau profile on (0, inf)
     psi_big: object  # the normalizer Psi on stacked coords
+
+    def first_j(self, J: float) -> int:
+        """The least j with b^j <= J (up to round-off): where the ladder
+        below the cutoff J starts."""
+        return math.ceil(math.log(J) / math.log(self.b) - 1e-9)
 
     def reproducing_sum(self, xi) -> np.ndarray:
         """sum_j phi_hat(b^j xi) eta_hat(b^j xi), summed over the support window."""
@@ -157,20 +161,18 @@ class PartitionSystem:
         return np.asarray(self.phi.symbol(s * sub)) * np.asarray(self.eta_symbol(s * sub))
 
 
-def build_partition(
-    fam,
-    b: float,
-    intervals,
-    margins: tuple = (2.0, 2.0),
-    dimension: int = 1,
-    normalizer_floor: float = 1e-10,
-) -> PartitionSystem:
+#: theta's support [m / margin, margin * H] around the plateau hull [m, H]
+PLATEAU_MARGIN = 2.0
+#: least admissible value of the normalizer Psi on the sampled annulus
+NORMALIZER_FLOOR = 1e-10
+
+
+def build_partition(fam, b: float, intervals, dimension: int = 1) -> PartitionSystem:
     """Assemble the reproducing partition for a single-kernel family.
 
     ``intervals`` is an IntervalCover or an explicit list of (a, b) pairs.
-    ``margins`` widen the plateau hull [m, H] to the support [m/margin0,
-    margin1*H] of theta.  Raises if the normalizer dips below
-    ``normalizer_floor`` on the sampled annulus.
+    Raises if the normalizer dips below NORMALIZER_FLOOR on the sampled
+    annulus.
     """
     fam = _as_family(fam)
     if len(fam) != 1:
@@ -185,11 +187,8 @@ def build_partition(
         raise ValueError(f"b must lie in [b0, 1) = [{cover.b0}, 1), got {b}")
     m = min(a for a, _ in cover.intervals)
     H = max(bb for _, bb in cover.intervals)
-    inner, outer = margins
-    if inner <= 1.0 or outer <= 1.0:
-        raise ValueError("margins must exceed 1")
-    r1 = m / inner
-    r2 = outer * H
+    r1 = m / PLATEAU_MARGIN
+    r2 = PLATEAU_MARGIN * H
 
     def theta(r):
         return plateau(r, r1, m, H, r2)
@@ -205,7 +204,7 @@ def build_partition(
     for d in _unit_directions(dimension, 8 if dimension == 2 else 2):
         pts = probe_r[np.newaxis, :] * d[:, np.newaxis]
         psi_vals = psi_big(pts)
-        if float(psi_vals.min()) < normalizer_floor:
+        if float(psi_vals.min()) < NORMALIZER_FLOOR:
             raise ValueError(
                 "normalizer nearly singular on the annulus "
                 f"(min {psi_vals.min():.3e}); widen the intervals or lower b"
@@ -231,7 +230,6 @@ def build_partition(
         r1=float(r1),
         r2=float(r2),
         intervals=cover.intervals,
-        theta=theta,
         psi_big=psi_big,
     )
 
@@ -271,7 +269,7 @@ def build_zeta(P: PartitionSystem, J: float) -> ZetaSymbol:
     """The remainder symbol: 1 inside {|xi| < r1/J}, 0 outside {|xi| <= r2/J}."""
     if not J > 0:
         raise ValueError("J must be positive")
-    j_start = math.ceil(math.log(J) / math.log(P.b) - 1e-9)
+    j_start = P.first_j(J)
 
     def symbol(xi):
         out = np.ones(np.shape(xi)[1:], dtype=complex)
@@ -296,15 +294,10 @@ class DecompositionResult:
     j_range: range
     admissible_radius: float
     residual_admissible: float
-    residual_box: float
 
-    def reconstruct(self, P: PartitionSystem, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        out = np.asarray(self.beta_symbol(xi)) * np.asarray(P.phi.symbol(xi))
-        for j, alpha in self.alpha_symbols.items():
-            s = P.b**j
-            out = out + np.asarray(P.phi.symbol(s * xi)) * np.asarray(alpha(s * xi))
-        return out
+
+#: tolerance of the near-origin relation and of the admissible identity residual
+IDENTITY_TOL = 1e-8
 
 
 def decompose_psi(
@@ -314,16 +307,14 @@ def decompose_psi(
     A: float,
     truncation: int,
     grid: Grid,
-    near_origin_tol: float = 1e-8,
 ) -> DecompositionResult:
     """Split psi over the partition, given psi_hat = phi_hat * Theta near the origin.
 
     The near-origin relation is verified on the sampled ball {|xi| < r2/A}
     before anything is assembled.  The alpha pieces run over j in
     [ceil(log_b A), ceil(log_b A) + truncation]; beta is zeta_A * Theta.
-    The identity residual is evaluated on the frequency box of ``grid`` and
-    reported both over the admissible region {|xi| <= r1 * b^-j_end} and over
-    the whole box.
+    The identity residual is evaluated on the frequency box of ``grid`` over
+    the admissible region {|xi| <= r1 * b^-j_end}.
     """
     if A < 1.0:
         raise ValueError("A must be >= 1")
@@ -342,7 +333,7 @@ def decompose_psi(
                 - np.asarray(P.phi.symbol(sub)) * np.asarray(theta_mult.symbol(sub))
             )
         )
-        if gap > near_origin_tol:
+        if gap > IDENTITY_TOL:
             raise ValueError(
                 f"near-origin relation violated: max |psi_hat - phi_hat*Theta| = {gap:.3e} "
                 f"on {{|xi| < {P.r2 / A:.4g}}}"
@@ -353,7 +344,7 @@ def decompose_psi(
     def beta_symbol(x):
         return np.asarray(zeta.symbol(x)) * np.asarray(theta_mult.symbol(x))
 
-    j_start = math.ceil(math.log(A) / math.log(P.b) - 1e-9)
+    j_start = P.first_j(A)
     j_range = range(j_start, j_start + truncation + 1)
 
     def make_alpha(j):
@@ -366,25 +357,17 @@ def decompose_psi(
         return alpha
 
     alphas = {j: make_alpha(j) for j in j_range}
-
-    result = DecompositionResult(
-        alpha_symbols=alphas,
-        beta_symbol=beta_symbol,
-        j_range=j_range,
-        admissible_radius=float(P.r1 * P.b ** (-j_range[-1])),
-        residual_admissible=math.nan,
-        residual_box=math.nan,
-    )
-    recon = result.reconstruct(P, xi)
+    recon = np.asarray(beta_symbol(xi)) * np.asarray(P.phi.symbol(xi))
+    for j, alpha in alphas.items():
+        s = P.b**j
+        recon = recon + np.asarray(P.phi.symbol(s * xi)) * np.asarray(alpha(s * xi))
+    admissible_radius = float(P.r1 * P.b ** (-j_range[-1]))
+    admissible = r <= admissible_radius
     diff = np.abs(np.asarray(psi.symbol(xi)) - recon)
-    admissible = r <= result.admissible_radius
     res_adm = float(diff[admissible].max()) if np.any(admissible) else 0.0
-    res_box = float(diff.max())
-    if res_adm > near_origin_tol:
+    if res_adm > IDENTITY_TOL:
         raise ValueError(
             f"decomposition residual {res_adm:.3e} exceeds tolerance on the admissible "
             "region; increase the truncation or refine the grid"
         )
-    object.__setattr__(result, "residual_admissible", res_adm)
-    object.__setattr__(result, "residual_box", res_box)
-    return result
+    return DecompositionResult(alphas, beta_symbol, j_range, admissible_radius, res_adm)

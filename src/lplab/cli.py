@@ -110,6 +110,8 @@ def _cmd_calderon_build(args) -> int:
 
 def _cmd_constants_report(args) -> int:
     try:
+        if not args.L >= 0:
+            raise ConfigError(f"L must be nonnegative, got {args.L}")
         cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
                                           "phi": {"name": args.phi}, "psi": {"name": args.psi}})
         P, psi, A, report = constants_audit(cfg)

@@ -16,17 +16,23 @@ Symbols with power-law tails |psi_hat| ~ |xi|^-tau make C(psi, j, L) decay
 like t^tau as t -> 0; the decay-law fit recovers tau from the tail of the
 j-profile.  The condition checker turns the boundedness requirements of the
 scale calculus into tail-decay verdicts over the probed j-range.
+
+Each integral carries a boundary-tail error bar (largest face value times
+box volume).  One gate, ``IntegralEstimate.reliable``, decides whether the
+box resolves it; ``c_const``/``d_const`` raise on an unreliable estimate
+unless ``tail_check=False``, the decay fits drop unreliable scales, and the
+``psi_multiplier_tail`` verdict fails on an unreliable D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calderon import PartitionSystem, build_zeta
-from .fields import Grid, SampledField, SpectralField, from_spectrum
+from .fields import Grid, SampledField, SpectralField, box_face_max, from_spectrum
 from .kernels import (
     KernelSpec,
     check_low_frequency_growth,
@@ -64,6 +70,10 @@ def c0_profile(P: PartitionSystem, psi: KernelSpec, t: float, L: float, grid: Gr
     return _weighted_modulus(P, grid, integrand, L)
 
 
+#: largest boundary tail, as a fraction of the integral, that the box resolves
+BOX_TAIL_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class IntegralEstimate:
     """Box quadrature of a profile plus a boundary-tail error bar."""
@@ -71,36 +81,38 @@ class IntegralEstimate:
     value: float
     boundary_tail: float
 
-    def __float__(self):
-        return self.value
+    @property
+    def reliable(self) -> bool:
+        """False when the boundary tail exceeds BOX_TAIL_FRACTION of a
+        positive value: the box cuts off the profile at this L."""
+        return not (self.value > 0 and self.boundary_tail > BOX_TAIL_FRACTION * self.value)
+
+    def __add__(self, other: "IntegralEstimate") -> "IntegralEstimate":
+        return IntegralEstimate(self.value + other.value,
+                                self.boundary_tail + other.boundary_tail)
 
 
-def _integrate_profile(profile: SampledField, tail_fraction: float = 0.05,
-                       enforce: bool = True) -> IntegralEstimate:
+def _integrate_profile(profile: SampledField, tail_check: bool) -> IntegralEstimate:
     g = profile.grid
     vals = np.abs(profile.values)
-    total = float(vals.sum()) * g.cell_volume
-    if g.dimension == 1:
-        edge = float(max(vals[0], vals[-1]))
-    else:
-        edge = float(max(vals[0, :].max(), vals[-1, :].max(), vals[:, 0].max(), vals[:, -1].max()))
-    tail = edge * (2.0 * g.half_extent) ** g.dimension
-    if enforce and total > 0 and tail > tail_fraction * total:
+    est = IntegralEstimate(float(vals.sum()) * g.cell_volume,
+                           box_face_max(vals) * (2.0 * g.half_extent) ** g.dimension)
+    if tail_check and not est.reliable:
         raise ValueError(
-            f"boundary tail {tail:.3e} exceeds {tail_fraction:.0%} of the integral "
-            f"{total:.3e}; enlarge the box for this L"
+            f"boundary tail {est.boundary_tail:.3e} exceeds {BOX_TAIL_FRACTION:.0%} of the "
+            f"integral {est.value:.3e}; enlarge the box for this L"
         )
-    return IntegralEstimate(total, tail)
+    return est
 
 
 def c_const(P: PartitionSystem, psi: KernelSpec, j: int, L: float, grid: Grid,
             tail_check: bool = True) -> IntegralEstimate:
     """C(psi, j, L): the x-integral of C0(psi, b^j, L, .).
 
-    With ``tail_check`` (default) a boundary tail above 5% of the integral
-    raises; pass False to obtain the box-limited estimate with its error bar.
+    With ``tail_check`` (default) an unreliable estimate raises; pass False
+    to obtain the box-limited estimate with its error bar.
     """
-    return _integrate_profile(c0_profile(P, psi, P.b ** j, L, grid), enforce=tail_check)
+    return _integrate_profile(c0_profile(P, psi, P.b ** j, L, grid), tail_check)
 
 
 def d_const(P: PartitionSystem, theta_mult: KernelSpec, J: float, L: float,
@@ -111,13 +123,13 @@ def d_const(P: PartitionSystem, theta_mult: KernelSpec, J: float, L: float,
     def integrand(xi):
         return np.asarray(zeta.symbol(xi)) * np.asarray(theta_mult.symbol(xi))
 
-    return _integrate_profile(_weighted_modulus(P, grid, integrand, L), enforce=tail_check)
+    return _integrate_profile(_weighted_modulus(P, grid, integrand, L), tail_check)
 
 
-def fit_decay_exponent(ts, values, floor_rel: float = NOISE_FLOOR, reliable=None) -> float:
+def fit_decay_exponent(ts, values, reliable=None) -> float:
     """Fit rho with values ~ t^rho from the small-t tail of a profile.
 
-    Entries below ``floor_rel`` times the profile max are dropped as
+    Entries below NOISE_FLOOR times the profile max are dropped as
     numerical noise, as are entries flagged unreliable (boundary-tail
     dominated); the fit uses the smallest-t half of what survives (at
     least three points).  Returns +inf when the profile collapses to zero
@@ -132,7 +144,7 @@ def fit_decay_exponent(ts, values, floor_rel: float = NOISE_FLOOR, reliable=None
     # exact zero at the small-t end: the sequence terminates (compact
     # effective support / hard underflow), which beats any polynomial rate
     exact_zero_tail = vals[int(np.argmin(ts))] < 1e-280
-    usable = vals > floor_rel * vmax
+    usable = vals > NOISE_FLOOR * vmax
     if reliable is not None:
         usable &= np.asarray(reliable, dtype=bool)
     fit = math.nan
@@ -145,14 +157,6 @@ def fit_decay_exponent(ts, values, floor_rel: float = NOISE_FLOOR, reliable=None
     if exact_zero_tail:
         return fit if (math.isfinite(fit) and fit > 0) else math.inf
     return fit
-
-
-def _tail_reliable(values: np.ndarray, tails: np.ndarray, tail_fraction: float = 0.05):
-    """Scales whose boundary-tail error bar stays under the gate: only these
-    enter decay fits (sliver-support scales are honest but box-limited)."""
-    values = np.asarray(values, dtype=float)
-    tails = np.asarray(tails, dtype=float)
-    return (values <= 0) | (tails <= tail_fraction * values)
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,6 @@ class ConstantsReport:
     d_value: float
     tau_fit: float
     condition_verdicts: dict
-    c0_profiles: dict = field(default_factory=dict, repr=False)
 
     @property
     def all_passed(self) -> bool:
@@ -188,7 +191,6 @@ def check_conditions(
     N: float,
     grid: Grid,
     j_max: int = 40,
-    keep_profiles: bool = False,
 ) -> ConstantsReport:
     """Evaluate the five admissibility conditions of the scale calculus.
 
@@ -199,11 +201,11 @@ def check_conditions(
     gradient_scale_sum       C(grad phi, j, N) decays faster than b^(jN)
     gradient_multiplier_tail D over the derivative multipliers is finite
     psi_scale_sum            C(psi, j, N) decays (rate eps > 0)
-    psi_multiplier_tail      D(Theta, A, N) is finite, boundary tail <= 5% of D
+    psi_multiplier_tail      D(Theta, A, N) is finite and reliable
 
     Divergence within the probed range, and a D(Theta, A, N) the box cannot
     resolve, yield a failed verdict, never an exception; the derivative
-    multipliers' D still raises on a boundary tail above 5% (box too small).
+    multipliers' D still raises when unreliable (box too small).
     """
     if N <= 0:
         raise ValueError("N must be positive")
@@ -220,62 +222,42 @@ def check_conditions(
     ts = b ** js.astype(float)
 
     grads = [derived_kernel(f"d{k}_{phi.name}", phi, coordinate_multiplier(k)) for k in range(n)]
-    grad_c = np.zeros(js.size)
-    grad_tails = np.zeros(js.size)
-    for k_axis, gk in enumerate(grads):
-        for i, j in enumerate(js):
-            est = _integrate_profile(c0_profile(P, gk, b ** int(j), N, grid), enforce=False)
-            grad_c[i] += est.value
-            grad_tails[i] += est.boundary_tail
-    rho_grad = fit_decay_exponent(ts, grad_c, reliable=_tail_reliable(grad_c, grad_tails))
+    grad_c = [sum((c_const(P, gk, int(j), N, grid, tail_check=False) for gk in grads),
+                  IntegralEstimate(0.0, 0.0)) for j in js]
+    rho_grad = fit_decay_exponent(ts, [e.value for e in grad_c],
+                                  reliable=[e.reliable for e in grad_c])
     eps_grad = rho_grad - N
     verdicts["gradient_scale_sum"] = ConditionVerdict(
         bool(eps_grad > 0), min(eps_grad, 99.0),
         "tail decay margin of C(grad phi, j, N) over b^(jN)",
     )
 
-    d_grad = 0.0
-    for k_axis in range(n):
-        d_grad += d_const(P, coordinate_multiplier(k_axis), 1.0, N, grid).value
+    d_grad = sum(d_const(P, coordinate_multiplier(k), 1.0, N, grid).value for k in range(n))
     verdicts["gradient_multiplier_tail"] = ConditionVerdict(
         math.isfinite(d_grad), d_grad, "D over derivative multipliers at J=1"
     )
 
-    j_start = math.ceil(math.log(A) / math.log(b) - 1e-9)
+    j_start = P.first_j(A)
     js_psi = np.arange(j_start, j_start + j_max + 1)
     ts_psi = b ** js_psi.astype(float)
-    psi_c = {}
-    psi_tails = []
-    profiles = {}
-    for j in js_psi:
-        prof = c0_profile(P, psi, b ** int(j), N, grid)
-        est = _integrate_profile(prof, enforce=False)
-        psi_c[int(j)] = est.value
-        psi_tails.append(est.boundary_tail)
-        if keep_profiles:
-            profiles[int(j)] = prof
-    psi_arr = np.array([psi_c[int(j)] for j in js_psi])
-    rho_psi = fit_decay_exponent(
-        ts_psi, psi_arr, reliable=_tail_reliable(psi_arr, np.array(psi_tails))
-    )
+    psi_c = {int(j): c_const(P, psi, int(j), N, grid, tail_check=False) for j in js_psi}
+    rho_psi = fit_decay_exponent(ts_psi, [e.value for e in psi_c.values()],
+                                 reliable=[e.reliable for e in psi_c.values()])
     verdicts["psi_scale_sum"] = ConditionVerdict(
         bool(rho_psi > 0), min(rho_psi, 99.0), "tail decay rate of C(psi, j, N)"
     )
 
     # a box-limited D is reported with a failed verdict instead of raising
     d_est = d_const(P, theta_mult, A, N, grid, tail_check=False)
-    d_val = d_est.value
     verdicts["psi_multiplier_tail"] = ConditionVerdict(
-        bool(math.isfinite(d_val) and _tail_reliable(d_val, d_est.boundary_tail)),
-        d_val, f"D(Theta, {A}, N)",
+        bool(math.isfinite(d_est.value) and d_est.reliable), d_est.value, f"D(Theta, {A}, N)",
     )
 
     return ConstantsReport(
         L=float(N),
         b=float(b),
-        c_values=psi_c,
-        d_value=d_val,
+        c_values={j: e.value for j, e in psi_c.items()},
+        d_value=d_est.value,
         tau_fit=min(rho_psi, 99.0),
         condition_verdicts=verdicts,
-        c0_profiles=profiles,
     )

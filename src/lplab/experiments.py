@@ -83,11 +83,11 @@ def _log_scales(key: str, s: dict, default_count: int) -> ScaleGrid:
 
 
 def resolve_kernel(name: str, params=None) -> KernelSpec:
-    if name == "power_tail":
-        if not params:
-            raise ConfigError("power_tail kernel needs params [tau]")
-        return power_tail_kernel(float(params[0]))
+    if name == "power_tail" and not params:
+        raise ConfigError("power_tail kernel needs params [tau]")
     try:
+        if name == "power_tail":
+            return power_tail_kernel(float(params[0]))
         return make_builtin(name, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -124,7 +124,6 @@ class ExperimentConfig:
     epsilons: tuple = (1e-1, 1e-2, 1e-3)
     atom_count: int = 20
     discrete_b: float = 0.99
-    verify_conditions: bool = True
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -154,24 +153,32 @@ class ExperimentConfig:
         for key in ("p", "q", "N", "b", "discrete_b"):
             if not _number(key, getattr(self, key)) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.A is not None:
-            _number("A", self.A)
+        if self.A is not None and not _number("A", self.A) >= 1:
+            raise ConfigError(f"A must be >= 1, got {self.A}")
         for key in ("seed", "atom_count"):
             _number(key, getattr(self, key), int)
         if not isinstance(self.epsilons, tuple):
             raise ConfigError(f"epsilons must be a list, got {self.epsilons!r}")
+        if not self.epsilons:
+            raise ConfigError("epsilons must be nonempty")
         for e in self.epsilons:
-            _number("epsilons[]", e)
+            if not 0 < _number("epsilons[]", e) < 1:
+                raise ConfigError(f"epsilons must lie in (0, 1), got {e}")
         for key in ("phi", "grid", "scales", "test_family", "psi", "weight", "grand_scales"):
             v = getattr(self, key)
             if not isinstance(v, dict) and (v is not None or key in ("phi", "grid", "scales")):
                 raise ConfigError(f"{key} must be a JSON object, got {v!r}")
+        for shape in self.test_family.get("shapes", families.SHAPES):
+            if shape not in families.SHAPES:
+                raise ConfigError(f"unknown test_family shape {shape!r} "
+                                  f"(choose from {families.SHAPES})")
         try:
             self.make_grand_scales(self.make_grid())
             self.make_scales()
+            resolve_weight(self.weight)
         except KeyError as exc:
-            raise ConfigError(f"grid or scales entry lacks the key {exc}") from exc
-        except ValueError as exc:  # raised by Grid and ScaleGrid
+            raise ConfigError(f"grid, scales or weight entry lacks the key {exc}") from exc
+        except ValueError as exc:  # raised by Grid, ScaleGrid and Weight
             raise ConfigError(str(exc)) from exc
 
     def psi_spec(self, default_name: str) -> dict:
@@ -324,7 +331,7 @@ def _splitting(cfg: ExperimentConfig, P, phi: KernelSpec, psi: KernelSpec, psi_c
     else:
         gradient = psi_cfg.get("name") == "phi_gradient"
         theta = coordinate_multiplier(0) if gradient else constant_multiplier(1.0)
-        A, tol = cfg.A or 1.0, 1e-8
+        A, tol = 1.0 if cfg.A is None else cfg.A, 1e-8
     probe = np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :]
     product = np.asarray(phi.symbol(probe)) * np.asarray(theta.symbol(probe))
     gap = float(np.max(np.abs(np.asarray(psi.symbol(probe)) - product)))
@@ -366,8 +373,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 class _SpectralRatioOracle:
     """Independent q=2 oracle: sqrt of the |f_hat|^2-weighted multiplier ratio,
-    with m(xi) = integral |symbol(t xi)|^2 dt/t by dense trapezoid quadrature
-    (a different discretization from the measured path's log-rectangle sum)."""
+    with m(xi) = integral |symbol(t xi)|^2 dt/t by a rectangle sum in log t
+    over 4097 log-uniform nodes, the end nodes at full weight (Plancherel on
+    the symbols, independent of the measured path's per-scale convolutions
+    on the configured scale grid)."""
 
     def __init__(self, psi: KernelSpec, phi: KernelSpec, grid: Grid, scales: ScaleGrid):
         fg = grid.frequency_grid()
@@ -405,18 +414,15 @@ def _run_ladder_compare(cfg: ExperimentConfig, vanishing: bool) -> Report:
 
     psi, psi_cfg = _resolve_psi(cfg, phi, "annulus_bump" if vanishing else "phi_gradient")
 
-    diagnostics: dict = {}
-    if cfg.verify_conditions or vanishing:
-        P = _build_partition_for(cfg, phi)
-        A, theta = _splitting(cfg, P, phi, psi, psi_cfg, vanishing)
-        if cfg.verify_conditions:
-            audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
-            diagnostics["conditions"] = {
-                k: {"passed": v.passed, "measured": v.measured}
-                for k, v in audit.condition_verdicts.items()
-            }
-            if not audit.all_passed:
-                raise ConfigError("kernel pair fails the admissibility conditions")
+    P = _build_partition_for(cfg, phi)
+    A, theta = _splitting(cfg, P, phi, psi, psi_cfg, vanishing)
+    audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    diagnostics: dict = {"conditions": {
+        k: {"passed": v.passed, "measured": v.measured}
+        for k, v in audit.condition_verdicts.items()
+    }}
+    if not audit.all_passed:
+        raise ConfigError("kernel pair fails the admissibility conditions")
 
     def measure(tf):
         f = tf.sample(grid)
@@ -464,12 +470,11 @@ def _run_hardy_lower(cfg: ExperimentConfig) -> Report:
     grid = cfg.make_grid()
     scales = cfg.make_scales()
     phi = resolve_kernel(**cfg.phi)
-    if cfg.verify_conditions:
-        canc = check_cancellation(phi, grid.dimension)
-        if not canc.passed:
-            raise ConfigError(
-                f"analysis kernel must be mean-zero (symbol(0) residual {canc.residual:.2e})"
-            )
+    canc = check_cancellation(phi, grid.dimension)
+    if not canc.passed:
+        raise ConfigError(
+            f"analysis kernel must be mean-zero (symbol(0) residual {canc.residual:.2e})"
+        )
     gm_cfg = GrandMaxConfig(make_builtin("gaussian"), cfg.make_grand_scales(grid))
 
     def measure(tf):

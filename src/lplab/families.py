@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SampledField
+from .fields import Grid, SampledField, box_face_max
 
 
 def _gaussian_derivative(x):
@@ -121,10 +121,4 @@ def boundary_leakage(f: SampledField) -> float:
     peak = float(vals.max())
     if peak == 0:
         return 0.0
-    if f.grid.dimension == 1:
-        edge = float(max(vals[0], vals[-1]))
-    else:
-        edge = float(
-            max(vals[0, :].max(), vals[-1, :].max(), vals[:, 0].max(), vals[:, -1].max())
-        )
-    return edge / peak
+    return box_face_max(vals) / peak

@@ -120,9 +120,6 @@ class SampledField:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values))
 
-    def with_values(self, values: np.ndarray) -> "SampledField":
-        return SampledField(self.grid, values)
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -188,6 +185,12 @@ def weighted_lp_norm(f: SampledField, w: SampledField, p: float) -> float:
         raise ValueError("weight must be nonnegative real")
     amp = np.abs(f.values)
     return float(np.sum(amp**p * wv) * f.grid.cell_volume) ** (1.0 / p)
+
+
+def box_face_max(vals: np.ndarray) -> float:
+    """The largest entry of ``vals`` on the faces of its box (the first and
+    last index along every axis)."""
+    return float(max(np.take(vals, i, axis=a).max() for a in range(vals.ndim) for i in (0, -1)))
 
 
 @dataclass(frozen=True)

@@ -88,11 +88,10 @@ class DecaySpec:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A convolution kernel given by its Fourier symbol plus metadata."""
+    """A named convolution kernel given by its Fourier symbol."""
 
     name: str
     symbol: object  # callable (dim, ...) -> (...)
-    claims_cancellation: bool = False
 
     def __call__(self, xi):
         return self.symbol(xi)
@@ -135,20 +134,20 @@ def make_builtin(name: str, params=None) -> KernelSpec:
     params = list(params) if params else []
     if name == "poissonQ":
         sym = radial_symbol(lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))
-        return KernelSpec("poissonQ", sym, claims_cancellation=True)
+        return KernelSpec("poissonQ", sym)
     if name == "gaussian":
         w = params[0] if params else 1.0
         sym = radial_symbol(lambda r: np.exp(-np.pi * (w * r) ** 2))
         return KernelSpec("gaussian", sym)
     if name == "mexican_hat":
         sym = radial_symbol(lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))
-        return KernelSpec("mexican_hat", sym, claims_cancellation=True)
+        return KernelSpec("mexican_hat", sym)
     if name == "annulus_bump":
         a, b, c, d = params if params else (0.5, 1.0, 2.0, 4.0)
         if not 0 < a < b < c < d:
             raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
         sym = radial_symbol(lambda r: plateau(r, a, b, c, d))
-        return KernelSpec("annulus_bump", sym, claims_cancellation=True)
+        return KernelSpec("annulus_bump", sym)
     raise ValueError(f"unknown builtin kernel {name!r} (choose from {BUILTIN_KERNELS})")
 
 
@@ -169,7 +168,7 @@ def coordinate_multiplier(axis: int) -> KernelSpec:
         xi = np.asarray(xi, dtype=float)
         return 2.0j * np.pi * xi[axis]
 
-    return KernelSpec(f"ddx{axis}", symbol, claims_cancellation=True)
+    return KernelSpec(f"ddx{axis}", symbol)
 
 
 def derived_kernel(name: str, base: KernelSpec, multiplier: KernelSpec) -> KernelSpec:
@@ -178,7 +177,7 @@ def derived_kernel(name: str, base: KernelSpec, multiplier: KernelSpec) -> Kerne
     def symbol(xi):
         return np.asarray(multiplier.symbol(xi)) * np.asarray(base.symbol(xi))
 
-    return KernelSpec(name, symbol, claims_cancellation=True)
+    return KernelSpec(name, symbol)
 
 
 def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
@@ -195,7 +194,7 @@ def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
     def profile(r):
         return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
 
-    return KernelSpec(name or f"power_tail({tau})", radial_symbol(profile), claims_cancellation=True)
+    return KernelSpec(name or f"power_tail({tau})", radial_symbol(profile))
 
 
 def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:

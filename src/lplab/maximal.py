@@ -57,29 +57,21 @@ def _shift_window_view(absf: np.ndarray):
 
 def peetre_max(F: SampledField, params: PeetreParams) -> SampledField:
     """Exact discrete sup of |F(x-y)| / (1 + R|y|)^N over all grid offsets y,
-    by brute force over the full periodic grid."""
+    by brute force over the full periodic grid: rolls along the first axis
+    (a 1-d field is one row), the last axis vectorized in chunks of shifts."""
     g = F.grid
-    absf = np.abs(F.values)
-    w = (1.0 + params.R * _wrapped_offsets(g)) ** (-params.N)
-    if g.dimension == 1:
-        n = g.points_per_axis
-        out = np.zeros(n)
-        win = _shift_window_view(absf)
-        chunk = 512
-        for start in range(0, n, chunk):
-            shifts = np.arange(start, min(start + chunk, n))
-            rows = win[(-shifts) % n]  # (chunk, n)
-            np.maximum(out, np.max(rows * w[shifts, None], axis=0), out=out)
-        return SampledField(g, out)
-    # 2-d: roll along the first axis, vectorize the second via the same view
     p = g.points_per_axis
-    out = np.zeros((p, p))
-    idx = (-np.arange(p)) % p
-    for s1 in range(p):
-        rolled = np.roll(absf, s1, axis=0)
-        win = _shift_window_view(rolled)[:, idx, :]  # (p, s2, x2)
-        np.maximum(out, np.max(win * w[s1][None, :, None], axis=1), out=out)
-    return SampledField(g, out)
+    absf = np.abs(F.values).reshape(-1, p)
+    w = ((1.0 + params.R * _wrapped_offsets(g)) ** (-params.N)).reshape(absf.shape)
+    out = np.zeros(absf.shape)
+    chunk = 512  # shifts per vectorized block: bounds the peak memory
+    for s1 in range(absf.shape[0]):
+        win = _shift_window_view(np.roll(absf, s1, axis=0))  # (rows, p + 1, p)
+        for start in range(0, p, chunk):
+            shifts = np.arange(start, min(start + chunk, p))
+            rows = win[:, (-shifts) % p, :]  # (rows, chunk, x)
+            np.maximum(out, np.max(rows * w[s1][None, shifts, None], axis=1), out=out)
+    return SampledField(g, out.reshape(g.shape))
 
 
 def _window_means(vals: np.ndarray, widths):

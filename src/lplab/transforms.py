@@ -128,7 +128,7 @@ def calderon_normalize(psi: KernelSpec, dimension: int = 1) -> KernelSpec:
     def symbol(xi):
         return scale * np.asarray(psi.symbol(xi))
 
-    return KernelSpec(f"{psi.name}_norm", symbol, psi.claims_cancellation)
+    return KernelSpec(f"{psi.name}_norm", symbol)
 
 
 def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:

@@ -145,6 +145,29 @@ BAD_INPUTS = {
                                       "half_extent": 16.0}), "--out", str(d / "run")],
     "p_as_string": lambda d, f: ["run", _write_config(d, p="1.0"), "--out", str(d / "run")],
     "b_below_b0": lambda d, f: ["run", _write_config(d, b=0.1), "--out", str(d / "run")],
+    "A_negative": lambda d, f: ["run", _write_config(d, A=-1, psi={"name": "poissonQ"}),
+                                "--out", str(d / "run")],
+    "A_zero": lambda d, f: ["run", _write_config(d, A=0, psi={"name": "poissonQ"}),
+                            "--out", str(d / "run")],
+    "A_below_1": lambda d, f: ["run", _write_config(d, A=0.5, psi={"name": "poissonQ"}),
+                               "--out", str(d / "run")],
+    "epsilons_empty": lambda d, f: ["run", _write_config(d, scenario="lemma33", epsilons=[]),
+                                    "--out", str(d / "run")],
+    "epsilon_above_1": lambda d, f: ["run", _write_config(d, scenario="lemma33",
+                                                          epsilons=[2.0]),
+                                     "--out", str(d / "run")],
+    "power_weight_without_a": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", weight={"kind": "power"}),
+        "--out", str(d / "run")],
+    "unknown_shape": lambda d, f: ["run", _write_config(d, scenario="prop36",
+                                                        test_family={"shapes": ["nope"]}),
+                                   "--out", str(d / "run")],
+    "power_tail_negative_tau": lambda d, f: ["calderon", "build", "--kernel", "power_tail",
+                                             "--params", "-1", "--out", str(d / "cal")],
+    "constants_negative_L": lambda d, f: ["constants", "report", "--L", "-1",
+                                          "--out", str(d / "cons")],
+    "verify_conditions_key": lambda d, f: ["run", _write_config(d, verify_conditions=False),
+                                           "--out", str(d / "run")],
 }
 
 

@@ -81,6 +81,23 @@ class TestConstants:
         assert est.value > 0.0
 
 
+class TestBoxLimitGate:
+    @pytest.mark.parametrize("L, j, reliable", [
+        (2.0, 0, True), (2.0, 4, False), (2.0, 10, True), (0.0, 4, True), (3.0, 6, False),
+    ])
+    def test_raises_exactly_when_unreliable(self, q_partition, annulus, constants_grid,
+                                            L, j, reliable):
+        est = c_const(q_partition, annulus, j, L, constants_grid, tail_check=False)
+        assert est.reliable == reliable
+        if j == 10:
+            assert est.value == 0.0  # the scaled annulus misses eta's support
+        if reliable:
+            assert c_const(q_partition, annulus, j, L, constants_grid) == est
+        else:
+            with pytest.raises(ValueError, match="enlarge the box"):
+                c_const(q_partition, annulus, j, L, constants_grid)
+
+
 class TestDecayLaw:
     @pytest.mark.parametrize("tau", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("L", [0.0, 2.0])
@@ -132,9 +149,11 @@ class TestConditionAudit:
     def test_report_carries_c_profile(self, q_partition, poissonq, annulus, constants_grid):
         A = 2.4 * q_partition.r2
         rep = check_conditions(q_partition, poissonq, annulus,
-                               constant_multiplier(0.0), A, 2.0, constants_grid,
-                               j_max=10, keep_profiles=True)
-        assert set(rep.c_values) == set(rep.c0_profiles)
+                               constant_multiplier(0.0), A, 2.0, constants_grid, j_max=10)
+        js = sorted(rep.c_values)
+        assert js == list(range(js[0], js[0] + 11))
+        # the ladder starts at the least j with b^j <= A
+        assert q_partition.b ** js[0] <= A < q_partition.b ** (js[0] - 1)
         assert all(v >= 0 for v in rep.c_values.values())
 
 
