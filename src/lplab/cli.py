@@ -79,13 +79,11 @@ def _cmd_kernels_list(args) -> int:
 def _cmd_calderon_build(args) -> int:
     try:
         phi = resolve_kernel(args.kernel, args.params)
-    except ConfigError as exc:
+        cover = find_intervals(phi)
+        b = args.b if args.b is not None else max(0.5, cover.b0)
+        P = build_partition(KernelFamily((phi,)), b, cover)
+    except ValueError as exc:  # a bad kernel, or b outside [b0, 1)
         return _bad_input(exc)
-    cover = find_intervals(phi)
-    b = args.b if args.b is not None else max(0.5, cover.b0)
-    if not (cover.b0 <= b < 1):
-        return _bad_input(f"b must lie in [{cover.b0:.4g}, 1)")
-    P = build_partition(KernelFamily((phi,)), b, cover)
     residual = reproduction_residual(P)
     out = lpio.ensure_dir(args.out)
     report = {
@@ -145,6 +143,15 @@ def _cmd_constants_report(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _write_result(args, result, label: str) -> int:
+    """Write ``result`` to ``--out`` (and ``--csv``) and print the summary line."""
+    lpio.write_field(args.outfile, result)
+    if args.csv:
+        lpio.field_to_csv(args.csv, result)
+    print(f"{label}: wrote {args.outfile}")
+    return 0
+
+
 def _cmd_maximal(args) -> int:
     try:  # every option is checked, whichever op it serves
         f = lpio.read_field(args.infile)
@@ -159,11 +166,7 @@ def _cmd_maximal(args) -> int:
         result = hl_max(f)
     else:
         result = grand_max(f, gm_cfg)
-    lpio.write_field(args.outfile, result)
-    if args.csv:
-        lpio.field_to_csv(args.csv, result)
-    print(f"{args.op}: wrote {args.outfile}")
-    return 0
+    return _write_result(args, result, args.op)
 
 
 def _cmd_transform_g(args) -> int:
@@ -175,12 +178,7 @@ def _cmd_transform_g(args) -> int:
         scales = ScaleGrid.log_spaced(args.t_min, args.t_max, args.scale_count)
     except (OSError, ValueError) as exc:
         return _bad_input(exc)
-    result = g_function(f, psi, scales, args.q)
-    lpio.write_field(args.outfile, result)
-    if args.csv:
-        lpio.field_to_csv(args.csv, result)
-    print(f"g[{args.kernel}, q={args.q}]: wrote {args.outfile}")
-    return 0
+    return _write_result(args, g_function(f, psi, scales, args.q), f"g[{args.kernel}, q={args.q}]")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -168,6 +168,32 @@ BAD_INPUTS = {
                                           "--out", str(d / "cons")],
     "verify_conditions_key": lambda d, f: ["run", _write_config(d, verify_conditions=False),
                                            "--out", str(d / "run")],
+    "phi_unknown_key": lambda d, f: ["run", _write_config(d, phi={"name": "poissonQ", "foo": 1}),
+                                     "--out", str(d / "run")],
+    "dilations_not_list": lambda d, f: ["run", _write_config(d, scenario="prop36",
+                                                             test_family={"dilations": 2.0}),
+                                        "--out", str(d / "run")],
+    "shifts_string": lambda d, f: ["run", _write_config(d, scenario="prop36",
+                                                        test_family={"shifts": "x"}),
+                                   "--out", str(d / "run")],
+    "test_family_unknown_key": lambda d, f: ["run", _write_config(d, scenario="prop36",
+                                                                  test_family={"foo": 1}),
+                                             "--out", str(d / "run")],
+    "atom_count_negative": lambda d, f: ["run", _write_config(d, scenario="lemma33", p=1.0,
+                                                              atom_count=-3),
+                                         "--out", str(d / "run")],
+    "lemma33_p_2": lambda d, f: ["run", _write_config(d, scenario="lemma33", p=2.0),
+                                 "--out", str(d / "run")],
+    "scenario_list": lambda d, f: ["run", _write_config(d, scenario=["prop36"]),
+                                   "--out", str(d / "run")],
+    "config_key_names_a_method": lambda d, f: ["run", _write_config(d, make_grid=1),
+                                               "--out", str(d / "run")],
+    "test_family_null": lambda d, f: ["run", _write_config(d, scenario="prop36",
+                                                           test_family=None),
+                                      "--out", str(d / "run")],
+    "weight_a_string": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": "-0.5"}),
+        "--out", str(d / "run")],
 }
 
 
@@ -175,3 +201,15 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(case, stored_field, tmp_path, capsys):
     assert main(BAD_INPUTS[case](tmp_path, stored_field)) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("prop36", {"test_family": {"shapes": []}}),
+    ("lemma33", {"p": 1.0, "atom_count": 0}),
+])
+def test_empty_family_fails(scenario, overrides, tmp_path, capsys):
+    # a run without rows has no evidence for its verdict
+    assert main(["run", _write_config(tmp_path, scenario=scenario, **overrides),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {scenario}:")
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["rows"] == []

@@ -60,6 +60,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             fast_config("cor31", **{key: value})
 
+    @pytest.mark.parametrize("kw", [
+        {"scenario": "prop99"},
+        {"scenario": "prop36", "discrete_b": 1.5},
+        {"scenario": "cor31", "p": 1.0, "test_family": {"dilations": 2.0}},
+    ])
+    def test_direct_config_is_fully_validated(self, kw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kw).validate()
+
     def test_unknown_kernel_name(self):
         cfg = fast_config("cor31", p=1.0, phi={"name": "sinc", "params": []})
         with pytest.raises(ConfigError):
@@ -93,6 +102,12 @@ class TestScenarios:
         rep = run_experiment(fast_config("lemma33", p=1.0, atom_count=2))
         assert rep.passed
         assert all(s <= 1.5 for s in rep.diagnostics["per_atom_spread"].values())
+
+    def test_synthesis_atoms_reads_grand_scales(self):
+        default = run_experiment(fast_config("lemma33", p=1.0, atom_count=1))
+        coarse = run_experiment(fast_config("lemma33", p=1.0, atom_count=1, grand_scales={
+            "t_min": 0.01, "t_max": 1.0, "count": 2}))
+        assert [r["lhs"] for r in coarse.rows] != [r["lhs"] for r in default.rows]
 
     def test_constants_audit(self):
         rep = run_experiment(fast_config("constants_audit", N=2))
@@ -134,17 +149,25 @@ class TestScenarios:
         assert math.isnan(rep.family_max_ratio)
 
 
+# the smallest config of each scenario that runs its whole path
+TINY = {
+    "prop23": {"p": 2.0, "q": 2.0, "N": 2},
+    "thm210": {"p": 2.0, "q": 2.0, "N": 2},
+    "cor31": {"p": 1.0},
+    "prop36": {"discrete_b": 0.95},
+    "lemma33": {"p": 1.0, "atom_count": 1},
+    "constants_audit": {"N": 2},
+}
+
+
 class TestReports:
-    def test_csv_contract_and_determinism(self, tmp_path):
-        cfg = fast_config("cor31", p=1.0)
-        rep1 = run_experiment(cfg)
-        rep2 = run_experiment(fast_config("cor31", p=1.0))
-        emit_report(rep1, tmp_path / "a")
-        emit_report(rep2, tmp_path / "b")
-        csv_a = (tmp_path / "a" / "ratios.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "ratios.csv").read_bytes()
-        assert csv_a == csv_b
-        header = csv_a.decode().splitlines()[0]
+    @pytest.mark.parametrize("scenario", sorted(TINY))
+    def test_csv_contract_and_determinism(self, scenario, tmp_path):
+        for run in ("a", "b"):
+            emit_report(run_experiment(fast_config(scenario, **TINY[scenario])), tmp_path / run)
+        for name in ("ratios.csv", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        header = (tmp_path / "a" / "ratios.csv").read_text().splitlines()[0]
         assert header == "fname,lambda,lhs,rhs,ratio"
 
     def test_json_round_trip(self, tmp_path):
