@@ -104,6 +104,18 @@ def resolve_weight(spec) -> Weight:
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
+#: the keys each JSON-object entry of a config takes
+_ENTRY_KEYS = {
+    "phi": ("name", "params"),
+    "psi": ("name", "params"),
+    "grid": ("dimension", "points_per_axis", "half_extent"),
+    "scales": ("t_min", "t_max", "count"),
+    "grand_scales": ("t_min", "t_max", "count"),
+    "test_family": ("shapes", "dilations", "shifts", "seed"),
+    "weight": ("kind", "c", "a"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -165,22 +177,25 @@ class ExperimentConfig:
         eps = _numbers("epsilons", self.epsilons)
         if not eps or not all(0 < e < 1 for e in eps):
             raise ConfigError(f"epsilons must be a nonempty list in (0, 1), got {eps}")
-        for key in ("phi", "grid", "scales", "test_family", "psi", "weight", "grand_scales"):
+        for key, allowed in _ENTRY_KEYS.items():
             v = getattr(self, key)
-            if not (isinstance(v, dict) or v is None and key in ("psi", "weight", "grand_scales")):
+            if v is None and key in ("psi", "weight", "grand_scales"):
+                continue
+            if not isinstance(v, dict):
                 raise ConfigError(f"{key} must be a JSON object, got {v!r}")
+            if set(v) - set(allowed):
+                raise ConfigError(f"{key} takes only the keys {allowed}, got {sorted(v)}")
         for key in ("phi", "psi"):
             kernel = getattr(self, key)
             if kernel is not None:
-                if set(kernel) - {"name", "params"} or not isinstance(kernel.get("name"), str):
+                if not isinstance(kernel.get("name"), str):
                     raise ConfigError(f"{key} takes a string name and optional params, "
                                       f"got {kernel!r}")
                 _numbers(f"{key}.params", kernel.get("params", []))
         fam = self.test_family
-        if set(fam) - {"shapes", "dilations", "shifts", "seed"}:
-            raise ConfigError(f"test_family takes shapes, dilations, shifts and seed, "
-                              f"got {sorted(fam)}")
-        _numbers("test_family.dilations", fam.get("dilations", []))
+        dilations = _numbers("test_family.dilations", fam.get("dilations", []))
+        if not all(lam > 0 for lam in dilations):
+            raise ConfigError(f"test_family.dilations must be positive, got {dilations}")
         _numbers("test_family.shifts", fam.get("shifts", []))
         _number("test_family.seed", fam.get("seed", 0), int)
         shapes = fam.get("shapes", families.SHAPES)
@@ -386,13 +401,18 @@ class _SpectralRatioOracle:
         du = math.log(u[1] / u[0])
 
         def multiplier(k: KernelSpec) -> np.ndarray:
-            rr = self._r[self._r > 0]
-            out = np.zeros(self._r.shape)
+            # each distinct radius once (+-xi share one in 1-d, eight points in
+            # 2-d); the symbol at (t r,) is the profile at sqrt((t r)^2) == t r
+            along_ray = k.profile if k.profile is not None else (
+                lambda s: k.symbol(s[np.newaxis]))
+            nonzero = self._r > 0
+            rr, where = np.unique(self._r[nonzero], return_inverse=True)
             vals = np.zeros(rr.shape)
             for block in np.array_split(u, max(1, u.size // 256)):
-                pts = (block[:, np.newaxis] * rr[np.newaxis, :])[np.newaxis]  # (1, T, R)
-                vals += np.sum(np.abs(np.asarray(k.symbol(pts))) ** 2, axis=0) * du
-            out[self._r > 0] = vals
+                pts = block[:, np.newaxis] * rr[np.newaxis, :]  # (T, R)
+                vals += np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du
+            out = np.zeros(self._r.shape)
+            out[nonzero] = vals[where]
             return out
 
         self._m_psi = multiplier(psi)

@@ -11,6 +11,13 @@ periodization/truncation error.  Frequencies are centered at 0 with spacing
 1/(2E) (the reciprocal of the spatial period), so the frequency box is again
 a valid Grid.
 
+Centring needs no rolled copies: every axis length P is a power of two
+>= 4, so P/2 is even, and moving index P/2 to 0 on both sides of a DFT is
+the same as modulating by the checkerboard c = (-1)^(sum of indices) on
+both sides, c * fftn(c * v), and likewise for the inverse.  Each transform
+is one sign modulation, one scipy.fft pass and one in-place scaling by the
+signs times the cell volume (or its reciprocal).
+
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing set of
 positive scales, log-uniform in the geometric case.  Integrals against the
 multiplicative measure dt/t are rectangle sums in log t: each scale owns a
@@ -19,10 +26,12 @@ log-cell and contributes u(t_k)^q * log-cell-width.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -102,12 +111,26 @@ class Grid:
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+    arr = np.array(values, dtype=complex)  # always a copy, and only one
     if arr.shape != grid.shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _adopt(cls, values: np.ndarray, **fields):
+    """A ``cls`` instance holding ``values`` without the defensive copy.
+
+    Only for arrays the library has just computed and hands over: ``values``
+    must already have the right dtype and shape, and no other reference may
+    write to it, since it is marked read-only in place.
+    """
+    values.setflags(write=False)
+    obj = object.__new__(cls)
+    for name, v in fields.items():
+        object.__setattr__(obj, name, v)
+    object.__setattr__(obj, "values", values)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -137,33 +160,49 @@ def field_from_function(grid: Grid, fn) -> SampledField:
     return SampledField(grid, np.asarray(fn(grid.coords()), dtype=complex))
 
 
+@functools.lru_cache(maxsize=16)
+def _signs(shape: tuple, scale: float) -> np.ndarray:
+    """scale * (-1)^(sum of indices) on ``shape``: the centring checkerboard
+    (scale 1) or the checkerboard with the transform's scaling folded in."""
+    c = np.full(shape, scale)
+    for axis, p in enumerate(shape):
+        c[(slice(None),) * axis + (slice(1, p, 2),)] *= -1.0
+    c.setflags(write=False)
+    return c
+
+
 def to_spectrum(f: SampledField) -> SpectralField:
     """Forward transform: Riemann-sum approximation of the continuous integral.
 
     Returns the spectrum on the dual grid, frequencies centered at 0.
     """
     g = f.grid
-    shifted = np.fft.ifftshift(f.values)
-    spec = np.fft.fftshift(np.fft.fftn(shifted)) * g.cell_volume
-    return SpectralField(g.frequency_grid(), spec)
+    spec = scipy.fft.fftn(f.values * _signs(g.shape, 1.0), overwrite_x=True)
+    spec *= _signs(g.shape, g.cell_volume)
+    return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
 
 def from_spectrum(F: SpectralField) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off)."""
     fg = F.grid
     spatial = fg.frequency_grid()  # dual of the dual is the original grid
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.values))) / spatial.cell_volume
-    return SampledField(spatial, vals)
+    vals = scipy.fft.ifftn(F.values * _signs(fg.shape, 1.0), overwrite_x=True)
+    vals *= _signs(fg.shape, 1.0 / spatial.cell_volume)
+    return _adopt(SampledField, vals, grid=spatial)
 
 
 def filtered(f: SampledField, multipliers):
-    """Yield inverse(f_hat * m(xi)) per multiplier m, a callable on stacked
-    frequency coordinates: one forward transform for all of them, and one
-    field at a time, so callers reduce as the results stream."""
+    """Yield inverse(f_hat * m) per multiplier m: an array of values on the
+    frequency grid, or a callable evaluated on its stacked coordinates.  One
+    forward transform serves all of them, and one field is yielded at a
+    time, so callers reduce as the results stream."""
     spec = to_spectrum(f)
     coords = spec.grid.coords()
     for m in multipliers:
-        yield from_spectrum(SpectralField(spec.grid, spec.values * np.asarray(m(coords))))
+        product = spec.values * np.asarray(m(coords) if callable(m) else m)
+        if product.shape != spec.values.shape:
+            raise ValueError(f"multiplier shape {product.shape} does not match {spec.grid.shape}")
+        yield from_spectrum(_adopt(SpectralField, product, grid=spec.grid))
 
 
 def lp_norm(f: SampledField, p: float) -> float:

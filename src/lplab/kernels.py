@@ -4,6 +4,8 @@ A kernel is a callable symbol xi -> psi_hat(xi); spatial samples always come
 from the inverse transform of the dilated symbol, never from closed spatial
 forms.  Symbols accept stacked frequency coordinates of shape (dim, ...) and
 return a complex array of shape (...), so the same spec works in 1-d and 2-d.
+A radial kernel also carries its profile r -> value, symbol(xi) =
+profile(|xi|), so dilates on a grid are evaluated on its |xi|, computed once.
 
 Builtins:
 
@@ -21,6 +23,7 @@ growth exponents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,10 +91,12 @@ class DecaySpec:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A named convolution kernel given by its Fourier symbol."""
+    """A named convolution kernel given by its Fourier symbol, and for a
+    radial kernel its profile, with symbol(xi) == profile(|xi|)."""
 
     name: str
     symbol: object  # callable (dim, ...) -> (...)
+    profile: object = None  # callable r -> value, or None if not radial
 
     def __call__(self, xi):
         return self.symbol(xi)
@@ -117,6 +122,33 @@ class KernelFamily:
         return iter(self.members)
 
 
+def radial_kernel(name: str, profile) -> KernelSpec:
+    """The radial kernel with symbol xi -> profile(|xi|)."""
+    return KernelSpec(name, radial_symbol(profile), profile)
+
+
+@functools.lru_cache(maxsize=8)
+def _frequency_radii(grid: Grid) -> np.ndarray:
+    """|xi| on the frequency grid of ``grid``, read-only, computed once."""
+    r = grid.frequency_grid().radii()
+    r.setflags(write=False)
+    return r
+
+
+def dilates(k: KernelSpec, grid: Grid, ts):
+    """Yield xi -> symbol(t xi) on the frequency grid of ``grid``, one array
+    per scale t: the profile at t|xi| on the grid's cached radii for a
+    radial kernel, else the symbol at the scaled coordinates."""
+    if k.profile is not None:
+        r = _frequency_radii(grid)
+        for t in ts:
+            yield k.profile(t * r)
+    else:
+        coords = grid.frequency_grid().coords()
+        for t in ts:
+            yield k.symbol(t * coords)
+
+
 def _as_family(fam) -> KernelFamily:
     """A KernelFamily as is; a single KernelSpec as a one-member family."""
     return KernelFamily((fam,)) if isinstance(fam, KernelSpec) else fam
@@ -133,21 +165,18 @@ def make_builtin(name: str, params=None) -> KernelSpec:
     """
     params = list(params) if params else []
     if name == "poissonQ":
-        sym = radial_symbol(lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))
-        return KernelSpec("poissonQ", sym)
+        return radial_kernel("poissonQ", lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))
     if name == "gaussian":
         w = params[0] if params else 1.0
-        sym = radial_symbol(lambda r: np.exp(-np.pi * (w * r) ** 2))
-        return KernelSpec("gaussian", sym)
+        return radial_kernel("gaussian", lambda r: np.exp(-np.pi * (w * r) ** 2))
     if name == "mexican_hat":
-        sym = radial_symbol(lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))
-        return KernelSpec("mexican_hat", sym)
+        return radial_kernel("mexican_hat",
+                             lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))
     if name == "annulus_bump":
         a, b, c, d = params if params else (0.5, 1.0, 2.0, 4.0)
         if not 0 < a < b < c < d:
             raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
-        sym = radial_symbol(lambda r: plateau(r, a, b, c, d))
-        return KernelSpec("annulus_bump", sym)
+        return radial_kernel("annulus_bump", lambda r: plateau(r, a, b, c, d))
     raise ValueError(f"unknown builtin kernel {name!r} (choose from {BUILTIN_KERNELS})")
 
 
@@ -194,16 +223,15 @@ def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
     def profile(r):
         return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
 
-    return KernelSpec(name or f"power_tail({tau})", radial_symbol(profile))
+    return radial_kernel(name or f"power_tail({tau})", profile)
 
 
 def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:
     """Spatial samples of the dilate psi_t (kernel of the symbol xi -> sym(t*xi))."""
     if not t > 0:
         raise ValueError(f"dilation scale must be positive, got {t}")
-    fg = g.frequency_grid()
-    spec = SpectralField(fg, np.asarray(k.symbol(t * fg.coords()), dtype=complex))
-    return from_spectrum(spec)
+    (sym,) = dilates(k, g, [t])
+    return from_spectrum(SpectralField(g.frequency_grid(), sym))
 
 
 @dataclass(frozen=True)

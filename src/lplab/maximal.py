@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .fields import Grid, SampledField, ScaleGrid, filtered
-from .kernels import KernelSpec, coordinate_multiplier
+from .kernels import KernelSpec, coordinate_multiplier, dilates
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def default_grand_scales(grid: Grid, count: int = 64) -> ScaleGrid:
 def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
     """Pointwise max over the scale grid of |Phi_t * f| (convolutions spectral)."""
     out = np.zeros(f.grid.shape)
-    mollify = (lambda xi, t=t: cfg.mollifier.symbol(t * xi) for t in cfg.scales.scales)
-    for conv in filtered(f, mollify):
+    for conv in filtered(f, dilates(cfg.mollifier, f.grid, cfg.scales.scales)):
         np.maximum(out, np.abs(conv.values), out=out)
     return SampledField(f.grid, out)
 

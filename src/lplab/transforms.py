@@ -27,12 +27,13 @@ from .fields import (
     SampledField,
     ScaleGrid,
     SpectralField,
+    _adopt,
     filtered,
     from_spectrum,
     scale_integral,
     to_spectrum,
 )
-from .kernels import KernelSpec, plateau
+from .kernels import KernelSpec, dilates, plateau
 
 
 @dataclass(frozen=True)
@@ -44,29 +45,24 @@ class ScaleField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=complex)
+        arr = np.array(self.values, dtype=complex)  # always a copy, and only one
         expect = (self.scales.count,) + self.grid.shape
         if arr.shape != expect:
             raise ValueError(f"values shape {arr.shape}, expected {expect}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def slice(self, k: int) -> SampledField:
-        return SampledField(self.grid, self.values[k])
-
-
-def _dilates(psi: KernelSpec, ts):
-    """The multipliers xi -> psi_hat(t xi), one per scale t."""
-    return (lambda xi, t=t: psi.symbol(t * xi) for t in ts)
+        # a view of the read-only stack: nothing can write to it
+        return _adopt(SampledField, self.values[k], grid=self.grid)
 
 
 def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
     """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale."""
     out = np.empty((scales.count,) + f.grid.shape, dtype=complex)
-    for k, conv in enumerate(filtered(f, _dilates(psi, scales.scales))):
+    for k, conv in enumerate(filtered(f, dilates(psi, f.grid, scales.scales))):
         out[k] = conv.values
-    return ScaleField(f.grid, scales, out)
+    return _adopt(ScaleField, out, grid=f.grid, scales=scales)
 
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:
@@ -84,7 +80,7 @@ def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2
     if not js:
         raise ValueError("empty j range")
     acc = np.zeros(f.grid.shape)
-    for conv in filtered(f, _dilates(psi, (b**j for j in js))):
+    for conv in filtered(f, dilates(psi, f.grid, (b**j for j in js))):
         acc += np.abs(conv.values) ** q
     return SampledField(f.grid, acc ** (1.0 / q))
 
@@ -104,7 +100,8 @@ def conjugate_kernel(psi: KernelSpec) -> KernelSpec:
     def symbol(xi):
         return np.conj(np.asarray(psi.symbol(xi)))
 
-    return KernelSpec(f"conj({psi.name})", symbol)
+    profile = None if psi.profile is None else (lambda r: np.conj(psi.profile(r)))
+    return KernelSpec(f"conj({psi.name})", symbol, profile)
 
 
 def calderon_constant(psi: KernelSpec, dimension: int = 1) -> float:
@@ -128,7 +125,8 @@ def calderon_normalize(psi: KernelSpec, dimension: int = 1) -> KernelSpec:
     def symbol(xi):
         return scale * np.asarray(psi.symbol(xi))
 
-    return KernelSpec(f"{psi.name}_norm", symbol)
+    profile = None if psi.profile is None else (lambda r: scale * np.asarray(psi.profile(r)))
+    return KernelSpec(f"{psi.name}_norm", symbol, profile)
 
 
 def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
@@ -142,15 +140,12 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
             f"({epsilon:.3g}, {1/epsilon:.3g})"
         )
     fg = h.grid.frequency_grid()
-    coords = fg.coords()
     acc = np.zeros(fg.shape, dtype=complex)
     weights = sg.log_weights()
-    for k, t in enumerate(sg.scales):
-        if not (epsilon < t < 1.0 / epsilon):
-            continue
-        hhat = to_spectrum(h.slice(k)).values
-        acc += weights[k] * np.asarray(psi.symbol(t * coords)) * hhat
-    return from_spectrum(SpectralField(fg, acc))
+    inside = np.flatnonzero((sg.scales > epsilon) & (sg.scales < 1.0 / epsilon))
+    for k, sym in zip(inside, dilates(psi, h.grid, sg.scales[inside])):
+        acc += weights[k] * np.asarray(sym) * to_spectrum(h.slice(k)).values
+    return from_spectrum(_adopt(SpectralField, acc, grid=fg))
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ def make_atom(
     lowpass = np.exp(-((fg.radii() / kcut) ** 2))
     for k in range(scales.count):
         noise = SampledField(grid, rng.standard_normal(grid.shape))
-        (smooth,) = filtered(noise, [lambda xi: lowpass])
+        (smooth,) = filtered(noise, [lowpass])
         slice_k = smooth.values.real * window
         for b in basis:
             slice_k = slice_k - np.sum(slice_k * b) * vol * b

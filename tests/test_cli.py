@@ -194,6 +194,20 @@ BAD_INPUTS = {
     "weight_a_string": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": "-0.5"}),
         "--out", str(d / "run")],
+    "grid_unknown_key": lambda d, f: [
+        "run", _write_config(d, grid={"dimension": 1, "points_per_axis": 1024,
+                                      "half_extent": 16.0, "zz": 1}),
+        "--out", str(d / "run")],
+    "scales_unknown_key": lambda d, f: [
+        "run", _write_config(d, scenario="prop23",
+                             scales={"t_min": 1e-3, "t_max": 10.0, "count": 16, "zz": 2}),
+        "--out", str(d / "run")],
+    "weight_unknown_key": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", weight={"kind": "constant", "zz": 1}),
+        "--out", str(d / "run")],
+    "dilation_zero": lambda d, f: ["run", _write_config(d, scenario="cor31", p=1.0,
+                                                        test_family={"dilations": [0.0]}),
+                                   "--out", str(d / "run")],
 }
 
 

@@ -1,21 +1,44 @@
 """Fast paths against brute-force oracles on tiny hypothesis-drawn grids.
 
-``fields.filtered`` is checked against explicit DFT sums in the continuous
-Fourier convention; the periodic window and disc means behind the maximal
-operators and the A_p characteristic against direct averages over the
-cells of each window or disc; the row-segment disc dilation against the
-full-footprint maximum filter.
+``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
+against explicit DFT sums in the continuous Fourier convention; radial
+profiles and their dilates against the symbols they stand for; the ladder
+oracle's per-radius multipliers against the symbol at every frequency; the
+periodic window and disc means behind the maximal operators and the A_p
+characteristic against direct averages over the cells of each window or
+disc; the row-segment disc dilation against the full-footprint maximum
+filter.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from lplab.fields import Grid, SampledField, filtered
+from lplab.experiments import _SpectralRatioOracle
+from lplab.fields import (
+    Grid,
+    SampledField,
+    ScaleGrid,
+    SpectralField,
+    filtered,
+    from_spectrum,
+    to_spectrum,
+)
+from lplab.kernels import (
+    BUILTIN_KERNELS,
+    KernelSpec,
+    coordinate_multiplier,
+    derived_kernel,
+    dilates,
+    make_builtin,
+    power_tail_kernel,
+)
 from lplab.maximal import _disc_dilate, _disc_means, _window_means
+from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -25,19 +48,150 @@ tiny_grids = st.one_of(
 )
 
 
-def _dft_filter(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """inverse(F(f) * m) by explicit sums: F(f)(xi) = sum_x f(x) e^(-2 pi i x xi) h^n,
-    f(x) = sum_xi F(xi) e^(2 pi i x xi) dxi^n, one axis at a time."""
-    fg = grid.frequency_grid()
-    phase = np.exp(-2j * np.pi * np.outer(grid.axis_coords(), fg.axis_coords()))  # (x, xi)
+# every axis length a Grid admits, from the smallest (4) up
+small_grids = st.one_of(
+    st.builds(Grid, st.just(1), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0.5, 2.0, 8.0])),
+    st.builds(Grid, st.just(2), st.sampled_from([4, 8, 16]), st.sampled_from([0.5, 2.0, 8.0])),
+)
+
+
+def _phase(grid: Grid) -> np.ndarray:
+    """e^(-2 pi i x xi) on one axis, indexed (x, xi)."""
+    return np.exp(-2j * np.pi * np.outer(grid.axis_coords(), grid.frequency_grid().axis_coords()))
+
+
+def _dft_forward(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """F(f)(xi) = sum_x f(x) e^(-2 pi i x xi) h^n by explicit sums, one axis at a time."""
     spec = values.astype(complex)
     for axis in range(grid.dimension):
-        spec = np.moveaxis(np.tensordot(phase, spec, axes=([0], [axis])), 0, axis) * grid.spacing
-    out = spec * mult
+        spec = np.moveaxis(np.tensordot(_phase(grid), spec, axes=([0], [axis])), 0, axis)
+        spec = spec * grid.spacing
+    return spec
+
+
+def _dft_inverse(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    """f(x) = sum_xi F(xi) e^(2 pi i x xi) dxi^n on ``grid`` (the spatial grid)."""
+    out = spec.astype(complex)
     for axis in range(grid.dimension):
-        out = np.moveaxis(np.tensordot(phase.conj(), out, axes=([1], [axis])), 0, axis)
-        out = out * fg.spacing
+        out = np.moveaxis(np.tensordot(_phase(grid).conj(), out, axes=([1], [axis])), 0, axis)
+        out = out * grid.frequency_grid().spacing
     return out
+
+
+def _dft_filter(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """inverse(F(f) * m) by explicit sums."""
+    return _dft_inverse(grid, _dft_forward(grid, values) * mult)
+
+
+def _random_complex(grid: Grid, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+
+
+def _close(got: np.ndarray, expect: np.ndarray) -> bool:
+    return np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+@SETTINGS
+@given(grid=small_grids, seed=st.integers(0, 2**32 - 1))
+def test_to_spectrum_matches_dft_sums(grid, seed):
+    vals = _random_complex(grid, seed)
+    spec = to_spectrum(SampledField(grid, vals))
+    assert spec.grid == grid.frequency_grid()
+    assert _close(spec.values, _dft_forward(grid, vals))
+
+
+@SETTINGS
+@given(grid=small_grids, seed=st.integers(0, 2**32 - 1))
+def test_from_spectrum_matches_dft_sums(grid, seed):
+    spec = _random_complex(grid, seed)
+    f = from_spectrum(SpectralField(grid.frequency_grid(), spec))
+    assert f.grid == grid
+    assert _close(f.values, _dft_inverse(grid, spec))
+
+
+def _kernels():
+    """Every kernel constructor that sets a radial profile."""
+    out = [make_builtin(name) for name in BUILTIN_KERNELS]
+    out += [make_builtin("gaussian", [0.5]), make_builtin("annulus_bump", [0.3, 0.6, 1.5, 3.0])]
+    out += [power_tail_kernel(0.5), power_tail_kernel(3.0)]
+    out += [calderon_normalize(k) for k in out[:2]] + [conjugate_kernel(k) for k in out[:2]]
+    return out
+
+
+KERNELS = _kernels()
+
+
+@SETTINGS
+@given(grid=small_grids, index=st.integers(0, len(KERNELS) - 1), t=st.floats(0.01, 100.0))
+def test_profile_is_the_symbol_on_frequency_grids(grid, index, t):
+    k = KERNELS[index]
+    fg = grid.frequency_grid()
+    xi = fg.coords()
+    # |xi| of the grid is the norm the symbol takes, so the two agree exactly
+    assert np.array_equal(np.asarray(k.profile(fg.radii())), np.asarray(k.symbol(xi)))
+    (dilate,) = dilates(k, grid, [t])
+    assert _close(np.asarray(dilate), np.asarray(k.symbol(t * xi)))
+
+
+@SETTINGS
+@given(grid=small_grids, t=st.floats(0.01, 100.0))
+def test_derived_kernel_dilates_through_its_symbol(grid, t):
+    calls = []
+    base = make_builtin("gaussian")
+    d = derived_kernel("d", base, coordinate_multiplier(0))
+    assert d.profile is None
+    multiplier = KernelSpec("m", lambda xi: calls.append(1) or 2j * np.pi * xi[0])
+    spy = derived_kernel("d", base, multiplier)
+    xi = grid.frequency_grid().coords()
+    (dilate,) = dilates(spy, grid, [t])
+    assert calls == [1]
+    assert np.array_equal(dilate, d.symbol(t * xi))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 4096, 16.0), Grid(1, 64, 4.0), Grid(2, 32, 4.0)])
+def test_ladder_oracle_matches_symbol_at_every_frequency(grid):
+    # one profile evaluation per distinct radius gives the per-frequency
+    # symbol sums bit for bit: sqrt((t r)^2) == t r in binary64
+    scales = ScaleGrid.log_spaced(1e-4, 1e2, 128)
+    psi, phi = make_builtin("annulus_bump"), power_tail_kernel(1.5)
+    oracle = _SpectralRatioOracle(psi, phi, grid, scales)
+    xi = grid.frequency_grid().coords()
+    r = np.sqrt(np.sum(xi**2, axis=0))
+    u = np.exp(np.linspace(math.log(scales.t_min), math.log(scales.t_max), 4097))
+    for k, got in ((psi, oracle._m_psi), (phi, oracle._m_phi)):
+        vals = np.zeros(r[r > 0].shape)
+        for block in np.array_split(u, 16):
+            pts = (block[:, np.newaxis] * r[r > 0][np.newaxis, :])[np.newaxis]
+            vals += np.sum(np.abs(np.asarray(k.symbol(pts))) ** 2, axis=0) * math.log(u[1] / u[0])
+        expect = np.zeros(r.shape)
+        expect[r > 0] = vals
+        assert np.array_equal(got, expect)
+
+
+def test_computed_fields_are_read_only():
+    grid = Grid(2, 8, 2.0)
+    f = SampledField(grid, _random_complex(grid, 1))
+    scales = ScaleGrid.log_spaced(0.1, 1.0, 3)
+    E = scale_transform(f, make_builtin("poissonQ"), scales)
+    spec = to_spectrum(f)
+    for arr in (spec.values, from_spectrum(spec).values, E.values, E.slice(1).values,
+                *(g.values for g in filtered(f, [lambda xi: xi[0], np.ones(grid.shape)]))):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_fields_copy_what_callers_pass():
+    grid = Grid(1, 8, 2.0)
+    arr = _random_complex(grid, 2)
+    stack = np.stack([arr, arr])
+    fields = (SampledField(grid, arr), SpectralField(grid, arr),
+              ScaleField(grid, ScaleGrid.log_spaced(0.1, 1.0, 2), stack))
+    before = [fl.values.copy() for fl in fields]
+    arr[:] = 99.0
+    stack[:] = 99.0
+    for fl, b in zip(fields, before):
+        assert np.array_equal(fl.values, b)
 
 
 @SETTINGS
