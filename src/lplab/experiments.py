@@ -45,6 +45,7 @@ from .io import restore_nonfinite, write_json
 from .kernels import (
     KernelFamily,
     KernelSpec,
+    _distinct_radii,
     check_cancellation,
     constant_multiplier,
     coordinate_multiplier,
@@ -112,7 +113,7 @@ _ENTRY_KEYS = {
     "scales": ("t_min", "t_max", "count"),
     "grand_scales": ("t_min", "t_max", "count"),
     "test_family": ("shapes", "dilations", "shifts", "seed"),
-    "weight": ("kind", "c", "a"),
+    "weight": {"constant": ("kind", "c"), "power": ("kind", "a")},  # by kind
 }
 
 
@@ -183,6 +184,9 @@ class ExperimentConfig:
                 continue
             if not isinstance(v, dict):
                 raise ConfigError(f"{key} must be a JSON object, got {v!r}")
+            if isinstance(allowed, dict):  # an unknown kind is resolve_weight's error
+                kind = v.get("kind", "constant")
+                allowed = allowed[kind] if isinstance(kind, str) and kind in allowed else tuple(v)
             if set(v) - set(allowed):
                 raise ConfigError(f"{key} takes only the keys {allowed}, got {sorted(v)}")
         for key in ("phi", "psi"):
@@ -226,6 +230,12 @@ class ExperimentConfig:
             return default_grand_scales(grid)
         return _log_scales("grand_scales", self.grand_scales, 64)
 
+    def discrete_j_range(self) -> range:
+        """The j with discrete_b^j in [t_min, t_max] of the scale grid."""
+        scales, b = self.make_scales(), self.discrete_b
+        return range(math.ceil(math.log(scales.t_max) / math.log(b)),
+                     math.floor(math.log(scales.t_min) / math.log(b)) + 1)
+
     def make_family(self) -> list:
         """The test family; its seed defaults to the config's."""
         return families.default_family(**{"seed": self.seed, **self.test_family})
@@ -253,6 +263,10 @@ class ExperimentConfig:
                     )
         if scenario.hardy and not self.p <= 1:
             raise ConfigError(f"{self.scenario} needs p in (0, 1], got {self.p}")
+        if scenario.discrete and not self.discrete_j_range():
+            sg = self.make_scales()
+            raise ConfigError(f"no power of discrete_b = {self.discrete_b} lies in the "
+                              f"scale range [{sg.t_min:.6g}, {sg.t_max:.6g}]")
 
 
 @dataclass
@@ -394,26 +408,21 @@ class _SpectralRatioOracle:
     on the configured scale grid)."""
 
     def __init__(self, psi: KernelSpec, phi: KernelSpec, grid: Grid, scales: ScaleGrid):
-        fg = grid.frequency_grid()
-        xi = fg.coords()
-        self._r = np.sqrt(np.sum(xi**2, axis=0))
+        ru, inv = _distinct_radii(grid)
         u = np.exp(np.linspace(math.log(scales.t_min), math.log(scales.t_max), 4097))
         du = math.log(u[1] / u[0])
 
         def multiplier(k: KernelSpec) -> np.ndarray:
             # each distinct radius once (+-xi share one in 1-d, eight points in
-            # 2-d); the symbol at (t r,) is the profile at sqrt((t r)^2) == t r
+            # 2-d); the symbol at (t r,) is the profile at sqrt((t r)^2) == t r.
+            # ru[0] is the origin's radius 0, where the multiplier is 0.
             along_ray = k.profile if k.profile is not None else (
                 lambda s: k.symbol(s[np.newaxis]))
-            nonzero = self._r > 0
-            rr, where = np.unique(self._r[nonzero], return_inverse=True)
-            vals = np.zeros(rr.shape)
+            vals = np.zeros(ru.shape)
             for block in np.array_split(u, max(1, u.size // 256)):
-                pts = block[:, np.newaxis] * rr[np.newaxis, :]  # (T, R)
-                vals += np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du
-            out = np.zeros(self._r.shape)
-            out[nonzero] = vals[where]
-            return out
+                pts = block[:, np.newaxis] * ru[np.newaxis, 1:]  # (T, R)
+                vals[1:] += np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du
+            return vals[inv]
 
         self._m_psi = multiplier(psi)
         self._m_phi = multiplier(phi)
@@ -496,8 +505,7 @@ def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
     scales = cfg.make_scales()
     phi = resolve_kernel(**cfg.phi)
     b = cfg.discrete_b
-    jr = range(math.ceil(math.log(scales.t_max) / math.log(b)),
-               math.floor(math.log(scales.t_min) / math.log(b)) + 1)
+    jr = cfg.discrete_j_range()
     norm = math.log(1.0 / b) ** (1.0 / cfg.q)
 
     def measure(tf):
@@ -569,13 +577,14 @@ class _Scenario(NamedTuple):
     run: Callable
     ladder: bool = False  # N > max(n/p, n/q) and an admissible weight
     hardy: bool = False  # p in (0, 1]
+    discrete: bool = False  # a power of discrete_b in the scale range
 
 
 SCENARIOS = {
     "prop23": _Scenario(partial(_run_ladder, vanishing=False), ladder=True),
     "thm210": _Scenario(partial(_run_ladder, vanishing=True), ladder=True),
     "cor31": _Scenario(_run_hardy_lower, hardy=True),
-    "prop36": _Scenario(_run_discrete_ladder),
+    "prop36": _Scenario(_run_discrete_ladder, discrete=True),
     "lemma33": _Scenario(_run_synthesis_atoms, hardy=True),
     "constants_audit": _Scenario(_run_constants_audit),
 }

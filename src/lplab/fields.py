@@ -329,7 +329,9 @@ def scale_integral(u: np.ndarray, scales: ScaleGrid, q: float):
     if arr.shape[0] != scales.count:
         raise ValueError("scale axis length does not match the scale grid")
     w = scales.log_weights().reshape((-1,) + (1,) * (arr.ndim - 1))
-    total = np.sum(arr**q * w, axis=0) ** (1.0 / q)
+    powered = arr**q
+    powered *= w
+    total = np.sum(powered, axis=0) ** (1.0 / q)
     if total.ndim == 0:
         return float(total)
     return total

@@ -5,7 +5,8 @@ from the inverse transform of the dilated symbol, never from closed spatial
 forms.  Symbols accept stacked frequency coordinates of shape (dim, ...) and
 return a complex array of shape (...), so the same spec works in 1-d and 2-d.
 A radial kernel also carries its profile r -> value, symbol(xi) =
-profile(|xi|), so dilates on a grid are evaluated on its |xi|, computed once.
+profile(|xi|), so its dilates on a grid are evaluated once per scale on the
+grid's distinct |xi| and kept with the kernel.
 
 Builtins:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -54,11 +55,13 @@ def smoothstep(s):
 def plateau(r, a: float, b: float, c: float, d: float):
     """Radial plateau profile: 0 off [a, d], 1 on [b, c], smooth ramps between."""
     r = np.asarray(r, dtype=float)
-    return np.where(
-        r <= b,
-        smoothstep((r - a) / (b - a)),
-        np.where(r >= c, smoothstep((d - r) / (d - c)), 1.0),
-    )
+    out = np.where((r <= b) | (r >= c), 0.0, 1.0)
+    # 0 off (a, d) and 1 on (b, c) directly; smoothstep only on the two ramps
+    up = (r > a) & (r <= b)
+    out[up] = smoothstep((r[up] - a) / (b - a))
+    down = (r >= c) & (r < d)
+    out[down] = smoothstep((d - r[down]) / (d - c))
+    return out
 
 
 def _norm(xi) -> np.ndarray:
@@ -97,6 +100,9 @@ class KernelSpec:
     name: str
     symbol: object  # callable (dim, ...) -> (...)
     profile: object = None  # callable r -> value, or None if not radial
+    # (grid, t) -> the read-only profile at t * r on the grid's distinct
+    # radii r; kept by the kernel, so it is freed with the kernel
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, xi):
         return self.symbol(xi)
@@ -128,21 +134,31 @@ def radial_kernel(name: str, profile) -> KernelSpec:
 
 
 @functools.lru_cache(maxsize=8)
-def _frequency_radii(grid: Grid) -> np.ndarray:
-    """|xi| on the frequency grid of ``grid``, read-only, computed once."""
+def _distinct_radii(grid: Grid) -> tuple:
+    """(ru, inv): the sorted distinct |xi| on the frequency grid of ``grid``
+    and, per point, the index of its |xi| in ru; read-only, computed once."""
     r = grid.frequency_grid().radii()
-    r.setflags(write=False)
-    return r
+    ru, inv = np.unique(r, return_inverse=True)
+    inv = inv.reshape(r.shape)
+    ru.setflags(write=False)
+    inv.setflags(write=False)
+    return ru, inv
 
 
 def dilates(k: KernelSpec, grid: Grid, ts):
     """Yield xi -> symbol(t xi) on the frequency grid of ``grid``, one array
-    per scale t: the profile at t|xi| on the grid's cached radii for a
-    radial kernel, else the symbol at the scaled coordinates."""
+    per scale t.  A radial kernel evaluates its profile once per (grid, t),
+    at t * r on the grid's distinct radii r, and keeps that row for every
+    later call; other kernels evaluate the symbol at the scaled coordinates."""
     if k.profile is not None:
-        r = _frequency_radii(grid)
+        ru, inv = _distinct_radii(grid)
         for t in ts:
-            yield k.profile(t * r)
+            row = k._rows.get((grid, t))
+            if row is None:
+                row = np.asarray(k.profile(t * ru))
+                row.setflags(write=False)
+                k._rows[(grid, t)] = row
+            yield row[inv]
     else:
         coords = grid.frequency_grid().coords()
         for t in ts:

@@ -67,9 +67,9 @@ def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> Scal
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:
     """(integral |f * psi_t|^q dt/t)^(1/q), pointwise over the grid."""
-    E = scale_transform(f, psi, scales)
-    vals = scale_integral(np.abs(E.values), scales, q)
-    return SampledField(f.grid, vals)
+    # the complex stack is dropped as soon as its modulus is taken
+    mags = np.abs(scale_transform(f, psi, scales).values)
+    return SampledField(f.grid, scale_integral(mags, scales, q))
 
 
 def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2.0) -> SampledField:

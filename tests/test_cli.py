@@ -208,6 +208,16 @@ BAD_INPUTS = {
     "dilation_zero": lambda d, f: ["run", _write_config(d, scenario="cor31", p=1.0,
                                                         test_family={"dilations": [0.0]}),
                                    "--out", str(d / "run")],
+    "discrete_ladder_empty": lambda d, f: [
+        "run", _write_config(d, scenario="prop36",
+                             scales={"t_min": 1.001, "t_max": 1.005, "count": 4}),
+        "--out", str(d / "run")],
+    "constant_weight_with_a": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", weight={"kind": "constant", "a": -0.5}),
+        "--out", str(d / "run")],
+    "power_weight_with_c": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": -0.5, "c": 3.0}),
+        "--out", str(d / "run")],
 }
 
 

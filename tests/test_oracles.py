@@ -2,14 +2,16 @@
 
 ``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
 against explicit DFT sums in the continuous Fourier convention; radial
-profiles and their dilates against the symbols they stand for; the ladder
-oracle's per-radius multipliers against the symbol at every frequency; the
+profiles and their dilates against the symbols they stand for, and the
+ramp-only plateau and in-place scale integral against the expressions they
+replace; the ladder oracle's per-radius multipliers against the symbol at every frequency; the
 periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
 disc; the row-segment disc dilation against the full-footprint maximum
 filter.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from lplab.fields import (
     SpectralField,
     filtered,
     from_spectrum,
+    scale_integral,
     to_spectrum,
 )
 from lplab.kernels import (
@@ -35,7 +38,9 @@ from lplab.kernels import (
     derived_kernel,
     dilates,
     make_builtin,
+    plateau,
     power_tail_kernel,
+    smoothstep,
 )
 from lplab.maximal import _disc_dilate, _disc_means, _window_means
 from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
@@ -147,6 +152,88 @@ def test_derived_kernel_dilates_through_its_symbol(grid, t):
     (dilate,) = dilates(spy, grid, [t])
     assert calls == [1]
     assert np.array_equal(dilate, d.symbol(t * xi))
+
+
+@SETTINGS
+@given(grid=small_grids, index=st.integers(0, len(KERNELS) - 1),
+       ts=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4))
+def test_dilate_rows_are_the_profile_at_every_frequency(grid, index, ts):
+    # a fresh copy starts with no rows; then a repeated list, a nested one and
+    # a generator reuse them, and every dilate is profile(t |xi|) bit for bit
+    k = dataclasses.replace(KERNELS[index])
+    assert k._rows == {}
+    r = grid.frequency_grid().radii()
+    for scales in (ts, ts + ts, ts[1:], (t for t in reversed(ts))):
+        scales = list(scales)
+        got = list(dilates(k, grid, iter(scales)))
+        assert len(got) == len(scales)
+        for t, dilate in zip(scales, got):
+            expect = np.asarray(k.profile(t * r))
+            assert dilate.dtype == expect.dtype and dilate.shape == grid.shape
+            assert dilate.tobytes() == expect.tobytes()
+    assert len(k._rows) == len(set(ts))
+
+
+@SETTINGS
+@given(grid=small_grids, ts=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=3))
+def test_derived_kernel_keeps_no_rows(grid, ts):
+    calls = []
+    multiplier = KernelSpec("m", lambda xi: calls.append(1) or 2j * np.pi * xi[0])
+    spy = derived_kernel("d", make_builtin("gaussian"), multiplier)
+    xi = grid.frequency_grid().coords()
+    for _ in range(2):
+        for t, dilate in zip(ts, dilates(spy, grid, ts)):
+            assert np.array_equal(dilate, spy.symbol(t * xi))
+    # twice through the symbol per scale for dilates and once for the check
+    assert len(calls) == 4 * len(ts)
+    assert spy._rows == {}
+
+
+def _nested_where_plateau(r, a, b, c, d):
+    """The plateau as both ramps evaluated everywhere and selected by np.where."""
+    r = np.asarray(r, dtype=float)
+    return np.where(
+        r <= b,
+        smoothstep((r - a) / (b - a)),
+        np.where(r >= c, smoothstep((d - r) / (d - c)), 1.0),
+    )
+
+
+@SETTINGS
+@given(radii=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_plateau_matches_nested_where(radii, seed):
+    a, b, c, d = sorted(radii)
+    rng = np.random.default_rng(seed)
+    special = [a, b, c, d, 0.0, -0.0, -a, -d, np.inf, -np.inf, np.nan,
+               np.nextafter(a, 0), np.nextafter(b, np.inf), np.nextafter(c, 0),
+               np.nextafter(d, np.inf)]
+    r = np.concatenate([special, rng.uniform(-1.0, 1.5 * d, 200)])
+    for shape in (r.shape, (5, r.size // 5)):
+        rr = r.reshape(shape)
+        got = plateau(rr, a, b, c, d)
+        assert got.tobytes() == _nested_where_plateau(rr, a, b, c, d).tobytes()
+    for x in special:  # 0-d input
+        assert plateau(x, a, b, c, d).tobytes() == _nested_where_plateau(x, a, b, c, d).tobytes()
+
+
+@SETTINGS
+@given(count=st.integers(2, 9), trailing=st.sampled_from([(), (7,), (3, 4)]),
+       q=st.sampled_from([0.5, 1.0, 2.0, 3.7]), geometric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_scale_integral_matches_weighted_power_sum(count, trailing, q, geometric, seed):
+    rng = np.random.default_rng(seed)
+    if geometric:
+        scales = ScaleGrid.log_spaced(1e-3, 10.0, count)
+    else:
+        scales = ScaleGrid(np.sort(rng.uniform(0.01, 10.0, count))[::-1])
+    u = rng.uniform(0.0, 5.0, (count,) + trailing)
+    before = u.copy()
+    w = scales.log_weights().reshape((-1,) + (1,) * len(trailing))
+    expect = np.sum(u**q * w, axis=0) ** (1.0 / q)
+    got = scale_integral(u, scales, q)
+    assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+    assert np.array_equal(u, before)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 4096, 16.0), Grid(1, 64, 4.0), Grid(2, 32, 4.0)])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from lplab import (
 )
 from lplab.families import FamilyMember
 from lplab.fields import SpectralField
+from lplab.kernels import plateau, radial_kernel
 
 
 def gaussian_field(grid):
@@ -223,6 +226,57 @@ class TestSynthesis:
         xi = np.array([[0.5, 1.0, 2.0, 4.0]])
         m = spectral_multiplier_profile(poissonq, sg, xi)
         assert np.max(np.abs(m - 0.25)) <= 0.25 * 1e-3  # analytic scale energy 1/4
+
+
+def counting_annulus():
+    """The narrow annulus bump, and the lengths of the arrays its profile saw."""
+    seen = []
+
+    def profile(r):
+        seen.append(np.size(r))
+        return plateau(r, 1.0, 1.2, 1.7, 2.0)
+
+    return radial_kernel("counted", profile), seen
+
+
+class TestDilateRows:
+    """A radial kernel evaluates its profile once per (grid, scale), on the
+    grid's distinct radii, and the rows it keeps die with it."""
+
+    def test_two_g_functions_evaluate_each_scale_once(self):
+        grid = Grid(2, 32, 4.0)
+        psi, seen = counting_annulus()
+        scales = ScaleGrid.log_spaced(0.05, 5.0, 12)
+        first = g_function(band_member(grid), psi, scales)
+        second = g_function(band_member(grid, seed=8), psi, scales)
+        distinct = np.unique(grid.frequency_grid().radii()).size
+        assert seen == [distinct] * scales.count
+        assert distinct < grid.cell_count
+        assert np.all(first.values.real >= 0) and np.all(second.values.real >= 0)
+
+    def test_nested_synthesis_windows_evaluate_each_scale_once(self):
+        grid = Grid(1, 256, 8.0)
+        psi, seen = counting_annulus()
+        sg = ScaleGrid.log_spaced(5e-4, 2e3, 40)
+        h = ScaleField(grid, sg, np.ones((sg.count, 256)))
+        for eps in (1e-1, 1e-2, 1e-3):
+            synthesize(h, psi, eps)
+        widest = np.sum((sg.scales > 1e-3) & (sg.scales < 1e3))
+        assert len(seen) == widest
+
+    def test_rows_are_read_only_and_die_with_the_kernel(self):
+        grid = Grid(1, 64, 4.0)
+        psi, _ = counting_annulus()
+        g_function(band_member(grid), psi, ScaleGrid.log_spaced(0.1, 1.0, 4))
+        rows = list(psi._rows.values())
+        assert len(rows) == 4
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+        refs = [weakref.ref(psi)] + [weakref.ref(row) for row in rows]
+        del psi, rows, row
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestAtoms:
