@@ -6,6 +6,9 @@ space atoms, discretized on periodic grids with FFT pipelines and verified
 by property-based experiments.
 """
 
+# before the submodule imports: experiments records it in every report
+__version__ = "0.1.0"
+
 from .fields import (
     Grid,
     SampledField,
@@ -83,4 +86,3 @@ from .weights import Weight, ap_characteristic, a1_check, admissible_power_range
 from .families import FamilyMember, default_family, boundary_leakage
 from .experiments import ExperimentConfig, Report, ConfigError, run_experiment, emit_report
 
-__version__ = "0.1.0"

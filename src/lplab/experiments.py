@@ -30,17 +30,21 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
-from . import families
+from . import __version__, families
 from .calderon import build_partition, find_intervals
 from .constants import check_conditions
-from .fields import Grid, SampledField, ScaleGrid, lp_norm, to_spectrum, weighted_lp_norm
+from .fields import (Grid, SampledField, ScaleGrid, _spectral_workers, lp_norm, to_spectrum,
+                     weighted_lp_norm)
 from .io import restore_nonfinite, write_json
 from .kernels import (
     KernelFamily,
@@ -597,7 +601,11 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     diagnostics: dict = {}
     rows, passed, criterion = SCENARIOS[cfg.scenario].run(cfg, diagnostics)
     environment = {"grid": dict(cfg.grid), "scales": dict(cfg.scales), "seed": cfg.seed,
-                   "b": cfg.b}
+                   "b": cfg.b, "cpu_count": os.cpu_count(),
+                   "spectral_workers": _spectral_workers(),
+                   "versions": {"lplab": __version__, "numpy": np.__version__,
+                                "scipy": scipy.__version__,
+                                "python": platform.python_version()}}
     return Report(cfg.scenario, rows, *_family_stats(rows), bool(rows and passed), criterion,
                   diagnostics, environment)
 

@@ -190,8 +190,8 @@ def default_grand_scales(grid: Grid, count: int = 64) -> ScaleGrid:
 def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
     """Pointwise max over the scale grid of |Phi_t * f| (convolutions spectral)."""
     out = np.zeros(f.grid.shape)
-    for conv in filtered(f, dilates(cfg.mollifier, f.grid, cfg.scales.scales)):
-        np.maximum(out, np.abs(conv.values), out=out)
+    for mag in filtered(f, dilates(cfg.mollifier, f.grid, cfg.scales.scales), np.abs):
+        np.maximum(out, mag, out=out)
     return SampledField(f.grid, out)
 
 

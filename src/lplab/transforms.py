@@ -67,9 +67,7 @@ def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> Scal
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:
     """(integral |f * psi_t|^q dt/t)^(1/q), pointwise over the grid."""
-    # the complex stack is dropped as soon as its modulus is taken
-    mags = np.abs(scale_transform(f, psi, scales).values)
-    return SampledField(f.grid, scale_integral(mags, scales, q))
+    return SampledField(f.grid, scale_integral(scale_transform(f, psi, scales).values, scales, q))
 
 
 def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2.0) -> SampledField:
@@ -80,8 +78,8 @@ def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2
     if not js:
         raise ValueError("empty j range")
     acc = np.zeros(f.grid.shape)
-    for conv in filtered(f, dilates(psi, f.grid, (b**j for j in js))):
-        acc += np.abs(conv.values) ** q
+    for mag in filtered(f, dilates(psi, f.grid, (b**j for j in js)), np.abs):
+        acc += mag**q
     return SampledField(f.grid, acc ** (1.0 / q))
 
 
@@ -245,7 +243,7 @@ def make_atom(
         for b in basis:
             slice_k = slice_k - np.sum(slice_k * b) * vol * b
         vals[k] = slice_k
-    sup = float(np.max(scale_integral(np.abs(vals), scales, 2.0)))
+    sup = float(np.max(scale_integral(vals, scales, 2.0)))
     bound = (cube_side**n) ** (-1.0 / p)
     if sup > 0:
         vals *= 0.9 * bound / sup
@@ -275,7 +273,7 @@ def validate_atom(a: Atom) -> AtomValidation:
     vals = a.values.values
     peak = float(np.max(np.abs(vals)))
     outside = 0.0 if peak == 0 else float(np.max(np.abs(vals[:, ~mask]), initial=0.0)) / peak
-    sup = float(np.max(scale_integral(np.abs(vals), a.values.scales, 2.0)))
+    sup = float(np.max(scale_integral(vals, a.values.scales, 2.0)))
     bound = (a.cube_side**n) ** (-1.0 / a.p)
     size_ratio = sup / bound
     vol = grid.cell_volume

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
-from lplab import ConfigError, ExperimentConfig, Report, emit_report, run_experiment
+import lplab
+from lplab import ConfigError, ExperimentConfig, Report, emit_report, fields, run_experiment
 
 
 FAST_GRID = {"dimension": 1, "points_per_axis": 2048, "half_extent": 16.0}
@@ -189,6 +194,14 @@ class TestReports:
         # the default (non-strict) dump spells NaN and +-inf apart, floats exactly
         restored = Report.from_dict(parsed).to_dict()
         assert json.dumps(restored, sort_keys=True) == json.dumps(rep.to_dict(), sort_keys=True)
+
+    def test_environment_records_cores_and_versions(self):
+        env = run_experiment(fast_config("cor31", p=1.0)).environment
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["spectral_workers"] == fields._spectral_workers() >= 1
+        assert env["versions"] == {"lplab": lplab.__version__, "numpy": np.__version__,
+                                   "scipy": scipy.__version__,
+                                   "python": platform.python_version()}
 
     def test_plotdata_emitted_per_shape(self, tmp_path):
         rep = run_experiment(fast_config("cor31", p=1.0))

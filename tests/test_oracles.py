@@ -220,17 +220,20 @@ def test_plateau_matches_nested_where(radii, seed):
 @SETTINGS
 @given(count=st.integers(2, 9), trailing=st.sampled_from([(), (7,), (3, 4)]),
        q=st.sampled_from([0.5, 1.0, 2.0, 3.7]), geometric=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_scale_integral_matches_weighted_power_sum(count, trailing, q, geometric, seed):
+       is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scale_integral_matches_weighted_power_sum(count, trailing, q, geometric, is_complex,
+                                                   seed):
     rng = np.random.default_rng(seed)
     if geometric:
         scales = ScaleGrid.log_spaced(1e-3, 10.0, count)
     else:
         scales = ScaleGrid(np.sort(rng.uniform(0.01, 10.0, count))[::-1])
     u = rng.uniform(0.0, 5.0, (count,) + trailing)
+    if is_complex:
+        u = u * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, u.shape))
     before = u.copy()
     w = scales.log_weights().reshape((-1,) + (1,) * len(trailing))
-    expect = np.sum(u**q * w, axis=0) ** (1.0 / q)
+    expect = np.sum(np.abs(u) ** q * w, axis=0) ** (1.0 / q)
     got = scale_integral(u, scales, q)
     assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
     assert np.array_equal(u, before)
