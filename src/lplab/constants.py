@@ -26,6 +26,7 @@ unless ``tail_check=False``, the decay fits drop unreliable scales, and the
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ from .kernels import (
     coordinate_multiplier,
     derived_kernel,
 )
+
+log = logging.getLogger("lplab")
 
 #: relative floor below which computed constants are treated as FFT noise
 NOISE_FLOOR = 1e-9
@@ -146,7 +149,12 @@ def fit_decay_exponent(ts, values, reliable=None) -> float:
     exact_zero_tail = vals[int(np.argmin(ts))] < 1e-280
     usable = vals > NOISE_FLOOR * vmax
     if reliable is not None:
-        usable &= np.asarray(reliable, dtype=bool)
+        reliable = np.asarray(reliable, dtype=bool)
+        dropped = int(np.count_nonzero(usable & ~reliable))
+        if dropped:
+            log.debug("decay fit: dropped %d of %d scales as unreliable (box tail)",
+                      dropped, vals.size)
+        usable &= reliable
     fit = math.nan
     if usable.sum() >= 3:
         t_u = ts[usable]

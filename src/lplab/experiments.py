@@ -29,6 +29,7 @@ identical config + seed produces bit-identical CSV output.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import platform
@@ -60,6 +61,8 @@ from .kernels import (
 from .maximal import GrandMaxConfig, default_grand_scales, grand_max
 from .transforms import g_discrete, g_function, make_atom, synthesize
 from .weights import Weight, admissible_power_range
+
+log = logging.getLogger("lplab")
 
 
 class ConfigError(ValueError):
@@ -466,6 +469,9 @@ def _run_ladder(cfg: ExperimentConfig, diagnostics: dict, vanishing: bool) -> tu
     unit_weight = weight.kind == "constant"
     use_oracle = vanishing and unit_weight and cfg.q == 2.0
     oracle = _SpectralRatioOracle(psi, phi, grid, scales) if use_oracle else None
+    if vanishing and not use_oracle:
+        log.info("thm210: no spectral-multiplier oracle (weight %s, q = %g); "
+                 "the verdict rests on family stability only", weight.kind, cfg.q)
     family = cfg.make_family()
     rows = _family_rows(family, measure, diagnostics, {"oracle": oracle.ratio} if oracle else None)
     bound = 3 if vanishing else 5

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fields import Grid, SampledField, ScaleGrid, SpectralField, from_spectrum
 
@@ -291,6 +290,10 @@ def check_nondegeneracy(
     log t around the grid argmax, so a generous log grid recovers smooth
     maxima to high accuracy.
     """
+    # deferred: scipy.optimize loads linalg, sparse and spatial (+20 MiB and
+    # +0.16 s on every `import lplab`), and no scenario or CLI command calls this
+    from scipy.optimize import minimize_scalar
+
     fam = _as_family(fam)
     if t_range.count < 2 or t_range.spans_decades() < 4.0:
         raise ValueError("scale range must span at least 4 decades")

@@ -9,21 +9,23 @@ grid itself.  The Peetre operator
 runs over every grid offset y with the periodic (wrapped) distance.  The
 Hardy-Littlewood operator takes uncentered averages over grid-aligned balls
 containing the point: every contiguous window in 1-d, discs of sampled radii
-in 2-d.  In 2-d each disc's means come from one FFT convolution and are
-dilated over the disc as a union of row segments, one running max per
-distinct segment width, at O(R p^2) per radius of R cells.  The grand
-maximal function is the pointwise sup over a scale grid of mollifications
-|Phi_t * f| with a unit-mass mollifier.
+in 2-d.  In 1-d the best window containing each cell comes from a recurrence
+over window widths, widest first (the best mean over the supersets of a
+window), at a few vector ops per width.  In 2-d each disc's means come from
+one FFT convolution and are dilated over the disc as a union of row
+segments, one running max per distinct segment width, at O(R p^2) per
+radius of R cells.  The grand maximal function is the pointwise sup over a
+scale grid of mollifications |Phi_t * f| with a unit-mass mollifier.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .fields import Grid, SampledField, ScaleGrid, filtered
 from .kernels import KernelSpec, coordinate_multiplier, dilates
@@ -112,6 +114,10 @@ def _disc_dilate(means: np.ndarray, fp: np.ndarray) -> np.ndarray:
     offset 0, so one running max per distinct row width, rolled by every row
     offset of that width, covers it.  Max is exact, so this equals the
     footprint filter bit for bit at O(R p^2) instead of O(R^2 p^2)."""
+    # deferred: only 2-d hl_max needs scipy.ndimage (+0.05-0.07 s on every
+    # `import lplab` otherwise), and no scenario calls it
+    from scipy import ndimage
+
     p = means.shape[1]
     widths = fp.sum(axis=1)
     out = np.full(means.shape, -np.inf)
@@ -126,16 +132,26 @@ def _disc_dilate(means: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 
 def _hl_max_1d(absf: np.ndarray) -> np.ndarray:
-    n = absf.size
+    """max over the periodic windows of cells containing x of the mean of
+    ``absf``, by the superset recurrence
+
+        Q_w(a) = max(T_w(a), Q_{w+1}(a - 1), Q_{w+1}(a)),  Q_n = T_n,
+
+    where T_w(a) is the mean over the w cells from a and Q_w(a) the largest
+    mean over the windows that contain those cells; Q_1 is the answer.  Each
+    width costs a few vector ops, O(n) numpy calls in all, and every mean is
+    the expression a per-width scan takes, so max (exact) gives its bits."""
     # width-1 windows are the samples themselves; seeding with them keeps
     # M(f) >= |f| exact (cumsum differencing would round at the eps level)
-    out = absf.astype(float).copy()
-    widths = range(2, n + 1)
-    for w, means in zip(widths, _window_means(absf, widths)):
-        # dilate so out[x] maximizes over windows [x-w+1, x] (those containing x)
-        origin = w - 1 - w // 2
-        np.maximum(out, ndimage.maximum_filter1d(means, w, mode="wrap", origin=origin), out=out)
-    return out
+    widths = range(absf.size, 1, -1)
+    means = itertools.chain(_window_means(absf, widths), [absf.astype(float)])
+    q = next(means)
+    for t in means:
+        # t <- max(T_w(a), Q_{w+1}(a - 1)), then q <- max(t, Q_{w+1}(a))
+        np.maximum(t[1:], q[:-1], out=t[1:])
+        t[0] = np.maximum(t[0], q[-1])
+        q = np.maximum(t, q, out=t)
+    return q
 
 
 def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:

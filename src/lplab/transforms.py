@@ -17,6 +17,7 @@ noise so every report is reproducible.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ from .fields import (
     to_spectrum,
 )
 from .kernels import KernelSpec, dilates, plateau
+
+log = logging.getLogger("lplab")
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,9 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
     acc = np.zeros(fg.shape, dtype=complex)
     weights = sg.log_weights()
     inside = np.flatnonzero((sg.scales > epsilon) & (sg.scales < 1.0 / epsilon))
+    if inside.size < sg.count:
+        log.debug("synthesize: cutoff %g skips %d of %d scales",
+                  epsilon, sg.count - inside.size, sg.count)
     for k, sym in zip(inside, dilates(psi, h.grid, sg.scales[inside])):
         acc += weights[k] * np.asarray(sym) * to_spectrum(h.slice(k)).values
     return from_spectrum(_adopt(SpectralField, acc, grid=fg))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -119,6 +120,16 @@ class TestDecayLaw:
         ts = [0.5**j for j in range(12)]
         vals = [t**2.5 for t in ts]
         assert fit_decay_exponent(ts, vals) == pytest.approx(2.5, abs=1e-9)
+
+    def test_fit_logs_the_scales_it_drops(self, caplog):
+        ts = [0.5**j for j in range(8)]
+        vals = [t**2.5 for t in ts]
+        with caplog.at_level(logging.DEBUG, logger="lplab"):
+            fit = fit_decay_exponent(ts, vals, reliable=[False, False] + [True] * 6)
+        assert fit == pytest.approx(2.5, abs=1e-9)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("lplab", logging.DEBUG)
+        assert "dropped 2 of 8 scales" in record.getMessage()
 
     def test_fit_returns_nan_when_nothing_reliable(self):
         ts = [0.5**j for j in range(6)]

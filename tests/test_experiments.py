@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import platform
@@ -91,6 +92,16 @@ class TestScenarios:
         rep = run_experiment(fast_config("thm210", p=2.0, q=2.0, N=2))
         assert rep.passed
         assert rep.diagnostics["max_oracle_gap"] <= 0.02
+
+    def test_oracle_less_vanishing_run_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="lplab"):
+            rep = run_experiment(fast_config(
+                "thm210", p=2.0, q=2.0, N=2, weight={"kind": "power", "a": -0.5}
+            ))
+        assert "max_oracle_gap" not in rep.diagnostics
+        [record] = [r for r in caplog.records if "oracle" in r.getMessage()]
+        assert (record.name, record.levelno) == ("lplab", logging.INFO)
+        assert "weight power" in record.getMessage()
 
     def test_ladder_compare_weighted(self):
         rep = run_experiment(fast_config(

@@ -8,7 +8,7 @@ replace; the ladder oracle's per-radius multipliers against the symbol at every 
 periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
 disc; the row-segment disc dilation against the full-footprint maximum
-filter.
+filter; the 1-d Hardy-Littlewood recurrence against a per-width scan.
 """
 
 import dataclasses
@@ -42,7 +42,7 @@ from lplab.kernels import (
     power_tail_kernel,
     smoothstep,
 )
-from lplab.maximal import _disc_dilate, _disc_means, _window_means
+from lplab.maximal import _disc_dilate, _disc_means, _hl_max_1d, _window_means
 from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -343,3 +343,29 @@ def test_disc_dilate_matches_footprint_filter(p, seed, data):
             assert sorted(np.flatnonzero(row)) == sorted(np.arange(-(w // 2), (w + 1) // 2) % p)
         expect = ndimage.maximum_filter(means, footprint=np.fft.fftshift(fp), mode="wrap")
         assert np.array_equal(_disc_dilate(means, fp), expect)
+
+
+def _hl_max_1d_per_width(absf):
+    """Per-width scan: for every width w, each cell takes the largest mean
+    over the w-cell windows that contain it, by a wrapped maximum filter."""
+    n = absf.size
+    out = absf.astype(float).copy()
+    widths = range(2, n + 1)
+    for w, means in zip(widths, _window_means(absf, widths)):
+        # out[x] maximizes over the windows [x-w+1, x] ... [x, x+w-1]
+        origin = w - 1 - w // 2
+        np.maximum(out, ndimage.maximum_filter1d(means, w, mode="wrap", origin=origin), out=out)
+    return out
+
+
+@SETTINGS
+@given(n=st.integers(4, 512), seed=st.integers(0, 2**32 - 1), levels=st.integers(0, 4),
+       zeros=st.floats(0.0, 1.0), spikes=st.floats(0.0, 0.1))
+def test_hl_max_1d_matches_per_width_scan(n, seed, levels, zeros, spikes):
+    rng = np.random.default_rng(seed)
+    # few levels give tied windows; levels = 0 draws continuous values
+    vals = rng.integers(0, levels, n).astype(float) if levels else rng.uniform(0.0, 10.0, n)
+    vals[rng.random(n) < zeros] = 0.0
+    spike = rng.random(n) < spikes
+    vals[spike] = 1e6 * (1.0 + rng.random(int(spike.sum())))
+    assert _hl_max_1d(vals).tobytes() == _hl_max_1d_per_width(vals).tobytes()

@@ -1,4 +1,5 @@
 import gc
+import logging
 import math
 import weakref
 
@@ -177,6 +178,16 @@ class TestSynthesis:
         h = ScaleField(grid, sg, np.zeros((16, 512)))
         with pytest.raises(ValueError, match="cover"):
             synthesize(h, annulus, 1e-3)
+
+    def test_cutoff_skips_are_logged(self, annulus, caplog):
+        grid = Grid(1, 512, 16.0)
+        scales = ScaleGrid.geometric(4.0, 0.25, 7)
+        h = ScaleField(grid, scales, np.zeros((7, 512)))
+        with caplog.at_level(logging.DEBUG, logger="lplab"):
+            synthesize(h, annulus, 0.26)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("lplab", logging.DEBUG)
+        assert "skips 6 of 7 scales" in record.getMessage()
 
     def test_single_scale_concentration(self, annulus):
         grid = Grid(1, 512, 16.0)
