@@ -425,10 +425,15 @@ class _SpectralRatioOracle:
             # ru[0] is the origin's radius 0, where the multiplier is 0.
             along_ray = k.profile if k.profile is not None else (
                 lambda s: k.symbol(s[np.newaxis]))
+            # in (T, 256) tiles of (nodes, radii): each radius's axis-0 sum
+            # over a node block is the same row-by-row sum at any tile width,
+            # and a tile stays in cache
             vals = np.zeros(ru.shape)
             for block in np.array_split(u, max(1, u.size // 256)):
-                pts = block[:, np.newaxis] * ru[np.newaxis, 1:]  # (T, R)
-                vals[1:] += np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du
+                for lo in range(1, ru.size, 256):
+                    pts = block[:, np.newaxis] * ru[np.newaxis, lo : lo + 256]  # (T, <=256)
+                    vals[lo : lo + 256] += (
+                        np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du)
             return vals[inv]
 
         self._m_psi = multiplier(psi)
@@ -559,6 +564,7 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
             synth = synthesize(atom.values, psi, eps)
             star = grand_max(synth, gm_cfg)
             vals.append(lp_norm(star, cfg.p))
+        del atom  # its scale stack goes before the next atom draws one
         ref = min(vals)
         for eps, v in zip(eps_list, vals):
             rows.append(_row(name, eps, v, ref))

@@ -15,15 +15,19 @@ Centring needs no rolled copies: every axis length P is a power of two
 >= 4, so P/2 is even, and moving index P/2 to 0 on both sides of a DFT is
 the same as modulating by the checkerboard c = (-1)^(sum of indices) on
 both sides, c * fftn(c * v), and likewise for the inverse.  Each transform
-is one sign modulation, one scipy.fft pass and one in-place scaling by the
-signs times the cell volume (or its reciprocal).
+is one sign modulation, one in-place numpy.fft pass per axis and one
+in-place scaling by the signs times the cell volume (or its reciprocal).
+The axes run first to last, the order of scipy.fft.fftn's passes on the
+same C++ pocketfft, so the bits are scipy.fft's.  The inverse scales each
+pass by 1/P where scipy.fft scales the first by 1/P^n; both are powers of
+two, and scaling by a power of two is exact.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier, yielded in multiplier order.
 On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
 cores, each multiplier's product, inverse transform and optional per-result
-map run on a process-wide thread pool (scipy.fft and numpy release the GIL
-on these arrays), at most ``_IN_FLIGHT_PER_WORKER`` results per worker in
+map run on a process-wide thread pool (numpy, numpy.fft included, releases
+the GIL on these arrays), at most ``_IN_FLIGHT_PER_WORKER`` results per worker in
 flight.  Every result is an independent transform computed by the same
 code as on the serial path, so no output depends on the worker count.
 
@@ -44,7 +48,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -184,13 +187,22 @@ def _signs(shape: tuple, scale: float) -> np.ndarray:
     return c
 
 
+def _transform_in_place(a: np.ndarray, transform) -> np.ndarray:
+    """``transform`` (np.fft.fft or np.fft.ifft) along every axis of complex
+    ``a``, first axis first, writing into ``a``.  Not np.fft.fftn: it takes
+    the last axis first, which gives other bits in 2-d."""
+    for axis in range(a.ndim):
+        transform(a, axis=axis, out=a)
+    return a
+
+
 def to_spectrum(f: SampledField) -> SpectralField:
     """Forward transform: Riemann-sum approximation of the continuous integral.
 
     Returns the spectrum on the dual grid, frequencies centered at 0.
     """
     g = f.grid
-    spec = scipy.fft.fftn(f.values * _signs(g.shape, 1.0), overwrite_x=True)
+    spec = _transform_in_place(f.values * _signs(g.shape, 1.0), np.fft.fft)
     spec *= _signs(g.shape, g.cell_volume)
     return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
@@ -199,7 +211,7 @@ def from_spectrum(F: SpectralField) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off)."""
     fg = F.grid
     spatial = fg.frequency_grid()  # dual of the dual is the original grid
-    vals = scipy.fft.ifftn(F.values * _signs(fg.shape, 1.0), overwrite_x=True)
+    vals = _transform_in_place(F.values * _signs(fg.shape, 1.0), np.fft.ifft)
     vals *= _signs(fg.shape, 1.0 / spatial.cell_volume)
     return _adopt(SampledField, vals, grid=spatial)
 

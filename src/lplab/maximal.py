@@ -13,8 +13,9 @@ in 2-d.  In 1-d the best window containing each cell comes from a recurrence
 over window widths, widest first (the best mean over the supersets of a
 window), at a few vector ops per width.  In 2-d each disc's means come from
 one FFT convolution and are dilated over the disc as a union of row
-segments, one running max per distinct segment width, at O(R p^2) per
-radius of R cells.  The grand maximal function is the pointwise sup over a
+segments, one periodic running max (a doubling max, about log2 of the width
+vector ops) per distinct segment width, at O(R p^2 log R) per radius of R
+cells.  The grand maximal function is the pointwise sup over a
 scale grid of mollifications |Phi_t * f| with a unit-mass mollifier.
 """
 
@@ -107,25 +108,36 @@ def _disc_means(vals: np.ndarray, radii_cells):
         yield fp, np.maximum(means, 0.0)
 
 
+def _running_max(vals: np.ndarray, w: int) -> np.ndarray:
+    """out[:, j] = max of ``vals[:, (j - w // 2 + i) % p]`` for i < w: the
+    periodic running max along the rows of 2-d ``vals``, centred as
+    scipy.ndimage's ``maximum_filter1d(vals, w, axis=1, mode="wrap")``.
+
+    On the periodic extension, maxima over 2k cells are the max of two
+    overlapping k-cell maxima, doubled up to the largest power of two K <= w,
+    and a w-cell window is the union of its first and last K cells: about
+    log2(w) vector ops per width, and max is exact."""
+    p = vals.shape[1]
+    h = w // 2
+    m = np.concatenate([vals[:, p - h :], vals, vals[:, : w - 1 - h]], axis=1)
+    k = 1
+    while 2 * k <= w:
+        m = np.maximum(m[:, :-k], m[:, k:])
+        k *= 2
+    return np.maximum(m[:, :p], m[:, w - k : w - k + p])
+
+
 def _disc_dilate(means: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """out[x] = max of ``means`` over x + the offsets of the wrapped footprint
     ``fp`` (as yielded by ``_disc_means``), by decomposing the disc into row
     segments: each footprint row is one wrapped run of columns centred on
     offset 0, so one running max per distinct row width, rolled by every row
     offset of that width, covers it.  Max is exact, so this equals the
-    footprint filter bit for bit at O(R p^2) instead of O(R^2 p^2)."""
-    # deferred: only 2-d hl_max needs scipy.ndimage (+0.05-0.07 s on every
-    # `import lplab` otherwise), and no scenario calls it
-    from scipy import ndimage
-
-    p = means.shape[1]
+    footprint filter bit for bit at O(R p^2 log R) instead of O(R^2 p^2)."""
     widths = fp.sum(axis=1)
     out = np.full(means.shape, -np.inf)
     for w in np.unique(widths[widths > 0]):
-        if w == p:
-            rowmax = np.broadcast_to(means.max(axis=1, keepdims=True), means.shape)
-        else:
-            rowmax = ndimage.maximum_filter1d(means, int(w), axis=1, mode="wrap")
+        rowmax = _running_max(means, int(w))
         for row in np.flatnonzero(widths == w):
             np.maximum(out, np.roll(rowmax, -row, axis=0), out=out)
     return out

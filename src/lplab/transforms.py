@@ -253,7 +253,7 @@ def make_atom(
     bound = (cube_side**n) ** (-1.0 / p)
     if sup > 0:
         vals *= 0.9 * bound / sup
-    field = ScaleField(grid, scales, vals)
+    field = _adopt(ScaleField, vals, grid=grid, scales=scales)
     return Atom(center, float(cube_side), float(p), field, order)
 
 

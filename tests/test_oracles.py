@@ -1,14 +1,16 @@
 """Fast paths against brute-force oracles on tiny hypothesis-drawn grids.
 
 ``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
-against explicit DFT sums in the continuous Fourier convention; radial
+against explicit DFT sums in the continuous Fourier convention, and the
+two transforms against the scipy.fft chain they replace, bit for bit; radial
 profiles and their dilates against the symbols they stand for, and the
 ramp-only plateau and in-place scale integral against the expressions they
 replace; the ladder oracle's per-radius multipliers against the symbol at every frequency; the
 periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
-disc; the row-segment disc dilation against the full-footprint maximum
-filter; the 1-d Hardy-Littlewood recurrence against a per-width scan.
+disc; the periodic running max against scipy.ndimage's wrapped maximum
+filter and the row-segment disc dilation against the full-footprint one,
+bit for bit; the 1-d Hardy-Littlewood recurrence against a per-width scan.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 from scipy import ndimage
 
 from lplab.experiments import _SpectralRatioOracle
@@ -42,7 +45,7 @@ from lplab.kernels import (
     power_tail_kernel,
     smoothstep,
 )
-from lplab.maximal import _disc_dilate, _disc_means, _hl_max_1d, _window_means
+from lplab.maximal import _disc_dilate, _disc_means, _hl_max_1d, _running_max, _window_means
 from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -113,6 +116,38 @@ def test_from_spectrum_matches_dft_sums(grid, seed):
     f = from_spectrum(SpectralField(grid.frequency_grid(), spec))
     assert f.grid == grid
     assert _close(f.values, _dft_inverse(grid, spec))
+
+
+# every axis length up to 4096 points in 1-d and 256^2 in 2-d
+powers_of_two = [2**k for k in range(2, 13)]
+transform_grids = st.one_of(
+    st.builds(Grid, st.just(1), st.sampled_from(powers_of_two), st.sampled_from([0.5, 3.0, 16.0])),
+    st.builds(Grid, st.just(2), st.sampled_from(powers_of_two[:7]),
+              st.sampled_from([0.5, 3.0, 16.0])),
+)
+
+
+def _checkerboard(shape) -> np.ndarray:
+    return np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+
+
+@SETTINGS
+@given(grid=transform_grids, seed=st.integers(0, 2**32 - 1), is_complex=st.booleans())
+def test_transforms_match_the_scipy_fft_chain(grid, seed, is_complex):
+    """numpy.fft one axis at a time gives scipy.fft.fftn's bits: the chain
+    the transforms ran on before, c * fftn(c * v) scaled by the cell volume
+    and likewise for the inverse."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape)
+    if is_complex:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    c = _checkerboard(grid.shape)
+    f = SampledField(grid, vals)
+    expect = scipy_fft.fftn(f.values * c, overwrite_x=True) * (c * grid.cell_volume)
+    spec = to_spectrum(f)
+    assert spec.values.tobytes() == expect.tobytes()
+    back = scipy_fft.ifftn(spec.values * c, overwrite_x=True) * (c * (1.0 / grid.cell_volume))
+    assert from_spectrum(spec).values.tobytes() == back.tobytes()
 
 
 def _kernels():
@@ -343,6 +378,20 @@ def test_disc_dilate_matches_footprint_filter(p, seed, data):
             assert sorted(np.flatnonzero(row)) == sorted(np.arange(-(w // 2), (w + 1) // 2) % p)
         expect = ndimage.maximum_filter(means, footprint=np.fft.fftshift(fp), mode="wrap")
         assert np.array_equal(_disc_dilate(means, fp), expect)
+
+
+@SETTINGS
+@given(p=st.integers(4, 128), seed=st.integers(0, 2**32 - 1), levels=st.integers(0, 4),
+       zeros=st.floats(0.0, 1.0))
+def test_running_max_matches_wrapped_maximum_filter(p, seed, levels, zeros):
+    rng = np.random.default_rng(seed)
+    # few levels give tied windows; levels = 0 draws continuous values
+    shape = (3, p)
+    vals = rng.integers(0, levels, shape).astype(float) if levels else rng.uniform(0, 10, shape)
+    vals[rng.random(shape) < zeros] = 0.0
+    for w in range(1, p + 1):
+        expect = ndimage.maximum_filter1d(vals, w, axis=1, mode="wrap")
+        assert _running_max(vals, w).tobytes() == expect.tobytes(), w
 
 
 def _hl_max_1d_per_width(absf):
