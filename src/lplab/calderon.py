@@ -25,7 +25,7 @@ multiplier part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +145,19 @@ class PartitionSystem:
     r2: float
     intervals: tuple
     psi_big: object  # the normalizer Psi on stacked coords
+    # grid -> the read-only eta_hat on the grid's frequency grid; kept by the
+    # partition, as a kernel keeps its dilate rows, so it is freed with it
+    _etas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def eta_on(self, grid: Grid) -> np.ndarray:
+        """eta_hat on the frequency grid of ``grid``: evaluated on the first
+        call for that grid and kept, read-only, for every later one."""
+        eta = self._etas.get(grid)
+        if eta is None:
+            eta = np.asarray(self.eta_symbol(grid.frequency_grid().coords()))
+            eta.setflags(write=False)
+            self._etas[grid] = eta
+        return eta
 
     def first_j(self, J: float) -> int:
         """The least j with b^j <= J (up to round-off): where the ladder

@@ -108,8 +108,8 @@ def _cmd_calderon_build(args) -> int:
 
 def _cmd_constants_report(args) -> int:
     try:
-        if not args.L >= 0:
-            raise ConfigError(f"L must be nonnegative, got {args.L}")
+        if not 0 <= args.L < math.inf:
+            raise ConfigError(f"L must be nonnegative and finite, got {args.L}")
         cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
                                           "phi": {"name": args.phi}, "psi": {"name": args.psi}})
         P, psi, A, report = constants_audit(cfg)
@@ -172,8 +172,10 @@ def _cmd_maximal(args) -> int:
 def _cmd_transform_g(args) -> int:
     try:
         psi = resolve_kernel(args.kernel, args.params)
-        if not args.q > 0:
-            raise ConfigError(f"q must be positive, got {args.q}")
+        if not 0 < args.q < math.inf:
+            raise ConfigError(f"q must be positive and finite, got {args.q}")
+        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+            raise ConfigError(f"t-min and t-max must be finite, got {args.t_min}, {args.t_max}")
         f = lpio.read_field(args.infile)
         scales = ScaleGrid.log_spaced(args.t_min, args.t_max, args.scale_count)
     except (OSError, ValueError) as exc:

@@ -10,7 +10,9 @@ computed by an inverse FFT on a grid resolving the eta annulus (the
 integrand is compactly supported there, so the FFT is exact up to grid
 resolution, never a quadrature of the oscillation).  Its x-integral at
 t = b^j is the per-scale constant C(psi, j, L); the analogous integral with
-zeta_J * Theta in place of psi_hat(./t) eta_hat is D(Theta, J, L).
+zeta_J * Theta in place of psi_hat(./t) eta_hat is D(Theta, J, L).  The
+partition keeps eta_hat per grid (``PartitionSystem.eta_on``), so an audit
+evaluates it once on its grid, not once per scale.
 
 Symbols with power-law tails |psi_hat| ~ |xi|^-tau make C(psi, j, L) decay
 like t^tau as t -> 0; the decay-law fit recovers tau from the tail of the
@@ -67,8 +69,8 @@ def c0_profile(P: PartitionSystem, psi: KernelSpec, t: float, L: float, grid: Gr
     if not t > 0:
         raise ValueError("t must be positive")
 
-    def integrand(xi):
-        return np.asarray(psi.symbol(xi / t)) * np.asarray(P.eta_symbol(xi))
+    def integrand(xi):  # xi is the frequency grid of ``grid``
+        return np.asarray(psi.symbol(xi / t)) * P.eta_on(grid)
 
     return _weighted_modulus(P, grid, integrand, L)
 

@@ -70,10 +70,13 @@ class ConfigError(ValueError):
 
 
 def _number(key: str, v, kind=float):
-    """``v`` if it is a JSON number of the kind (float admits integers)."""
+    """``v`` if it is a finite JSON number of the kind (float admits
+    integers).  Python's json parses Infinity and NaN; neither is accepted."""
     if isinstance(v, bool) or not isinstance(v, (int,) if kind is int else (int, float)):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
     return v
 
 

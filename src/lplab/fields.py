@@ -30,6 +30,9 @@ map run on a process-wide thread pool (numpy, numpy.fft included, releases
 the GIL on these arrays), at most ``_IN_FLIGHT_PER_WORKER`` results per worker in
 flight.  Every result is an independent transform computed by the same
 code as on the serial path, so no output depends on the worker count.
+Below the gate, ``transforms.scale_transform`` runs from_spectrum's steps
+on its whole (scales x grid) stack at once instead: ``_transform_in_place``
+batches the leading scale axis, and every row gets the same 1-d transform.
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing set of
 positive scales, log-uniform in the geometric case.  Integrals against the
@@ -187,11 +190,12 @@ def _signs(shape: tuple, scale: float) -> np.ndarray:
     return c
 
 
-def _transform_in_place(a: np.ndarray, transform) -> np.ndarray:
-    """``transform`` (np.fft.fft or np.fft.ifft) along every axis of complex
-    ``a``, first axis first, writing into ``a``.  Not np.fft.fftn: it takes
-    the last axis first, which gives other bits in 2-d."""
-    for axis in range(a.ndim):
+def _transform_in_place(a: np.ndarray, transform, dimension: int) -> np.ndarray:
+    """``transform`` (np.fft.fft or np.fft.ifft) along each of the last
+    ``dimension`` axes of complex ``a``, first of them first, writing into
+    ``a``; leading axes, such as a stack's scale axis, are batched.  Not
+    np.fft.fftn: it takes the last axis first, which gives other bits in 2-d."""
+    for axis in range(a.ndim - dimension, a.ndim):
         transform(a, axis=axis, out=a)
     return a
 
@@ -202,7 +206,7 @@ def to_spectrum(f: SampledField) -> SpectralField:
     Returns the spectrum on the dual grid, frequencies centered at 0.
     """
     g = f.grid
-    spec = _transform_in_place(f.values * _signs(g.shape, 1.0), np.fft.fft)
+    spec = _transform_in_place(f.values * _signs(g.shape, 1.0), np.fft.fft, g.dimension)
     spec *= _signs(g.shape, g.cell_volume)
     return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
@@ -211,7 +215,7 @@ def from_spectrum(F: SpectralField) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off)."""
     fg = F.grid
     spatial = fg.frequency_grid()  # dual of the dual is the original grid
-    vals = _transform_in_place(F.values * _signs(fg.shape, 1.0), np.fft.ifft)
+    vals = _transform_in_place(F.values * _signs(fg.shape, 1.0), np.fft.ifft, fg.dimension)
     vals *= _signs(fg.shape, 1.0 / spatial.cell_volume)
     return _adopt(SampledField, vals, grid=spatial)
 

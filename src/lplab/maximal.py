@@ -38,8 +38,8 @@ class PeetreParams:
     R: float
 
     def __post_init__(self):
-        if not (self.N > 0 and self.R > 0):
-            raise ValueError("Peetre parameters N and R must be positive")
+        if not (0 < self.N < math.inf and 0 < self.R < math.inf):
+            raise ValueError("Peetre parameters N and R must be positive and finite")
 
 
 def _wrapped_offsets(grid: Grid) -> np.ndarray:

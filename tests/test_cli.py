@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,24 @@ BAD_INPUTS = {
     "constant_weight_with_a": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "constant", "a": -0.5}),
         "--out", str(d / "run")],
+    # Python's json writes and parses Infinity and NaN; the CLI's float options take "inf"
+    "peetre_R_inf": lambda d, f: ["maximal", "--op", "peetre", "--R", "inf",
+                                  "--in", str(f), "--out", str(d / "o.bin")],
+    "peetre_N_nan": lambda d, f: ["maximal", "--op", "hl", "--N", "nan",
+                                  "--in", str(f), "--out", str(d / "o.bin")],
+    "g_q_inf": lambda d, f: ["transform", "g", "--q", "inf", "--in", str(f),
+                             "--out", str(d / "o.bin")],
+    "g_t_max_inf": lambda d, f: ["transform", "g", "--t-max", "inf", "--in", str(f),
+                                 "--out", str(d / "o.bin")],
+    "g_t_min_nan": lambda d, f: ["transform", "g", "--t-min", "nan", "--in", str(f),
+                                 "--out", str(d / "o.bin")],
+    "constants_L_inf": lambda d, f: ["constants", "report", "--L", "inf",
+                                     "--out", str(d / "cons")],
+    "thm210_q_infinity": lambda d, f: ["run", _write_config(d, scenario="thm210", q=math.inf),
+                                       "--out", str(d / "run")],
+    "half_extent_inf": lambda d, f: [
+        "run", _write_config(d, grid={"dimension": 1, "points_per_axis": 1024,
+                                      "half_extent": math.inf}), "--out", str(d / "run")],
     "power_weight_with_c": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": -0.5, "c": 3.0}),
         "--out", str(d / "run")],

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -20,6 +21,8 @@ from lplab import (
     power_tail_kernel,
     scale_transform,
 )
+from lplab import constants
+from lplab.experiments import CONSTANTS_GRID
 from lplab.fields import SpectralField
 
 
@@ -166,6 +169,38 @@ class TestConditionAudit:
         # the ladder starts at the least j with b^j <= A
         assert q_partition.b ** js[0] <= A < q_partition.b ** (js[0] - 1)
         assert all(v >= 0 for v in rep.c_values.values())
+
+    def test_eta_is_evaluated_once_per_audit_grid(self, q_partition, poissonq, annulus,
+                                                  monkeypatch):
+        audit_shape = (1,) + CONSTANTS_GRID.shape
+        calls = []
+
+        def counting(xi):
+            calls.append(np.shape(xi))
+            return q_partition.eta_symbol(xi)
+
+        def audit():
+            calls.clear()
+            P = dataclasses.replace(q_partition, eta_symbol=counting)  # nothing kept yet
+            return check_conditions(P, poissonq, annulus, constant_multiplier(0.0),
+                                    2.4 * q_partition.r2, 2.0, CONSTANTS_GRID)
+
+        rep = audit()
+        assert calls.count(audit_shape) == 1
+
+        def c0_evaluating_eta_each_time(P, psi, t, L, grid):
+            def integrand(xi):
+                return np.asarray(psi.symbol(xi / t)) * np.asarray(P.eta_symbol(xi))
+
+            return constants._weighted_modulus(P, grid, integrand, L)
+
+        monkeypatch.setattr(constants, "c0_profile", c0_evaluating_eta_each_time)
+        ref = audit()
+        assert calls.count(audit_shape) == 2 * 41  # C(grad phi, j) and C(psi, j), j_max = 40
+        # repr round-trips every float, so equal reprs are equal bytes
+        assert repr(rep.c_values) == repr(ref.c_values)
+        assert repr(rep.d_value) == repr(ref.d_value)
+        assert repr(rep.condition_verdicts) == repr(ref.condition_verdicts)
 
 
 class TestScaleFieldBound:

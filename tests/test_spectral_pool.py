@@ -7,8 +7,10 @@ bytes of an explicit serial loop of ``from_spectrum(to_spectrum(f) * m)``,
 whatever the worker count; the pool must keep the transform counts, draw
 the multipliers a bounded distance ahead, leave nothing running when the
 caller stops early, raise a bad multiplier where the serial loop does,
-serve concurrent callers and come back to life in a forked child.  The grids sit on both sides of the
-gate: 1-d 4096 and 2-d 64^2 below it, 1-d 32768 and 2-d 256^2 above.
+serve concurrent callers and come back to life in a forked child.  The
+grids sit on both sides of the gate: 1-d 4096 and 2-d 64^2 below it, where
+``scale_transform`` inverts its stack in one batched pass instead, and 1-d
+32768 and 2-d 256^2 above.
 """
 
 import collections
@@ -21,9 +23,10 @@ import threading
 import numpy as np
 import pytest
 
-from lplab import fields
+from lplab import fields, transforms
+from lplab.families import FamilyMember
 from lplab.fields import Grid, SampledField, ScaleGrid, SpectralField, filtered
-from lplab.kernels import coordinate_multiplier, dilates, make_builtin
+from lplab.kernels import coordinate_multiplier, derived_kernel, dilates, make_builtin
 from lplab.maximal import GrandMaxConfig, grand_max, spectral_gradient
 from lplab.transforms import g_discrete, g_function, scale_transform
 
@@ -60,35 +63,46 @@ def test_gate_splits_the_grids():
     assert [g.cell_count >= fields._PARALLEL_MIN_POINTS for g in GRIDS] == [False, True, False, True]
 
 
+def _inputs(grid):
+    """(field, kernel) pairs: complex noise under a radial kernel, which
+    dilates through its profile rows; the same noise under d/dx of it,
+    which dilates through its symbol; and a real-valued family member."""
+    poissonq = make_builtin("poissonQ")
+    d0 = derived_kernel("d0_poissonQ", poissonq, coordinate_multiplier(0))
+    member = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
+    return [(_field(grid), poissonq), (_field(grid), d0), (member, poissonq)]
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_consumers_match_a_serial_loop(grid, workers):
-    f = _field(grid)
-    psi, mollifier = make_builtin("poissonQ"), make_builtin("gaussian")
-    stack = np.stack(_serial(f, dilates(psi, grid, SCALES.scales)))
+    mollifier = make_builtin("gaussian")
+    for f, psi in _inputs(grid):
+        stack = np.stack(_serial(f, dilates(psi, grid, SCALES.scales)))
 
-    got = [g.values for g in filtered(f, dilates(psi, grid, SCALES.scales))]
-    assert np.stack(got).tobytes() == stack.tobytes()
-    assert scale_transform(f, psi, SCALES).values.tobytes() == stack.tobytes()
+        got = [g.values for g in filtered(f, dilates(psi, grid, SCALES.scales))]
+        assert np.stack(got).tobytes() == stack.tobytes()
+        assert scale_transform(f, psi, SCALES).values.tobytes() == stack.tobytes()
 
-    w = SCALES.log_weights().reshape((-1,) + (1,) * grid.dimension)
-    for q in (1.0, 2.0):
-        expect = np.sum(np.abs(stack) ** q * w, axis=0) ** (1.0 / q)
-        assert g_function(f, psi, SCALES, q).values.tobytes() == expect.astype(complex).tobytes()
+        w = SCALES.log_weights().reshape((-1,) + (1,) * grid.dimension)
+        for q in (1.0, 2.0):
+            expect = np.sum(np.abs(stack) ** q * w, axis=0) ** (1.0 / q)
+            g_q = g_function(f, psi, SCALES, q).values
+            assert g_q.tobytes() == expect.astype(complex).tobytes()
 
-    b, js = 0.7, range(-4, 5)
-    acc = np.zeros(grid.shape)
-    for conv in _serial(f, dilates(psi, grid, (b**j for j in js))):
-        acc += np.abs(conv) ** 2.0
-    expect = (acc ** 0.5).astype(complex)
-    assert g_discrete(f, psi, b, js).values.tobytes() == expect.tobytes()
+        b, js = 0.7, range(-4, 5)
+        acc = np.zeros(grid.shape)
+        for conv in _serial(f, dilates(psi, grid, (b**j for j in js))):
+            acc += np.abs(conv) ** 2.0
+        expect = (acc ** 0.5).astype(complex)
+        assert g_discrete(f, psi, b, js).values.tobytes() == expect.tobytes()
 
-    mags = np.abs(np.stack(_serial(f, dilates(mollifier, grid, SCALES.scales))))
-    expect = np.max(mags, axis=0).astype(complex)
-    assert grand_max(f, GrandMaxConfig(mollifier, SCALES)).values.tobytes() == expect.tobytes()
+        mags = np.abs(np.stack(_serial(f, dilates(mollifier, grid, SCALES.scales))))
+        expect = np.max(mags, axis=0).astype(complex)
+        assert grand_max(f, GrandMaxConfig(mollifier, SCALES)).values.tobytes() == expect.tobytes()
 
-    axes = range(grid.dimension)
-    expect = _serial(f, [coordinate_multiplier(k).symbol for k in axes])
-    assert [g.values.tobytes() for g in spectral_gradient(f)] == [e.tobytes() for e in expect]
+        axes = range(grid.dimension)
+        expect = _serial(f, [coordinate_multiplier(k).symbol for k in axes])
+        assert [g.values.tobytes() for g in spectral_gradient(f)] == [e.tobytes() for e in expect]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -183,25 +197,33 @@ class _CallCounter:
         return counted
 
 
-@pytest.mark.parametrize("workers", [2], indirect=True)
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
 def test_pool_keeps_the_transform_counts(workers, monkeypatch):
     # perfbench's traced run checks these counts per config: one forward
-    # transform per field and one inverse per scale, whoever runs them
-    grid = Grid(2, 256, 8.0)
-    f = SampledField(grid, np.random.default_rng(0).standard_normal(grid.shape))
+    # transform per field and, on large grids, one inverse per scale,
+    # whoever runs them; below the gate scale_transform inverts its whole
+    # stack in one batched pass, without from_spectrum.  The path depends
+    # on the grid's size alone, never on the worker count.
+    large, small = Grid(2, 256, 8.0), Grid(1, 4096, 16.0)
+    f = SampledField(large, np.random.default_rng(0).standard_normal(large.shape))
+    f_small = SampledField(small, np.random.default_rng(0).standard_normal(small.shape))
     cases = [
         (lambda: grand_max(f, GrandMaxConfig(make_builtin("gaussian"),
                                              ScaleGrid.log_spaced(0.0156, 16.0, 128))), 128),
         (lambda: g_function(f, make_builtin("poissonQ"), ScaleGrid.log_spaced(0.01, 8.0, 48)), 48),
+        (lambda: g_function(f_small, make_builtin("poissonQ"),
+                            ScaleGrid.log_spaced(0.01, 8.0, 48)), 0),
     ]
     for run, inverses in cases:
         counter = _CallCounter()
         with monkeypatch.context() as m:
-            for name in ("to_spectrum", "from_spectrum"):
-                m.setattr(fields, name, counter.wrap(name, getattr(fields, name)))
+            for module in (fields, transforms):  # every binding, as perfbench wraps them
+                for name in ("to_spectrum", "from_spectrum"):
+                    m.setattr(module, name, counter.wrap(name, getattr(module, name)))
             run()
-        assert counter.calls == {"to_spectrum": 1, "from_spectrum": inverses}
-        assert any(t.startswith("lplab-spectral") for t in counter.threads)
+        assert counter.calls == collections.Counter(to_spectrum=1, from_spectrum=inverses)
+        pooled = any(t.startswith("lplab-spectral") for t in counter.threads)
+        assert pooled == (workers >= 2 and inverses > 0)
 
 
 def _grand_max_bytes(f, cfg, out):
