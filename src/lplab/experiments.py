@@ -56,7 +56,6 @@ from .kernels import (
     coordinate_multiplier,
     derived_kernel,
     make_builtin,
-    power_tail_kernel,
 )
 from .maximal import GrandMaxConfig, default_grand_scales, grand_max
 from .transforms import g_discrete, g_function, make_atom, synthesize
@@ -94,11 +93,7 @@ def _log_scales(key: str, s: dict, default_count: int) -> ScaleGrid:
 
 
 def resolve_kernel(name: str, params=None) -> KernelSpec:
-    if name == "power_tail" and not params:
-        raise ConfigError("power_tail kernel needs params [tau]")
     try:
-        if name == "power_tail":
-            return power_tail_kernel(float(params[0]))
         return make_builtin(name, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

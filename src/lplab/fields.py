@@ -9,30 +9,31 @@ realized as a scaled FFT: the forward transform is the Riemann sum of the
 continuous integral, so a sampled exp(-pi*x^2) maps to exp(-pi*xi^2) up to
 periodization/truncation error.  Frequencies are centered at 0 with spacing
 1/(2E) (the reciprocal of the spatial period), so the frequency box is again
-a valid Grid.
+a valid Grid, and its dual is the grid it came from.
 
 Centring needs no rolled copies: every axis length P is a power of two
 >= 4, so P/2 is even, and moving index P/2 to 0 on both sides of a DFT is
 the same as modulating by the checkerboard c = (-1)^(sum of indices) on
 both sides, c * fftn(c * v), and likewise for the inverse.  Each transform
-is one sign modulation, one in-place numpy.fft pass per axis and one
-in-place scaling by the signs times the cell volume (or its reciprocal).
-The axes run first to last, the order of scipy.fft.fftn's passes on the
-same C++ pocketfft, so the bits are scipy.fft's.  The inverse scales each
-pass by 1/P where scipy.fft scales the first by 1/P^n; both are powers of
-two, and scaling by a power of two is exact.
+(``_centred``) is one sign modulation, one in-place numpy.fft pass per axis
+and one in-place scaling by the signs times the cell volume (or its
+reciprocal).  The axes run first to last, the order of scipy.fft.fftn's
+passes on the same C++ pocketfft, so the bits are scipy.fft's.  The inverse
+scales each pass by 1/P where scipy.fft scales the first by 1/P^n; both are
+powers of two, and scaling by a power of two is exact.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier, yielded in multiplier order.
 On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
 cores, each multiplier's product, inverse transform and optional per-result
-map run on a process-wide thread pool (numpy, numpy.fft included, releases
-the GIL on these arrays), at most ``_IN_FLIGHT_PER_WORKER`` results per worker in
-flight.  Every result is an independent transform computed by the same
-code as on the serial path, so no output depends on the worker count.
-Below the gate, ``transforms.scale_transform`` runs from_spectrum's steps
-on its whole (scales x grid) stack at once instead: ``_transform_in_place``
-batches the leading scale axis, and every row gets the same 1-d transform.
+map run on a thread pool that lives as long as the call (numpy, numpy.fft
+included, releases the GIL on these arrays), at most
+``_IN_FLIGHT_PER_WORKER`` results per worker in flight.  ``filtered_stack``
+collects the results into a (multipliers x grid) stack; below the gate it
+inverts the whole stack in one batched pass per spatial axis instead, since
+the leading axis batches and every row gets the same 1-d transform.  Every
+result is an independent transform computed by the same code on either
+path, so no output depends on the worker count or the path.
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing set of
 positive scales, log-uniform in the geometric case.  Integrals against the
@@ -45,9 +46,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +74,9 @@ class Grid:
     dimension: int
     points_per_axis: int
     half_extent: float
+    # set on a frequency grid: the grid it is the dual of, which its own dual
+    # returns, since P / (4 * (P / (4E))) need not round back to E
+    _dual: Grid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -82,8 +85,8 @@ class Grid:
             raise ValueError(
                 f"points_per_axis must be a power of two >= 4, got {self.points_per_axis}"
             )
-        if not self.half_extent > 0:
-            raise ValueError("half_extent must be positive")
+        if not 0 < self.half_extent < math.inf:
+            raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
 
     @property
     def spacing(self) -> float:
@@ -120,13 +123,15 @@ class Grid:
         c = self.coords()
         return np.sqrt(np.sum(c * c, axis=0))
 
-    def frequency_grid(self) -> "Grid":
-        """The dual grid: spacing 1/(2E), extent P/(4E)."""
-        return Grid(
-            self.dimension,
-            self.points_per_axis,
-            self.points_per_axis / (4.0 * self.half_extent),
-        )
+    def frequency_grid(self) -> Grid:
+        """The dual grid: spacing 1/(2E), extent P/(4E).  The dual of a
+        frequency grid made here is the grid it was made from."""
+        if self._dual is not None:
+            return self._dual
+        dual = Grid(self.dimension, self.points_per_axis,
+                    self.points_per_axis / (4.0 * self.half_extent))
+        object.__setattr__(dual, "_dual", self)
+        return dual
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -190,14 +195,18 @@ def _signs(shape: tuple, scale: float) -> np.ndarray:
     return c
 
 
-def _transform_in_place(a: np.ndarray, transform, dimension: int) -> np.ndarray:
-    """``transform`` (np.fft.fft or np.fft.ifft) along each of the last
-    ``dimension`` axes of complex ``a``, first of them first, writing into
-    ``a``; leading axes, such as a stack's scale axis, are batched.  Not
-    np.fft.fftn: it takes the last axis first, which gives other bits in 2-d."""
-    for axis in range(a.ndim - dimension, a.ndim):
-        transform(a, axis=axis, out=a)
-    return a
+def _centred(values: np.ndarray, transform, shape: tuple, scale: float, out=None) -> np.ndarray:
+    """c * transform(c * values) * scale, c the centring checkerboard on
+    ``shape``, in ``out`` (a new array if None).  ``transform`` (np.fft.fft
+    or np.fft.ifft) runs in place along each of the last len(shape) axes,
+    first of them first; leading axes, such as a stack's scale axis, are
+    batched.  Not np.fft.fftn: it takes the last axis first, which gives
+    other bits in 2-d."""
+    out = np.multiply(values, _signs(shape, 1.0), out=out)
+    for axis in range(out.ndim - len(shape), out.ndim):
+        transform(out, axis=axis, out=out)
+    out *= _signs(shape, scale)
+    return out
 
 
 def to_spectrum(f: SampledField) -> SpectralField:
@@ -206,32 +215,26 @@ def to_spectrum(f: SampledField) -> SpectralField:
     Returns the spectrum on the dual grid, frequencies centered at 0.
     """
     g = f.grid
-    spec = _transform_in_place(f.values * _signs(g.shape, 1.0), np.fft.fft, g.dimension)
-    spec *= _signs(g.shape, g.cell_volume)
+    spec = _centred(f.values, np.fft.fft, g.shape, g.cell_volume)
     return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
 
 def from_spectrum(F: SpectralField) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off)."""
-    fg = F.grid
-    spatial = fg.frequency_grid()  # dual of the dual is the original grid
-    vals = _transform_in_place(F.values * _signs(fg.shape, 1.0), np.fft.ifft, fg.dimension)
-    vals *= _signs(fg.shape, 1.0 / spatial.cell_volume)
+    spatial = F.grid.frequency_grid()
+    vals = _centred(F.values, np.fft.ifft, spatial.shape, 1.0 / spatial.cell_volume)
     return _adopt(SampledField, vals, grid=spatial)
 
 
 # Transforms of at least this many points run filtered's per-multiplier work
-# on the pool.  On a 2-core VM, grand_max over 64 scales is slower on the
-# pool at 64^2 (5.5 -> 9.7 ms) and 4096 points (6.1 -> 9.8 ms), even at
-# 16384 points in 1-d (23.0 -> 22.6 ms), and faster at 128^2 (22.7 -> 18.3
-# ms) and above.
+# on a pool; filtered_stack inverts smaller stacks in one batch.  On a 2-core
+# VM, grand_max over 64 scales is slower on the pool at 64^2 (5.5 -> 9.7 ms)
+# and 4096 points (6.1 -> 9.8 ms), even at 16384 points in 1-d (23.0 -> 22.6
+# ms), and faster at 128^2 (22.7 -> 18.3 ms) and above.
 _PARALLEL_MIN_POINTS = 16384
 # results in flight per worker: the workers stay busy while the caller
 # reduces the oldest result
 _IN_FLIGHT_PER_WORKER = 2
-
-_pool = None  # (workers, ThreadPoolExecutor), built on first use
-_pool_lock = threading.Lock()
 
 
 def _spectral_workers() -> int:
@@ -240,27 +243,6 @@ def _spectral_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            # a generator still holding the old pool finishes on it; its idle
-            # threads exit once the last reference is gone
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="lplab-spectral"))
-        return _pool[1]
-
-
-def _forget_pool():
-    """A forked child inherits the pool without its threads: start afresh."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _inverse(spec: SpectralField, m: np.ndarray, post):
@@ -278,10 +260,11 @@ def filtered(f: SampledField, multipliers, post=None):
     multiplier order, so callers reduce as they stream.  With ``post`` given,
     ``post(values)`` of each result is yielded instead of the field.
 
-    On large grids the products, inverses and ``post`` run on the thread
-    pool: the multipliers are drawn (and callables evaluated) on the calling
-    thread, at most ``_IN_FLIGHT_PER_WORKER`` results per worker ahead, and
-    abandoning the generator cancels or waits out every result in flight."""
+    On large grids the products, inverses and ``post`` run on a thread pool
+    opened for this call: the multipliers are drawn (and callables
+    evaluated) on the calling thread, at most ``_IN_FLIGHT_PER_WORKER``
+    results per worker ahead.  Finishing or abandoning the generator cancels
+    or waits out every result in flight and joins the pool's threads."""
     spec = to_spectrum(f)
     coords = spec.grid.coords()
     arrays = (np.asarray(m(coords) if callable(m) else m) for m in multipliers)
@@ -290,19 +273,37 @@ def filtered(f: SampledField, multipliers, post=None):
         for m in arrays:
             yield _inverse(spec, m, post)
         return
-    pool = _executor(workers)
-    pending = deque()
-    try:
-        for m in arrays:
-            pending.append(pool.submit(_inverse, spec, m, post))
-            if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
+    with ThreadPoolExecutor(workers, thread_name_prefix="lplab-spectral") as pool:
+        pending = deque()
+        try:
+            for m in arrays:
+                pending.append(pool.submit(_inverse, spec, m, post))
+                if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for fut in pending:
-            fut.cancel()
-        wait(pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def filtered_stack(f: SampledField, multipliers, count: int) -> np.ndarray:
+    """The ``count`` results of ``filtered(f, multipliers)`` as one new
+    (count x grid) complex stack.
+
+    Below ``_PARALLEL_MIN_POINTS`` the products are written into the stack
+    and inverted in one batched pass per spatial axis, which gives each slice
+    the bytes of its own ``from_spectrum``; at and above it the results
+    stream through ``filtered``, one inverse transform per multiplier."""
+    g = f.grid
+    out = np.empty((count,) + g.shape, dtype=complex)
+    if g.cell_count >= _PARALLEL_MIN_POINTS:
+        for k, conv in enumerate(filtered(f, multipliers)):
+            out[k] = conv.values
+        return out
+    spec = to_spectrum(f).values
+    for k, m in enumerate(multipliers):
+        np.multiply(spec, m, out=out[k])
+    return _centred(out, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=out)
 
 
 def lp_norm(f: SampledField, p: float) -> float:
@@ -348,8 +349,8 @@ class ScaleGrid:
         arr = np.asarray(self.scales, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("scales must be a nonempty 1-d array")
-        if np.any(arr <= 0):
-            raise ValueError("scales must be positive")
+        if not np.all((arr > 0) & (arr < math.inf)):
+            raise ValueError("scales must be positive and finite")
         if arr.size > 1 and np.any(np.diff(arr) >= 0):
             raise ValueError("scales must be strictly decreasing")
         arr.setflags(write=False)

@@ -15,6 +15,7 @@ Builtins:
     mexican_hat   4*pi^2*|xi|^2 * exp(-pi*|xi|^2)
     annulus_bump  C-infinity plateau equal to 1 on {b<=|xi|<=c},
                   supported in {a<=|xi|<=d}; default (a,b,c,d)=(1/2,1,2,4)
+    power_tail    2*pi*|xi| * (1+|xi|^2)^(-(tau+1)/2), tau required
 
 The checks in this module are Fourier-side: cancellation (symbol(0) = 0),
 non-degeneracy (inf over directions of the sup over scales of the summed
@@ -173,12 +174,25 @@ BUILTIN_KERNELS = ("poissonQ", "gaussian", "mexican_hat", "annulus_bump")
 
 
 def make_builtin(name: str, params=None) -> KernelSpec:
-    """Construct a named builtin kernel, optionally overriding its parameters.
+    """Construct a named kernel, optionally overriding its parameters.
 
-    ``annulus_bump`` takes params (a, b, c, d) for the support/plateau radii;
-    ``gaussian`` takes an optional width w (symbol exp(-pi*w^2*|xi|^2)).
+    ``gaussian`` takes an optional width w (symbol exp(-pi*w^2*|xi|^2)),
+    ``annulus_bump`` optional radii (a, b, c, d) for its support and plateau,
+    and ``power_tail`` its decay exponent tau; the other kernels take none.
+    Every parameter is a positive finite number.
     """
-    params = list(params) if params else []
+    counts = {"poissonQ": (0,), "gaussian": (0, 1), "mexican_hat": (0,),
+              "annulus_bump": (0, 4), "power_tail": (1,)}
+    if name not in counts:
+        raise ValueError(f"unknown builtin kernel {name!r} (choose from {tuple(counts)})")
+    params = [float(p) for p in params] if params else []
+    if len(params) not in counts[name]:
+        raise ValueError(f"{name} takes {' or '.join(map(str, counts[name]))} params, "
+                         f"got {len(params)}")
+    if not all(0 < p < math.inf for p in params):
+        raise ValueError(f"{name} params must be positive and finite, got {params}")
+    if name == "power_tail":
+        return power_tail_kernel(params[0])
     if name == "poissonQ":
         return radial_kernel("poissonQ", lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))
     if name == "gaussian":
@@ -192,7 +206,6 @@ def make_builtin(name: str, params=None) -> KernelSpec:
         if not 0 < a < b < c < d:
             raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
         return radial_kernel("annulus_bump", lambda r: plateau(r, a, b, c, d))
-    raise ValueError(f"unknown builtin kernel {name!r} (choose from {BUILTIN_KERNELS})")
 
 
 def constant_multiplier(value: complex) -> KernelSpec:
@@ -232,8 +245,8 @@ def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
     gaining one power of |xi|; a sharp member of the decay class with
     exponent tau, used to exercise the constant-decay law at a known rate.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
 
     def profile(r):
         return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)

@@ -1,11 +1,8 @@
 """Square functions, scale fields, the synthesis operator and atoms.
 
 The scale field of an analysis pair is E(x, t) = (f * psi_t)(x), computed
-per scale as the inverse transform of f_hat(xi) * psi_hat(t xi).  On grids
-below the thread pool's gate (``fields._PARALLEL_MIN_POINTS``) the products
-are written into the (scales x grid) stack and the stack is inverted in one
-batched pass per spatial axis, which gives each slice the bytes of its own
-inverse transform; larger grids stream through ``fields.filtered``.  Square
+per scale as the inverse transform of f_hat(xi) * psi_hat(t xi); the
+(scales x grid) stack comes from ``fields.filtered_stack``.  Square
 functions integrate |E| over scales against dt/t (continuous, log-rectangle
 weights) or sum over a geometric ladder t = b^j (discrete); the two agree
 after a log(1/b)^(1/q) normalization as b -> 1.
@@ -28,15 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    _PARALLEL_MIN_POINTS,
     Grid,
     SampledField,
     ScaleGrid,
     SpectralField,
     _adopt,
-    _signs,
-    _transform_in_place,
     filtered,
+    filtered_stack,
     from_spectrum,
     scale_integral,
     to_spectrum,
@@ -68,27 +63,9 @@ class ScaleField:
 
 
 def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
-    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale.
-
-    Below ``_PARALLEL_MIN_POINTS`` the products are written into the stack
-    and inverted in one batched pass per spatial axis, which gives the bytes
-    of one ``from_spectrum`` per scale; at and above it the scales stream
-    through ``filtered``'s pool, one inverse transform per scale."""
-    g = f.grid
-    mults = dilates(psi, g, scales.scales)
-    out = np.empty((scales.count,) + g.shape, dtype=complex)
-    if g.cell_count >= _PARALLEL_MIN_POINTS:
-        for k, conv in enumerate(filtered(f, mults)):
-            out[k] = conv.values
-    else:
-        spec = to_spectrum(f).values
-        for k, m in enumerate(mults):
-            np.multiply(spec, m, out=out[k])
-        # from_spectrum's steps on the whole stack: each slice gets its bytes
-        out *= _signs(g.shape, 1.0)
-        _transform_in_place(out, np.fft.ifft, g.dimension)
-        out *= _signs(g.shape, 1.0 / g.cell_volume)
-    return _adopt(ScaleField, out, grid=g, scales=scales)
+    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale."""
+    out = filtered_stack(f, dilates(psi, f.grid, scales.scales), scales.count)
+    return _adopt(ScaleField, out, grid=f.grid, scales=scales)
 
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:

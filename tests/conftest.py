@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,12 @@ def constants_grid():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240117)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_spectral_thread_outlives_the_run():
+    """Each ``fields.filtered`` call joins its own pool's threads before it
+    returns, so none may be left once the last test has run."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
+    assert not left, f"spectral pool threads outlived the run: {left}"

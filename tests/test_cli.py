@@ -234,6 +234,14 @@ BAD_INPUTS = {
     "half_extent_inf": lambda d, f: [
         "run", _write_config(d, grid={"dimension": 1, "points_per_axis": 1024,
                                       "half_extent": math.inf}), "--out", str(d / "run")],
+    "phi_param_not_taken": lambda d, f: ["run", _write_config(d, phi={"name": "poissonQ",
+                                                                       "params": [7]}),
+                                         "--out", str(d / "run")],
+    "g_gaussian_width_nan": lambda d, f: ["transform", "g", "--kernel", "gaussian",
+                                          "--params", "nan", "--in", str(f),
+                                          "--out", str(d / "o.bin")],
+    "calderon_gaussian_width_nan": lambda d, f: ["calderon", "build", "--kernel", "gaussian",
+                                                 "--params", "nan", "--out", str(d / "cal")],
     "power_weight_with_c": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": -0.5, "c": 3.0}),
         "--out", str(d / "run")],

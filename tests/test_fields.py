@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lplab import (
@@ -16,6 +18,8 @@ from lplab import (
     to_spectrum,
     weighted_lp_norm,
 )
+from lplab.kernels import make_builtin, sample_kernel
+from lplab.transforms import ScaleField, synthesize
 
 
 def gaussian_field(grid):
@@ -38,10 +42,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(3, 64, 16.0)
 
+    def test_rejects_infinite_half_extent(self):
+        with pytest.raises(ValueError):
+            Grid(1, 1024, math.inf)
+
     def test_frequency_grid_spacing_is_reciprocal_period(self):
         g = Grid(1, 1024, 16.0)
         fg = g.frequency_grid()
         assert fg.spacing == pytest.approx(1.0 / (2.0 * g.half_extent), abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extent=st.floats(0.01, 1000.0))
+@example(extent=7.63590082962187)  # P / (4 * (P / (4E))) rounds to another E here
+def test_round_trip_keeps_the_grid(extent):
+    g = Grid(1, 64, extent)
+    assert g.frequency_grid().frequency_grid() == g
+    f = SampledField(g, np.random.default_rng(0).standard_normal(g.shape))
+    back = from_spectrum(to_spectrum(f))
+    assert back.grid == g
+    assert weighted_lp_norm(back, SampledField(g, np.ones(g.shape)), 2.0) > 0
+    assert sample_kernel(make_builtin("gaussian"), g, 1.0).grid == g
+    scales = ScaleGrid.geometric(4.0, 0.5, 5)
+    h = ScaleField(g, scales, np.ones((scales.count,) + g.shape))
+    assert synthesize(h, make_builtin("poissonQ"), 0.5).grid == g
 
 
 class TestTransforms:
@@ -188,6 +212,14 @@ class TestScaleGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ScaleGrid(np.array([]))
+
+    def test_rejects_nan_scale(self):
+        with pytest.raises(ValueError):
+            ScaleGrid(np.array([np.nan, 1.0]))
+
+    def test_geometric_rejects_infinite_t_max(self):
+        with pytest.raises(ValueError):
+            ScaleGrid.geometric(math.inf, 0.5, 3)
 
 
 class TestScaleIntegral:

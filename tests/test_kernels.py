@@ -14,6 +14,7 @@ from lplab import (
     check_low_frequency_growth,
     check_nondegeneracy,
     make_builtin,
+    power_tail_kernel,
     sample_kernel,
     to_spectrum,
 )
@@ -53,6 +54,22 @@ class TestBuiltins:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_builtin("sinc")
+
+    @pytest.mark.parametrize("name, params", [
+        ("poissonQ", [7.0]), ("mexican_hat", [1.0]), ("gaussian", [1.0, 2.0]),
+        ("annulus_bump", [0.5, 1.0, 2.0]), ("power_tail", []), ("power_tail", [1.0, 2.0]),
+        ("gaussian", [math.nan]), ("gaussian", [math.inf]), ("gaussian", [0.0]),
+        ("gaussian", [-1.0]), ("annulus_bump", [0.5, 1.0, 2.0, math.inf]),
+        ("power_tail", [math.nan]),
+    ])
+    def test_bad_params_rejected(self, name, params):
+        with pytest.raises(ValueError):
+            make_builtin(name, params)
+
+    def test_power_tail_by_name(self):
+        k = make_builtin("power_tail", [1.5])
+        assert k.name == "power_tail(1.5)"
+        assert k.symbol(ray([2.0]))[0] == power_tail_kernel(1.5).symbol(ray([2.0]))[0]
 
 
 class TestSampling:

@@ -5,12 +5,12 @@ more workers, ``filtered`` runs each multiplier's product, inverse transform
 and per-result map on a thread pool.  Every consumer must still give the
 bytes of an explicit serial loop of ``from_spectrum(to_spectrum(f) * m)``,
 whatever the worker count; the pool must keep the transform counts, draw
-the multipliers a bounded distance ahead, leave nothing running when the
-caller stops early, raise a bad multiplier where the serial loop does,
-serve concurrent callers and come back to life in a forked child.  The
-grids sit on both sides of the gate: 1-d 4096 and 2-d 64^2 below it, where
-``scale_transform`` inverts its stack in one batched pass instead, and 1-d
-32768 and 2-d 256^2 above.
+the multipliers a bounded distance ahead, leave nothing running and no
+thread alive when the call ends or the caller stops early, raise a bad
+multiplier where the serial loop does, serve concurrent callers and work in
+a forked child.  The grids sit on both sides of the gate: 1-d 4096 and 2-d
+64^2 below it, where ``scale_transform`` inverts its stack in one batched
+pass instead, and 1-d 32768 and 2-d 256^2 above.
 """
 
 import collections
@@ -126,30 +126,25 @@ def test_multipliers_are_drawn_a_bounded_distance_ahead(grid, workers):
     assert max(ahead) == (lookahead - 1 if _threaded(grid, workers) else 0)
 
 
-class _RecordingPool:
-    """Passes submissions to the real pool and keeps their futures."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.futures = []
-
-    def submit(self, *args):
-        fut = self.pool.submit(*args)
-        self.futures.append(fut)
-        return fut
-
-
 @pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkeypatch):
-    real = fields._executor
     recorded = []
 
-    def recording(n):
-        recorded.append(_RecordingPool(real(n)))
-        return recorded[-1]
+    class RecordingPool(fields.ThreadPoolExecutor):
+        """A pool that keeps the futures submitted to it."""
 
-    monkeypatch.setattr(fields, "_executor", recording)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.futures = []
+            recorded.append(self)
+
+        def submit(self, *args, **kwargs):
+            fut = super().submit(*args, **kwargs)
+            self.futures.append(fut)
+            return fut
+
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", RecordingPool)
     gen = filtered(_field(grid), dilates(make_builtin("gaussian"), grid, SCALES.scales))
     next(gen)
     next(gen)
@@ -157,6 +152,24 @@ def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkey
     (pool,) = recorded
     assert len(pool.futures) > 2
     assert all(fut.done() for fut in pool.futures)
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
+
+
+@pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+@pytest.mark.parametrize("end", ["completed", "closed"])
+def test_no_pool_thread_outlives_the_call(grid, workers, end):
+    gen = filtered(_field(grid), dilates(make_builtin("gaussian"), grid, SCALES.scales))
+    next(gen)
+    assert _pool_threads()
+    if end == "completed":
+        assert len(list(gen)) == SCALES.count - 1
+    else:
+        gen.close()
+    assert not _pool_threads()
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
