@@ -35,7 +35,7 @@ print()
 print("admissibility audit: phi = poissonQ, psi = annulus bump, Theta = 0")
 q = make_builtin("poissonQ")
 Pq = build_partition(KernelFamily((q,)), 0.5, find_intervals(q))
-audit = check_conditions(Pq, q, make_builtin("annulus_bump"),
+audit = check_conditions(Pq, make_builtin("annulus_bump"),
                          constant_multiplier(0.0), 2.4 * Pq.r2, 2.0,
                          Grid(1, 8192, 256.0))
 for name, verdict in audit.condition_verdicts.items():

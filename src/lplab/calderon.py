@@ -271,7 +271,6 @@ class ZetaSymbol:
     """Low-frequency remainder 1 - sum_{j: b^j <= J} phi_hat(b^j xi) eta_hat(b^j xi)."""
 
     J: float
-    parent: PartitionSystem
     symbol: object
 
     def __call__(self, xi):
@@ -289,7 +288,7 @@ def build_zeta(P: PartitionSystem, J: float) -> ZetaSymbol:
         return _annulus_sum(xi, out, lambda s, sub, sr: -P._term(s, sub, sr),
                             P.r1, P.r2, P.b, j_min=j_start)
 
-    return ZetaSymbol(float(J), P, symbol)
+    return ZetaSymbol(float(J), symbol)
 
 
 @dataclass(frozen=True)
@@ -311,6 +310,13 @@ class DecompositionResult:
 
 #: tolerance of the near-origin relation and of the admissible identity residual
 IDENTITY_TOL = 1e-8
+
+
+def near_origin_gap(P: PartitionSystem, psi: KernelSpec, theta_mult: KernelSpec, xi) -> float:
+    """max |psi_hat - phi_hat * Theta| over the stacked coords ``xi``, phi the
+    partition's kernel: how far psi is from psi_hat = phi_hat * Theta there."""
+    return float(np.max(np.abs(np.asarray(psi.symbol(xi)) - np.asarray(P.phi.symbol(xi))
+                               * np.asarray(theta_mult.symbol(xi)))))
 
 
 def decompose_psi(
@@ -339,13 +345,7 @@ def decompose_psi(
 
     ball = r < P.r2 / A
     if np.any(ball):
-        sub = xi[(slice(None),) + np.nonzero(ball)]
-        gap = np.max(
-            np.abs(
-                np.asarray(psi.symbol(sub))
-                - np.asarray(P.phi.symbol(sub)) * np.asarray(theta_mult.symbol(sub))
-            )
-        )
+        gap = near_origin_gap(P, psi, theta_mult, xi[(slice(None),) + np.nonzero(ball)])
         if gap > IDENTITY_TOL:
             raise ValueError(
                 f"near-origin relation violated: max |psi_hat - phi_hat*Theta| = {gap:.3e} "

@@ -33,7 +33,7 @@ from .experiments import (
     run_experiment,
 )
 from .fields import ScaleGrid
-from .kernels import BUILTIN_KERNELS, KernelFamily, make_builtin
+from .kernels import BUILTIN_KERNELS, make_builtin
 from .maximal import (
     GrandMaxConfig,
     PeetreParams,
@@ -81,7 +81,7 @@ def _cmd_calderon_build(args) -> int:
         phi = resolve_kernel(args.kernel, args.params)
         cover = find_intervals(phi)
         b = args.b if args.b is not None else max(0.5, cover.b0)
-        P = build_partition(KernelFamily((phi,)), b, cover)
+        P = build_partition(phi, b, cover)
     except ValueError as exc:  # a bad kernel, or b outside [b0, 1)
         return _bad_input(exc)
     residual = reproduction_residual(P)
@@ -112,7 +112,7 @@ def _cmd_constants_report(args) -> int:
             raise ConfigError(f"L must be nonnegative and finite, got {args.L}")
         cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
                                           "phi": {"name": args.phi}, "psi": {"name": args.psi}})
-        P, psi, A, report = constants_audit(cfg)
+        _, psi, P, A, _, report = constants_audit(cfg)
     except ConfigError as exc:
         return _bad_input(exc)
     out = lpio.ensure_dir(args.out)

@@ -16,8 +16,8 @@ evaluates it once on its grid, not once per scale.
 
 Symbols with power-law tails |psi_hat| ~ |xi|^-tau make C(psi, j, L) decay
 like t^tau as t -> 0; the decay-law fit recovers tau from the tail of the
-j-profile.  The condition checker turns the boundedness requirements of the
-scale calculus into tail-decay verdicts over the probed j-range.
+j-profile.  ``check_conditions`` turns the scale calculus's boundedness
+requirements on P.phi and psi into tail-decay verdicts over the probed j-range.
 
 Each integral carries a boundary-tail error bar (largest face value times
 box volume).  One gate, ``IntegralEstimate.reliable``, decides whether the
@@ -194,7 +194,6 @@ class ConstantsReport:
 
 def check_conditions(
     P: PartitionSystem,
-    phi: KernelSpec,
     psi: KernelSpec,
     theta_mult: KernelSpec,
     A: float,
@@ -202,7 +201,8 @@ def check_conditions(
     grid: Grid,
     j_max: int = 40,
 ) -> ConstantsReport:
-    """Evaluate the five admissibility conditions of the scale calculus.
+    """Evaluate the five admissibility conditions of the scale calculus for
+    the partition's kernel phi = P.phi and the pair (A, Theta) of psi.
 
     Verdicts (measured quantities are tail-decay fits over j in [0, j_max],
     i.e. scales t = b^j):
@@ -220,7 +220,7 @@ def check_conditions(
     if N <= 0:
         raise ValueError("N must be positive")
     n = grid.dimension
-    b = P.b
+    phi, b = P.phi, P.b
     verdicts: dict = {}
 
     eps_low = check_low_frequency_growth(phi, dimension=n)

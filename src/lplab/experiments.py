@@ -22,6 +22,8 @@ synthesis_atoms (lemma33) H^1 size of synthesized atoms, uniform over the
                           scale cutoff
 constants_audit           the admissibility condition verdicts
 
+``constants_audit`` derives phi, psi, the partition, (A, Theta) and the
+audit from a config for every scenario that needs them, and for the CLI.
 Configs are single JSON documents with every physical parameter explicit;
 identical config + seed produces bit-identical CSV output.
 """
@@ -33,6 +35,7 @@ import logging
 import math
 import os
 import platform
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -42,13 +45,13 @@ import numpy as np
 import scipy
 
 from . import __version__, families
-from .calderon import build_partition, find_intervals
+from .calderon import build_partition, find_intervals, near_origin_gap
 from .constants import check_conditions
 from .fields import (Grid, SampledField, ScaleGrid, _spectral_workers, lp_norm, to_spectrum,
                      weighted_lp_norm)
 from .io import restore_nonfinite, write_json
 from .kernels import (
-    KernelFamily,
+    ANNULUS_RADII,
     KernelSpec,
     _distinct_radii,
     check_cancellation,
@@ -126,7 +129,7 @@ _ENTRY_KEYS = {
 class ExperimentConfig:
     scenario: str
     phi: dict = field(default_factory=lambda: {"name": "poissonQ", "params": []})
-    psi: dict | None = None  # scenario-dependent default, see _resolve_psi
+    psi: dict | None = None  # scenario-dependent default, see constants_audit
     p: float = 2.0
     q: float = 2.0
     N: int = 2
@@ -348,61 +351,55 @@ def _translation_gap(tf, measure) -> float:
     return abs((lhs1 / rhs1) / (lhs0 / rhs0) - 1.0)
 
 
-def _partition(cfg: ExperimentConfig, phi: KernelSpec):
-    cover = find_intervals(phi, dimension=cfg.make_grid().dimension)
-    try:
-        return build_partition(KernelFamily((phi,)), cfg.b, cover)
-    except ValueError as exc:  # b outside [b0, 1), or a near-singular normalizer
-        raise ConfigError(str(exc)) from exc
-
-
 #: the 1-d grid resolving the partition annulus for the constants audit
 CONSTANTS_GRID = Grid(1, 8192, 256.0)
 
 
-def _resolve_psi(cfg: ExperimentConfig, phi: KernelSpec, default_name: str):
-    """The configured psi, else the scenario's natural default (the gradient
-    pair for the ladder comparison, the annulus bump for vanishing-symbol
-    scenarios), and its config entry; ``phi_gradient`` is d/dx phi."""
-    psi_cfg = cfg.psi or {"name": default_name}
+#: what ``constants_audit`` derives from a config
+Analysis = namedtuple("Analysis", "phi psi P A theta audit")
+
+
+def constants_audit(cfg: ExperimentConfig, vanishing: bool | None = None) -> Analysis:
+    """(phi, psi, P, A, theta, audit): the one path from a config to phi's
+    partition P, the pair (A, Theta) with psi_hat = phi_hat * Theta on
+    {|xi| < r2/A}, checked on a probe of that ball, and their audit on
+    CONSTANTS_GRID.  psi defaults to the annulus bump, or to d/dx phi
+    (``phi_gradient``) when ``vanishing`` is False.  The ladder scenarios fix
+    ``vanishing``; left None, psi is vanishing when it is the annulus bump.
+    A vanishing psi takes Theta = 0 and A past its support edge (first
+    param, default ``ANNULUS_RADII[0]``), so a configured A is a bad input;
+    the gradient pair takes the derivative multiplier, any other psi
+    Theta = 1, at the configured A (default 1)."""
+    phi = resolve_kernel(**cfg.phi)
+    psi_cfg = cfg.psi or {"name": "phi_gradient" if vanishing is False else "annulus_bump"}
+    if vanishing is None:
+        vanishing = psi_cfg["name"] == "annulus_bump"
+    if vanishing and cfg.A is not None:
+        raise ConfigError(f"A = {cfg.A} is not read: a vanishing psi sets A past its support")
     if psi_cfg["name"] == "phi_gradient":
-        return derived_kernel(f"ddx_{phi.name}", phi, coordinate_multiplier(0)), psi_cfg
-    return resolve_kernel(**psi_cfg), psi_cfg
-
-
-def _splitting(cfg: ExperimentConfig, P, phi: KernelSpec, psi: KernelSpec, psi_cfg: dict,
-               vanishing: bool) -> tuple:
-    """The pair (A, Theta) with psi_hat = phi_hat * Theta on {|xi| < r2/A},
-    checked on a probe of that ball.  A vanishing psi takes Theta = 0 and A
-    past its support edge (first param, default 1/2); the gradient pair the
-    derivative multiplier, any other psi Theta = 1, at the configured A."""
+        psi = derived_kernel(f"ddx_{phi.name}", phi, coordinate_multiplier(0))
+    else:
+        psi = resolve_kernel(**psi_cfg)
+    try:
+        P = build_partition(phi, cfg.b, find_intervals(phi, dimension=cfg.make_grid().dimension))
+    except ValueError as exc:  # b outside [b0, 1), or a near-singular normalizer
+        raise ConfigError(str(exc)) from exc
     # a vanishing symbol is exactly 0 on the ball; two agreeing symbols differ by round-off
     if vanishing:
-        support_edge = (psi_cfg.get("params") or [0.5])[0]
+        support_edge = (psi_cfg.get("params") or ANNULUS_RADII)[0]
         A, theta, tol = max(1.0, 1.05 * P.r2 / support_edge), constant_multiplier(0.0), 1e-12
     else:
-        gradient = psi_cfg.get("name") == "phi_gradient"
+        gradient = psi_cfg["name"] == "phi_gradient"
         theta = coordinate_multiplier(0) if gradient else constant_multiplier(1.0)
         A, tol = 1.0 if cfg.A is None else cfg.A, 1e-8
-    probe = np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :]
-    product = np.asarray(phi.symbol(probe)) * np.asarray(theta.symbol(probe))
-    gap = float(np.max(np.abs(np.asarray(psi.symbol(probe)) - product)))
+    gap = near_origin_gap(P, psi, theta, np.linspace(1e-6, P.r2 / A, 256)[np.newaxis, :])
     if gap > tol:
         raise ConfigError(
             f"psi_hat differs from phi_hat * {theta.name} near the origin (max {gap:.2e} "
             f"on |xi| < {P.r2 / A:.3g}); this scenario needs that relation"
         )
-    return A, theta
-
-
-def constants_audit(cfg: ExperimentConfig) -> tuple:
-    """(P, psi, A, report): the partition, psi (default: the annulus bump, the
-    vanishing case), A and the admissibility audit on CONSTANTS_GRID."""
-    phi = resolve_kernel(**cfg.phi)
-    psi, psi_cfg = _resolve_psi(cfg, phi, "annulus_bump")
-    P = _partition(cfg, phi)
-    A, theta = _splitting(cfg, P, phi, psi, psi_cfg, psi_cfg.get("name") == "annulus_bump")
-    return P, psi, A, check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    audit = check_conditions(P, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    return Analysis(phi, psi, P, A, theta, audit)
 
 
 class _SpectralRatioOracle:
@@ -447,15 +444,9 @@ class _SpectralRatioOracle:
 def _run_ladder(cfg: ExperimentConfig, diagnostics: dict, vanishing: bool) -> tuple:
     grid = cfg.make_grid()
     scales = cfg.make_scales()
-    phi = resolve_kernel(**cfg.phi)
     weight = resolve_weight(cfg.weight)
     wf = weight.materialize(grid)
-
-    psi, psi_cfg = _resolve_psi(cfg, phi, "annulus_bump" if vanishing else "phi_gradient")
-
-    P = _partition(cfg, phi)
-    A, theta = _splitting(cfg, P, phi, psi, psi_cfg, vanishing)
-    audit = check_conditions(P, phi, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    phi, psi, *_, audit = constants_audit(cfg, vanishing)
     diagnostics["conditions"] = {
         k: {"passed": v.passed, "measured": v.measured}
         for k, v in audit.condition_verdicts.items()
@@ -573,7 +564,7 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
 
 
 def _run_constants_audit(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
-    *_, audit = constants_audit(cfg)
+    audit = constants_audit(cfg).audit
     diagnostics.update(tau_fit=audit.tau_fit, d_value=audit.d_value,
                        c_values={str(k): v for k, v in audit.c_values.items()})
     rows = [

@@ -87,6 +87,10 @@ class Grid:
             )
         if not 0 < self.half_extent < math.inf:
             raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
+        dual_extent = self.points_per_axis / (4.0 * self.half_extent)
+        if not (0 < self.spacing < math.inf and 0 < dual_extent < math.inf):
+            raise ValueError(f"half_extent {self.half_extent} gives spacing {self.spacing} and "
+                             f"dual extent {dual_extent}; both must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -355,8 +359,10 @@ class ScaleGrid:
             raise ValueError("scales must be strictly decreasing")
         arr.setflags(write=False)
         object.__setattr__(self, "scales", arr)
-        if self.ratio is not None and not (0 < self.ratio < 1):
-            raise ValueError("ratio must lie in (0, 1)")
+        if self.ratio is not None and not (0 < self.ratio < 1 and np.allclose(
+                arr[1:] / arr[:-1], self.ratio, rtol=1e-9, atol=0)):
+            raise ValueError(f"ratio must lie in (0, 1) and be the ratio of consecutive scales "
+                             f"(to 1e-9), got {self.ratio}")
 
     @classmethod
     def geometric(cls, t_max: float, ratio: float, count: int) -> "ScaleGrid":

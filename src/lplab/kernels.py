@@ -171,6 +171,7 @@ def _as_family(fam) -> KernelFamily:
 
 
 BUILTIN_KERNELS = ("poissonQ", "gaussian", "mexican_hat", "annulus_bump")
+ANNULUS_RADII = (0.5, 1.0, 2.0, 4.0)  # annulus_bump's default (a, b, c, d)
 
 
 def make_builtin(name: str, params=None) -> KernelSpec:
@@ -202,7 +203,7 @@ def make_builtin(name: str, params=None) -> KernelSpec:
         return radial_kernel("mexican_hat",
                              lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))
     if name == "annulus_bump":
-        a, b, c, d = params if params else (0.5, 1.0, 2.0, 4.0)
+        a, b, c, d = params if params else ANNULUS_RADII
         if not 0 < a < b < c < d:
             raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
         return radial_kernel("annulus_bump", lambda r: plateau(r, a, b, c, d))

@@ -150,6 +150,15 @@ BAD_INPUTS = {
                                 "--out", str(d / "run")],
     "A_zero": lambda d, f: ["run", _write_config(d, A=0, psi={"name": "poissonQ"}),
                             "--out", str(d / "run")],
+    # a vanishing psi sets A past its support edge, so a configured A is not read
+    "A_with_vanishing_psi": lambda d, f: ["run", _write_config(d, A=50), "--out", str(d / "run")],
+    # the ladders fix whether psi vanishes near 0; the audit reads it from psi's name
+    "thm210_psi_not_vanishing": lambda d, f: [
+        "run", _write_config(d, scenario="thm210", psi={"name": "poissonQ"}),
+        "--out", str(d / "run")],
+    "prop23_psi_vanishing": lambda d, f: [
+        "run", _write_config(d, scenario="prop23", psi={"name": "annulus_bump"}),
+        "--out", str(d / "run")],
     "A_below_1": lambda d, f: ["run", _write_config(d, A=0.5, psi={"name": "poissonQ"}),
                                "--out", str(d / "run")],
     "epsilons_empty": lambda d, f: ["run", _write_config(d, scenario="lemma33", epsilons=[]),

@@ -10,11 +10,13 @@ from lplab import (
     KernelSpec,
     PeetreParams,
     ScaleGrid,
+    build_partition,
     c0_profile,
     c_const,
     check_conditions,
     constant_multiplier,
     d_const,
+    find_intervals,
     fit_decay_exponent,
     from_spectrum,
     peetre_max,
@@ -142,27 +144,25 @@ class TestDecayLaw:
 
 
 class TestConditionAudit:
-    def test_poisson_derivative_passes_all(self, q_partition, poissonq, annulus,
-                                           constants_grid):
+    def test_poisson_derivative_passes_all(self, q_partition, annulus, constants_grid):
         A = 2.4 * q_partition.r2
-        rep = check_conditions(q_partition, poissonq, annulus,
+        rep = check_conditions(q_partition, annulus,
                                constant_multiplier(0.0), A, 2.0, constants_grid)
         assert rep.all_passed
         assert rep.d_value == 0.0  # Theta identically zero
         assert rep.condition_verdicts["low_freq_growth"].measured == pytest.approx(1.0, abs=0.05)
 
-    def test_gaussian_fails_low_frequency_growth(self, q_partition, gaussian, annulus,
-                                                 constants_grid):
-        A = 2.4 * q_partition.r2
-        rep = check_conditions(q_partition, gaussian, annulus,
-                               constant_multiplier(0.0), A, 2.0, constants_grid)
+    def test_gaussian_fails_low_frequency_growth(self, gaussian, annulus, constants_grid):
+        P = build_partition(gaussian, 0.5, find_intervals(gaussian))
+        rep = check_conditions(P, annulus, constant_multiplier(0.0), 2.4 * P.r2, 2.0,
+                               constants_grid)
         v = rep.condition_verdicts["low_freq_growth"]
         assert not v.passed
         assert abs(v.measured) < 0.1
 
-    def test_report_carries_c_profile(self, q_partition, poissonq, annulus, constants_grid):
+    def test_report_carries_c_profile(self, q_partition, annulus, constants_grid):
         A = 2.4 * q_partition.r2
-        rep = check_conditions(q_partition, poissonq, annulus,
+        rep = check_conditions(q_partition, annulus,
                                constant_multiplier(0.0), A, 2.0, constants_grid, j_max=10)
         js = sorted(rep.c_values)
         assert js == list(range(js[0], js[0] + 11))
@@ -170,8 +170,7 @@ class TestConditionAudit:
         assert q_partition.b ** js[0] <= A < q_partition.b ** (js[0] - 1)
         assert all(v >= 0 for v in rep.c_values.values())
 
-    def test_eta_is_evaluated_once_per_audit_grid(self, q_partition, poissonq, annulus,
-                                                  monkeypatch):
+    def test_eta_is_evaluated_once_per_audit_grid(self, q_partition, annulus, monkeypatch):
         audit_shape = (1,) + CONSTANTS_GRID.shape
         calls = []
 
@@ -182,7 +181,7 @@ class TestConditionAudit:
         def audit():
             calls.clear()
             P = dataclasses.replace(q_partition, eta_symbol=counting)  # nothing kept yet
-            return check_conditions(P, poissonq, annulus, constant_multiplier(0.0),
+            return check_conditions(P, annulus, constant_multiplier(0.0),
                                     2.4 * q_partition.r2, 2.0, CONSTANTS_GRID)
 
         rep = audit()

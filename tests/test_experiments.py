@@ -10,6 +10,7 @@ import scipy
 
 import lplab
 from lplab import ConfigError, ExperimentConfig, Report, emit_report, fields, run_experiment
+from lplab.experiments import constants_audit
 
 
 FAST_GRID = {"dimension": 1, "points_per_axis": 2048, "half_extent": 16.0}
@@ -132,6 +133,18 @@ class TestScenarios:
             "low_freq_growth", "gradient_scale_sum", "gradient_multiplier_tail",
             "psi_scale_sum", "psi_multiplier_tail",
         }
+
+    def test_ladder_audits_as_the_constants_audit(self):
+        # same phi, psi (the annulus bump), N and b: one derivation, one verdict set
+        ladder = run_experiment(fast_config("thm210", **TINY["thm210"]))
+        audit = run_experiment(fast_config("constants_audit", N=2))
+        assert ladder.diagnostics["conditions"] == {
+            r["fname"]: {"passed": r["passed"], "measured": r["lhs"]} for r in audit.rows}
+
+    def test_constants_audit_reads_A_for_a_non_vanishing_psi(self):
+        setup = constants_audit(fast_config("constants_audit", psi={"name": "poissonQ"}, A=2.0))
+        assert (setup.A, setup.theta.name) == (2.0, "const(1.0)")
+        assert setup.P.phi is setup.phi
 
     def test_hardy_lower_two_dimensional(self):
         # the default grand scale grid is too coarse for 2-d dilation

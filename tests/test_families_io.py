@@ -104,6 +104,16 @@ class TestScaleFieldContainer:
         assert np.allclose(back.scales.scales, sg.scales, rtol=0, atol=0)
         assert np.array_equal(back.values, sf.values)
 
+    def test_ratio_the_scales_do_not_have_rejected(self, grid1d_small, tmp_path):
+        sg = ScaleGrid(np.array([1.0, 0.1, 0.01]), ratio=0.1)
+        path = tmp_path / "sf.bin"
+        write_scale_field(path, ScaleField(grid1d_small, sg, np.zeros((3, 1024))))
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = np.float64(0.5).tobytes()  # the header's ratio, after magic and 20 bytes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="ratio of consecutive scales"):
+            read_scale_field(path)
+
     def test_explicit_scale_grid_round_trip(self, grid1d_small, tmp_path):
         sg = ScaleGrid(np.array([3.0, 1.7, 0.2]))
         sf = ScaleField(grid1d_small, sg, np.zeros((3, 1024)))

@@ -46,6 +46,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 1024, math.inf)
 
+    @pytest.mark.parametrize("extent", [1e308, 1e-310])
+    def test_rejects_extent_with_non_finite_spacing_or_dual(self, extent):
+        # 1e308: 2E overflows the spacing; 1e-310: P / (4E) overflows the dual extent
+        with pytest.raises(ValueError, match="both must be positive and finite"):
+            Grid(1, 1024, extent)
+
     def test_frequency_grid_spacing_is_reciprocal_period(self):
         g = Grid(1, 1024, 16.0)
         fg = g.frequency_grid()
@@ -220,6 +226,18 @@ class TestScaleGrid:
     def test_geometric_rejects_infinite_t_max(self):
         with pytest.raises(ValueError):
             ScaleGrid.geometric(math.inf, 0.5, 3)
+
+    def test_rejects_ratio_the_scales_do_not_have(self):
+        # the log weights would be log 2 where the log spacing is log 10
+        with pytest.raises(ValueError, match="ratio of consecutive scales"):
+            ScaleGrid(np.array([1.0, 0.1, 0.01]), ratio=0.5)
+        assert ScaleGrid(np.array([1.0, 0.1, 0.01]), ratio=0.1).ratio == 0.1
+        assert ScaleGrid(np.array([1.0]), ratio=0.5).ratio == 0.5
+
+    @pytest.mark.parametrize("t_min, t_max, count", [(1e-4, 1e4, 2049), (1e-4, 1e2, 128),
+                                                     (1e-150, 1e150, 7)])
+    def test_log_spaced_passes_the_ratio_check(self, t_min, t_max, count):
+        assert 0 < ScaleGrid.log_spaced(t_min, t_max, count).ratio < 1
 
 
 class TestScaleIntegral:
