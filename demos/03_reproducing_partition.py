@@ -11,7 +11,6 @@ import numpy as np
 
 from lplab import (
     Grid,
-    KernelFamily,
     build_partition,
     build_zeta,
     constant_multiplier,
@@ -28,13 +27,13 @@ cover = find_intervals(phi)
 print("scale intervals:", [(f"{a:.4f}", f"{b:.4f}") for a, b in cover.intervals])
 print("b0 =", cover.b0, " squared infimum =", cover.squared_infimum)
 
-P = build_partition(KernelFamily((phi,)), 0.5, cover)
+P = build_partition(phi, 0.5, cover)
 print(f"partition: annulus ({P.r1:.4f}, {P.r2:.4f}), b = {P.b}")
 print("reproducing residual:", reproduction_residual(P))
 
 zeta = build_zeta(P, 1.0)
 r = np.array([[P.r1 / 2, P.r1, (P.r1 + P.r2) / 2, P.r2, 2 * P.r2]])
-print("zeta_1 along a ray:", np.round(zeta.symbol(r).real, 6))
+print("zeta_1 along a ray:", np.round(zeta(r).real, 6))
 
 grid = Grid(1, 2048, 32.0)
 trunc = math.ceil(math.log(grid.frequency_grid().half_extent / P.r1)

@@ -8,7 +8,6 @@ calculus into verdicts.
 
 from lplab import (
     Grid,
-    KernelFamily,
     build_partition,
     c_const,
     check_conditions,
@@ -20,7 +19,7 @@ from lplab import (
 )
 
 phi = make_builtin("annulus_bump")
-P = build_partition(KernelFamily((phi,)), 0.5, find_intervals(phi))
+P = build_partition(phi, 0.5, find_intervals(phi))
 grid = Grid(1, 4096, 64.0)
 
 print("decay of C(psi, j, L=2) for power-tail kernels (fit vs true tau):")
@@ -34,7 +33,7 @@ for tau in (1.0, 2.0, 3.0):
 print()
 print("admissibility audit: phi = poissonQ, psi = annulus bump, Theta = 0")
 q = make_builtin("poissonQ")
-Pq = build_partition(KernelFamily((q,)), 0.5, find_intervals(q))
+Pq = build_partition(q, 0.5, find_intervals(q))
 audit = check_conditions(Pq, make_builtin("annulus_bump"),
                          constant_multiplier(0.0), 2.4 * Pq.r2, 2.0,
                          Grid(1, 8192, 256.0))

@@ -21,11 +21,9 @@ from .fields import (
     lp_norm,
     weighted_lp_norm,
     scale_integral,
-    default_scale_grid,
 )
 from .kernels import (
     KernelSpec,
-    KernelFamily,
     DecaySpec,
     make_builtin,
     sample_kernel,
@@ -41,7 +39,6 @@ from .kernels import (
 from .calderon import (
     IntervalCover,
     PartitionSystem,
-    ZetaSymbol,
     DecompositionResult,
     find_intervals,
     build_partition,
@@ -80,7 +77,6 @@ from .transforms import (
     validate_atom,
     calderon_normalize,
     conjugate_kernel,
-    spectral_multiplier_profile,
 )
 from .weights import Weight, ap_characteristic, a1_check, admissible_power_range
 from .families import FamilyMember, default_family, boundary_leakage

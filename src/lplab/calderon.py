@@ -1,17 +1,17 @@
 """Reproducing partition built from a non-degenerate kernel.
 
-Given a kernel family phi whose summed symbol magnitudes stay bounded away
-from zero along every ray (for some scale), this module constructs the dual
-symbol eta with
+Given a kernel phi whose symbol magnitude stays bounded away from zero
+along every ray (for some scale), this module constructs the dual symbol
+eta with
 
     sum_j phi_hat(b^j xi) * eta_hat(b^j xi) = 1   for all xi != 0,
 
 following the compactness construction: locate compact scale intervals on
-which the squared symbol sum stays above half its measured infimum, put a
+which the squared symbol stays above half its measured infimum, put a
 smooth plateau theta over their hull [m, H] (supported in [m/2, 2H]), form
 the log-periodized normalizer
 
-    Psi(xi) = sum_j theta(b^j |xi|) * sum_i |phi_hat_i(b^j xi)|^2,
+    Psi(xi) = sum_j theta(b^j |xi|) * |phi_hat(b^j xi)|^2,
 
 and set eta_hat = theta(|xi|) * conj(phi_hat(xi)) / Psi(xi).  The support of
 eta_hat is the annulus {r1 < |xi| < r2} with r1 = m/2, r2 = 2H.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, ScaleGrid
-from .kernels import KernelSpec, _as_family, _unit_directions, plateau
+from .kernels import KernelSpec, _unit_directions, plateau
 
 
 @dataclass(frozen=True)
@@ -44,38 +44,28 @@ class IntervalCover:
 
 
 def find_intervals(
-    fam,
+    phi: KernelSpec,
     direction_count: int | None = None,
-    t_grid: ScaleGrid | None = None,
     dimension: int = 1,
 ) -> IntervalCover:
-    """Locate compact scale intervals where the squared symbol sum is large.
+    """Locate compact scale intervals where the squared symbol is large.
 
     For every sampled unit direction (default: 2 rays in 1-d, 64 in 2-d)
-    the widest window of scales with sum_i |phi_hat_i(t xi)|^2 >= c/2 is
-    taken (c = the measured infimum over directions of the sup over
-    scales); overlapping windows are merged.  b0 is the largest ratio
-    a_h/b_h over the returned intervals [a_h, b_h], so any b in [b0, 1)
-    steps through every interval along each ray.
+    the widest window of the 2049 log-uniform scales t in [1e-4, 1e4] with
+    |phi_hat(t xi)|^2 >= c/2 is taken (c = the measured infimum over
+    directions of the sup over scales); overlapping windows are merged.  b0
+    is the largest ratio a_h/b_h over the returned intervals [a_h, b_h], so
+    any b in [b0, 1) steps through every interval along each ray.
     """
-    fam = _as_family(fam)
-    if t_grid is None:
-        t_grid = ScaleGrid.log_spaced(1e-4, 1e4, 2049)
     if direction_count is None:
         direction_count = 64 if dimension == 2 else 2
     dirs = _unit_directions(dimension, direction_count)
-    ts = t_grid.scales[::-1]  # increasing
-    profiles = []
-    for d in dirs:
-        pts = ts[np.newaxis, :] * d[:, np.newaxis]
-        total = np.zeros(ts.shape)
-        for member in fam:
-            total += np.abs(np.asarray(member.symbol(pts))) ** 2
-        profiles.append(total)
-    profiles = np.asarray(profiles)
+    ts = ScaleGrid.log_spaced(1e-4, 1e4, 2049).scales[::-1]  # increasing
+    profiles = np.asarray([np.abs(np.asarray(phi.symbol(ts * d[:, np.newaxis]))) ** 2
+                           for d in dirs])
     c_sq = float(np.min(np.max(profiles, axis=1)))
     if c_sq <= 1e-30:
-        raise ValueError("family is degenerate at this grid resolution: no scale window")
+        raise ValueError("kernel is degenerate at this grid resolution: no scale window")
     threshold = 0.5 * c_sq
     windows = []
     for vals in profiles:
@@ -180,17 +170,13 @@ PLATEAU_MARGIN = 2.0
 NORMALIZER_FLOOR = 1e-10
 
 
-def build_partition(fam, b: float, intervals, dimension: int = 1) -> PartitionSystem:
-    """Assemble the reproducing partition for a single-kernel family.
+def build_partition(phi: KernelSpec, b: float, intervals, dimension: int = 1) -> PartitionSystem:
+    """Assemble the reproducing partition for the kernel ``phi``.
 
     ``intervals`` is an IntervalCover or an explicit list of (a, b) pairs.
     Raises if the normalizer dips below NORMALIZER_FLOOR on the sampled
     annulus.
     """
-    fam = _as_family(fam)
-    if len(fam) != 1:
-        raise ValueError("partition construction is implemented for single-kernel families")
-    phi = fam.members[0]
     if isinstance(intervals, IntervalCover):
         cover = intervals
     else:
@@ -266,19 +252,10 @@ def reproduction_residual(
     return worst
 
 
-@dataclass(frozen=True)
-class ZetaSymbol:
-    """Low-frequency remainder 1 - sum_{j: b^j <= J} phi_hat(b^j xi) eta_hat(b^j xi)."""
-
-    J: float
-    symbol: object
-
-    def __call__(self, xi):
-        return self.symbol(xi)
-
-
-def build_zeta(P: PartitionSystem, J: float) -> ZetaSymbol:
-    """The remainder symbol: 1 inside {|xi| < r1/J}, 0 outside {|xi| <= r2/J}."""
+def build_zeta(P: PartitionSystem, J: float):
+    """The low-frequency remainder symbol zeta_J on stacked coords,
+    1 - sum_{j: b^j <= J} phi_hat(b^j xi) eta_hat(b^j xi): 1 inside
+    {|xi| < r1/J}, 0 outside {|xi| <= r2/J}."""
     if not J > 0:
         raise ValueError("J must be positive")
     j_start = P.first_j(J)
@@ -288,7 +265,7 @@ def build_zeta(P: PartitionSystem, J: float) -> ZetaSymbol:
         return _annulus_sum(xi, out, lambda s, sub, sr: -P._term(s, sub, sr),
                             P.r1, P.r2, P.b, j_min=j_start)
 
-    return ZetaSymbol(float(J), symbol)
+    return symbol
 
 
 @dataclass(frozen=True)
@@ -355,7 +332,7 @@ def decompose_psi(
     zeta = build_zeta(P, A)
 
     def beta_symbol(x):
-        return np.asarray(zeta.symbol(x)) * np.asarray(theta_mult.symbol(x))
+        return np.asarray(zeta(x)) * np.asarray(theta_mult.symbol(x))
 
     j_start = P.first_j(A)
     j_range = range(j_start, j_start + truncation + 1)

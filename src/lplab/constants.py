@@ -126,7 +126,7 @@ def d_const(P: PartitionSystem, theta_mult: KernelSpec, J: float, L: float,
     zeta = build_zeta(P, J)
 
     def integrand(xi):
-        return np.asarray(zeta.symbol(xi)) * np.asarray(theta_mult.symbol(xi))
+        return np.asarray(zeta(xi)) * np.asarray(theta_mult.symbol(xi))
 
     return _integrate_profile(_weighted_modulus(P, grid, integrand, L), tail_check)
 

@@ -9,7 +9,8 @@ realized as a scaled FFT: the forward transform is the Riemann sum of the
 continuous integral, so a sampled exp(-pi*x^2) maps to exp(-pi*xi^2) up to
 periodization/truncation error.  Frequencies are centered at 0 with spacing
 1/(2E) (the reciprocal of the spatial period), so the frequency box is again
-a valid Grid, and its dual is the grid it came from.
+a valid Grid, and its dual is the grid it came from.  A grid makes its dual
+once and keeps it, and the dual keeps the grid.
 
 Centring needs no rolled copies: every axis length P is a power of two
 >= 4, so P/2 is even, and moving index P/2 to 0 on both sides of a DFT is
@@ -23,7 +24,8 @@ scales each pass by 1/P where scipy.fft scales the first by 1/P^n; both are
 powers of two, and scaling by a power of two is exact.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
-per field, then one inverse per multiplier, yielded in multiplier order.
+per field, then one inverse per multiplier (an array on the frequency
+grid), yielded in multiplier order.
 On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
 cores, each multiplier's product, inverse transform and optional per-result
 map run on a thread pool that lives as long as the call (numpy, numpy.fft
@@ -57,6 +59,14 @@ def _is_power_of_two(k: int) -> bool:
     return k >= 1 and (k & (k - 1)) == 0
 
 
+def _float_power(x: float, n: int) -> float:
+    """x ** n, or inf where it overflows: a float power raises instead."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on the box [-half_extent, half_extent)^dimension.
@@ -74,8 +84,9 @@ class Grid:
     dimension: int
     points_per_axis: int
     half_extent: float
-    # set on a frequency grid: the grid it is the dual of, which its own dual
-    # returns, since P / (4 * (P / (4E))) need not round back to E
+    # the dual, set both ways by the first frequency_grid() call: the dual of
+    # a frequency grid is the grid it came from, since P / (4 * (P / (4E)))
+    # need not round back to E
     _dual: Grid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,10 +98,15 @@ class Grid:
             )
         if not 0 < self.half_extent < math.inf:
             raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
-        dual_extent = self.points_per_axis / (4.0 * self.half_extent)
-        if not (0 < self.spacing < math.inf and 0 < dual_extent < math.inf):
-            raise ValueError(f"half_extent {self.half_extent} gives spacing {self.spacing} and "
-                             f"dual extent {dual_extent}; both must be positive and finite")
+        # the dual's spacing as the dual computes it; a positive finite cell
+        # volume on both grids bounds both spacings and the dual's extent
+        p = self.points_per_axis
+        dual_spacing = 2.0 * (p / (4.0 * self.half_extent)) / p
+        volume, dual_volume = (_float_power(s, self.dimension)
+                               for s in (self.spacing, dual_spacing))
+        if not (0 < volume < math.inf and 0 < dual_volume < math.inf):
+            raise ValueError(f"half_extent {self.half_extent} gives cell volume {volume} and dual "
+                             f"cell volume {dual_volume}; both must be positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -128,14 +144,14 @@ class Grid:
         return np.sqrt(np.sum(c * c, axis=0))
 
     def frequency_grid(self) -> Grid:
-        """The dual grid: spacing 1/(2E), extent P/(4E).  The dual of a
-        frequency grid made here is the grid it was made from."""
-        if self._dual is not None:
-            return self._dual
-        dual = Grid(self.dimension, self.points_per_axis,
-                    self.points_per_axis / (4.0 * self.half_extent))
-        object.__setattr__(dual, "_dual", self)
-        return dual
+        """The dual grid: spacing 1/(2E), extent P/(4E).  Made on the first
+        call and kept; its own dual is this grid."""
+        if self._dual is None:
+            dual = Grid(self.dimension, self.points_per_axis,
+                        self.points_per_axis / (4.0 * self.half_extent))
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
 
 def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -258,29 +274,27 @@ def _inverse(spec: SpectralField, m: np.ndarray, post):
 
 
 def filtered(f: SampledField, multipliers, post=None):
-    """Yield inverse(f_hat * m) per multiplier m: an array of values on the
-    frequency grid, or a callable evaluated on its stacked coordinates.  One
-    forward transform serves all of them, and the results are yielded in
-    multiplier order, so callers reduce as they stream.  With ``post`` given,
-    ``post(values)`` of each result is yielded instead of the field.
+    """Yield inverse(f_hat * m) per multiplier m, an array of values on the
+    frequency grid.  One forward transform serves all of them, and the
+    results are yielded in multiplier order, so callers reduce as they
+    stream.  With ``post`` given, ``post(values)`` of each result is yielded
+    instead of the field.
 
     On large grids the products, inverses and ``post`` run on a thread pool
-    opened for this call: the multipliers are drawn (and callables
-    evaluated) on the calling thread, at most ``_IN_FLIGHT_PER_WORKER``
-    results per worker ahead.  Finishing or abandoning the generator cancels
-    or waits out every result in flight and joins the pool's threads."""
+    opened for this call: the multipliers are drawn on the calling thread,
+    at most ``_IN_FLIGHT_PER_WORKER`` results per worker ahead.  Finishing
+    or abandoning the generator cancels or waits out every result in flight
+    and joins the pool's threads."""
     spec = to_spectrum(f)
-    coords = spec.grid.coords()
-    arrays = (np.asarray(m(coords) if callable(m) else m) for m in multipliers)
     workers = _spectral_workers()
     if workers < 2 or f.grid.cell_count < _PARALLEL_MIN_POINTS:
-        for m in arrays:
+        for m in multipliers:
             yield _inverse(spec, m, post)
         return
     with ThreadPoolExecutor(workers, thread_name_prefix="lplab-spectral") as pool:
         pending = deque()
         try:
-            for m in arrays:
+            for m in multipliers:
                 pending.append(pool.submit(_inverse, spec, m, post))
                 if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
                     yield pending.popleft().result()
@@ -409,18 +423,6 @@ class ScaleGrid:
 
     def spans_decades(self) -> float:
         return math.log10(self.t_max / self.t_min) if self.count > 1 else 0.0
-
-
-def default_scale_grid(grid: Grid, count: int = 96) -> ScaleGrid:
-    """Default dt/t scale range for a grid: [2^-10 * E, 2E], log-uniform.
-
-    Mean-zero kernels kill the large-t end and band-limited fields the
-    small-t end, so this range makes the scale integral of well-resolved
-    test fields effectively complete.
-    """
-    return ScaleGrid.log_spaced(
-        grid.half_extent / 1024.0, 2.0 * grid.half_extent, count
-    )
 
 
 def scale_integral(u: np.ndarray, scales: ScaleGrid, q: float):

@@ -1,10 +1,8 @@
-"""Binary containers and CSV dumps for fields and scale fields.
+"""The binary field container, CSV dumps of fields and strict JSON reports.
 
 Field container (magic ``LPF1``): little-endian header of dimension
 (uint32), points_per_axis (uint32), half_extent (float64), followed by the
-row-major complex128 payload.  Scale-field container (magic ``LPS1``) adds
-the scale count, the ratio (NaN for explicit grids) and the scale values
-before the per-scale payloads.
+row-major complex128 payload.
 
 CSV dumps carry one sample per row: index, coordinates, real and imaginary
 parts, ready for plotting.
@@ -24,11 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, SampledField, ScaleGrid
-from .transforms import ScaleField
+from .fields import Grid, SampledField
 
 _FIELD_MAGIC = b"LPF1"
-_SCALE_MAGIC = b"LPS1"
 
 
 def write_field(path, f: SampledField) -> None:
@@ -39,55 +35,23 @@ def write_field(path, f: SampledField) -> None:
         fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
 
 
-def _header(fh, path, fmt: str) -> tuple:
-    data = fh.read(struct.calcsize(fmt))
-    if len(data) != struct.calcsize(fmt):
-        raise ValueError(f"{path}: truncated header")
-    return struct.unpack(fmt, data)
-
-
-def _payload(fh, path, nbytes: int) -> bytes:
-    """The rest of the file, which must be exactly ``nbytes`` long."""
-    size = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != nbytes:
-        raise ValueError(f"{path}: payload holds {size} bytes, the header implies {nbytes}")
-    return fh.read(nbytes)
-
-
 def read_field(path) -> SampledField:
+    """The field in an ``LPF1`` container, whose payload must be exactly as
+    long as its header implies."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _FIELD_MAGIC:
             raise ValueError(f"{path}: not a field container (magic {magic!r})")
-        grid = Grid(*_header(fh, path, "<IId"))
-        payload = _payload(fh, path, 16 * grid.cell_count)
+        header = fh.read(struct.calcsize("<IId"))
+        if len(header) != struct.calcsize("<IId"):
+            raise ValueError(f"{path}: truncated header")
+        grid = Grid(*struct.unpack("<IId", header))
+        nbytes = 16 * grid.cell_count
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != nbytes:
+            raise ValueError(f"{path}: payload holds {size} bytes, the header implies {nbytes}")
+        payload = fh.read(nbytes)
     return SampledField(grid, np.frombuffer(payload, dtype="<c16").reshape(grid.shape))
-
-
-def write_scale_field(path, sf: ScaleField) -> None:
-    g = sf.grid
-    sg = sf.scales
-    ratio = float("nan") if sg.ratio is None else sg.ratio
-    with open(path, "wb") as fh:
-        fh.write(_SCALE_MAGIC)
-        fh.write(struct.pack("<IIdId", g.dimension, g.points_per_axis, g.half_extent,
-                             sg.count, ratio))
-        fh.write(np.ascontiguousarray(sg.scales, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sf.values, dtype="<c16").tobytes())
-
-
-def read_scale_field(path) -> ScaleField:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SCALE_MAGIC:
-            raise ValueError(f"{path}: not a scale-field container (magic {magic!r})")
-        dim, p, half, count, ratio = _header(fh, path, "<IIdId")
-        grid = Grid(dim, p, half)
-        payload = _payload(fh, path, 8 * count + 16 * count * grid.cell_count)
-        sg = ScaleGrid(np.frombuffer(payload[: 8 * count], dtype="<f8"),
-                       ratio=None if np.isnan(ratio) else float(ratio))
-        vals = np.frombuffer(payload[8 * count :], dtype="<c16").reshape((count,) + grid.shape)
-    return ScaleField(grid, sg, vals)
 
 
 def field_to_csv(path, f: SampledField) -> None:

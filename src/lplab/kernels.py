@@ -18,8 +18,8 @@ Builtins:
     power_tail    2*pi*|xi| * (1+|xi|^2)^(-(tau+1)/2), tau required
 
 The checks in this module are Fourier-side: cancellation (symbol(0) = 0),
-non-degeneracy (inf over directions of the sup over scales of the summed
-symbol magnitudes), symbol-derivative decay classes, and low-frequency
+non-degeneracy (inf over directions of the sup over scales of the symbol
+magnitude), symbol-derivative decay classes, and low-frequency
 growth exponents.
 """
 
@@ -104,28 +104,8 @@ class KernelSpec:
     # radii r; kept by the kernel, so it is freed with the kernel
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __call__(self, xi):
-        return self.symbol(xi)
-
     def at_origin(self, dimension: int = 1) -> complex:
         return complex(np.asarray(self.symbol(np.zeros((dimension, 1))))[0])
-
-
-@dataclass(frozen=True)
-class KernelFamily:
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("kernel family must be nonempty")
-        object.__setattr__(self, "members", members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def radial_kernel(name: str, profile) -> KernelSpec:
@@ -163,11 +143,6 @@ def dilates(k: KernelSpec, grid: Grid, ts):
         coords = grid.frequency_grid().coords()
         for t in ts:
             yield k.symbol(t * coords)
-
-
-def _as_family(fam) -> KernelFamily:
-    """A KernelFamily as is; a single KernelSpec as a one-member family."""
-    return KernelFamily((fam,)) if isinstance(fam, KernelSpec) else fam
 
 
 BUILTIN_KERNELS = ("poissonQ", "gaussian", "mexican_hat", "annulus_bump")
@@ -284,20 +259,13 @@ def _unit_directions(dimension: int, count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _family_sum_at(fam: KernelFamily, pts: np.ndarray) -> np.ndarray:
-    total = np.zeros(pts.shape[1:])
-    for member in fam:
-        total = total + np.abs(np.asarray(member.symbol(pts)))
-    return total
-
-
 def check_nondegeneracy(
-    fam: KernelFamily | KernelSpec,
+    k: KernelSpec,
     t_range: ScaleGrid,
     directions: int = 2,
     dimension: int = 1,
 ) -> float:
-    """Estimate inf over directions of sup over scales of sum_j |symbol_j(t*xi)|.
+    """Estimate inf over directions of sup over scales of |symbol(t*xi)|.
 
     By homogeneity of the dilation the scan over rays suffices.  The sup in t
     is a grid scan over ``t_range`` refined by a bounded 1-d maximization in
@@ -308,7 +276,6 @@ def check_nondegeneracy(
     # +0.16 s on every `import lplab`), and no scenario or CLI command calls this
     from scipy.optimize import minimize_scalar
 
-    fam = _as_family(fam)
     if t_range.count < 2 or t_range.spans_decades() < 4.0:
         raise ValueError("scale range must span at least 4 decades")
     dirs = _unit_directions(dimension, directions)
@@ -316,7 +283,7 @@ def check_nondegeneracy(
     worst = math.inf
     for d in dirs:
         pts = ts[np.newaxis, :] * d[:, np.newaxis]  # (dim, K)
-        vals = _family_sum_at(fam, pts)
+        vals = np.abs(np.asarray(k.symbol(pts)))
         i = int(np.argmax(vals))
         best = float(vals[i])
         lo = ts[min(i + 1, len(ts) - 1)]
@@ -325,7 +292,7 @@ def check_nondegeneracy(
 
             def neg(u, d=d):
                 p = math.exp(u) * d[:, np.newaxis]
-                return -float(_family_sum_at(fam, p)[0])
+                return -float(np.abs(np.asarray(k.symbol(p)))[0])
 
             res = minimize_scalar(
                 neg, bounds=(math.log(lo), math.log(hi)), method="bounded",

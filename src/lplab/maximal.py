@@ -225,8 +225,8 @@ def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
 
 def spectral_gradient(f: SampledField) -> list:
     """Partial derivatives via the multiplier 2*pi*i*xi_k, one field per axis."""
-    axes = range(f.grid.dimension)
-    return list(filtered(f, (coordinate_multiplier(k).symbol for k in axes)))
+    xi = f.grid.frequency_grid().coords()
+    return list(filtered(f, (coordinate_multiplier(k).symbol(xi) for k in range(f.grid.dimension))))
 
 
 @dataclass(frozen=True)

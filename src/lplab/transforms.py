@@ -86,15 +86,6 @@ def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2
     return SampledField(f.grid, acc ** (1.0 / q))
 
 
-def spectral_multiplier_profile(psi: KernelSpec, scales: ScaleGrid, xi) -> np.ndarray:
-    """m(xi) = sum_k |psi_hat(t_k xi)|^2 * dlog t, the q=2 equivalent multiplier."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[1:])
-    for t, w in zip(scales.scales, scales.log_weights()):
-        out += w * np.abs(np.asarray(psi.symbol(t * xi))) ** 2
-    return out
-
-
 def conjugate_kernel(psi: KernelSpec) -> KernelSpec:
     """Kernel with symbol conj(psi_hat): the reflected complex conjugate kernel."""
 

@@ -5,7 +5,6 @@ import pytest
 
 from lplab import (
     Grid,
-    KernelFamily,
     build_partition,
     find_intervals,
     make_builtin,
@@ -44,7 +43,7 @@ def q_cover(poissonq):
 
 @pytest.fixture(scope="session")
 def q_partition(poissonq, q_cover):
-    return build_partition(KernelFamily((poissonq,)), 0.5, q_cover)
+    return build_partition(poissonq, 0.5, q_cover)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +53,7 @@ def annulus_cover(annulus):
 
 @pytest.fixture(scope="session")
 def annulus_partition(annulus, annulus_cover):
-    return build_partition(KernelFamily((annulus,)), 0.5, annulus_cover)
+    return build_partition(annulus, 0.5, annulus_cover)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import numpy as np
 from lplab import (
     ExperimentConfig,
     Grid,
-    KernelFamily,
     SampledField,
     ScaleGrid,
     build_partition,
@@ -71,7 +70,7 @@ def test_criterion_3_reproducing_identity():
         phi = make_builtin(name)
         cover = find_intervals(phi)
         for b in (cover.b0, 0.9):
-            P = build_partition(KernelFamily((phi,)), b, cover)
+            P = build_partition(phi, b, cover)
             worst = max(worst, reproduction_residual(P))
     report(3, "reproducing-identity", worst <= 1e-10,
            f"sup residual = {worst:.2e} (tol 1e-10)", time.time() - start, 5)

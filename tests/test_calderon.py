@@ -5,7 +5,6 @@ import pytest
 
 from lplab import (
     Grid,
-    KernelFamily,
     KernelSpec,
     build_partition,
     build_zeta,
@@ -66,7 +65,7 @@ class TestPartition:
             b = (cover.b0 + 1.0) / 2.0
         else:
             b = b_choice
-        P = build_partition(KernelFamily((phi,)), b, cover)
+        P = build_partition(phi, b, cover)
         assert reproduction_residual(P) <= 1e-10
 
     def test_eta_supported_in_annulus(self, annulus_partition):
@@ -107,15 +106,11 @@ class TestPartition:
 
     def test_rejects_b_below_b0(self, poissonq, q_cover):
         with pytest.raises(ValueError):
-            build_partition(KernelFamily((poissonq,)), q_cover.b0 / 2, q_cover)
-
-    def test_rejects_multi_kernel_families(self, poissonq, gaussian, q_cover):
-        with pytest.raises(ValueError):
-            build_partition(KernelFamily((poissonq, gaussian)), 0.5, q_cover)
+            build_partition(poissonq, q_cover.b0 / 2, q_cover)
 
     def test_two_dimensional_reproduction(self, poissonq):
         cover = find_intervals(poissonq, direction_count=16, dimension=2)
-        P = build_partition(KernelFamily((poissonq,)), 0.5, cover, dimension=2)
+        P = build_partition(poissonq, 0.5, cover, dimension=2)
         assert reproduction_residual(P, dimension=2, directions=16) <= 1e-10
 
 
@@ -123,25 +118,25 @@ class TestZeta:
     def test_plateau_inside(self, q_partition):
         z = build_zeta(q_partition, 1.0)
         r = np.linspace(1e-4, q_partition.r1 * 0.999, 512)
-        assert np.max(np.abs(z.symbol(ray(r)) - 1.0)) <= 1e-12
+        assert np.max(np.abs(z(ray(r)) - 1.0)) <= 1e-12
 
     def test_vanishes_outside(self, q_partition):
         z = build_zeta(q_partition, 1.0)
         r = np.linspace(q_partition.r2 * 1.001, 50.0, 512)
-        assert np.max(np.abs(z.symbol(ray(r)))) <= 1e-12
+        assert np.max(np.abs(z(ray(r)))) <= 1e-12
 
     def test_endpoint_values(self, q_partition):
         z = build_zeta(q_partition, 1.0)
-        assert abs(z.symbol(ray([q_partition.r2]))[0]) <= 1e-12
-        assert z.symbol(ray([q_partition.r1 / 2]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(z(ray([q_partition.r2]))[0]) <= 1e-12
+        assert z(ray([q_partition.r1 / 2]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_support_scales_with_j(self, q_partition):
         z = build_zeta(q_partition, 4.0)
         P = q_partition
         r_in = np.linspace(1e-4, P.r1 / 4 * 0.999, 128)
         r_out = np.linspace(P.r2 / 4 * 1.001, 20.0, 128)
-        assert np.max(np.abs(z.symbol(ray(r_in)) - 1.0)) <= 1e-12
-        assert np.max(np.abs(z.symbol(ray(r_out)))) <= 1e-12
+        assert np.max(np.abs(z(ray(r_in)) - 1.0)) <= 1e-12
+        assert np.max(np.abs(z(ray(r_out)))) <= 1e-12
 
     def test_rejects_nonpositive_j(self, q_partition):
         with pytest.raises(ValueError):

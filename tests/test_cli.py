@@ -240,6 +240,11 @@ BAD_INPUTS = {
                                      "--out", str(d / "cons")],
     "thm210_q_infinity": lambda d, f: ["run", _write_config(d, scenario="thm210", q=math.inf),
                                        "--out", str(d / "run")],
+    # finite spacings whose 2-d cell volume overflows a float
+    "cor31_cell_volume_overflow": lambda d, f: [
+        "run", _write_config(d, scenario="cor31", p=1.0,
+                             grid={"dimension": 2, "points_per_axis": 8, "half_extent": 1e200}),
+        "--out", str(d / "run")],
     "half_extent_inf": lambda d, f: [
         "run", _write_config(d, grid={"dimension": 1, "points_per_axis": 1024,
                                       "half_extent": math.inf}), "--out", str(d / "run")],

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from lplab import Grid, SampledField, ScaleField, ScaleGrid, boundary_leakage
+from lplab import Grid, SampledField, boundary_leakage
 from lplab.families import FamilyMember, default_family
-from lplab.io import (
-    field_to_csv,
-    read_field,
-    read_scale_field,
-    write_field,
-    write_scale_field,
-)
+from lplab.io import field_to_csv, read_field, write_field
 
 
 class TestFamilies:
@@ -91,34 +85,3 @@ class TestFieldContainer:
         assert lines[0] == "index,x0,x1,re,im"
         assert len(lines) == 65
 
-
-class TestScaleFieldContainer:
-    def test_round_trip(self, grid1d_small, rng, tmp_path):
-        sg = ScaleGrid.log_spaced(0.1, 10.0, 6)
-        vals = rng.standard_normal((6, 1024)) + 1j * rng.standard_normal((6, 1024))
-        sf = ScaleField(grid1d_small, sg, vals)
-        path = tmp_path / "sf.bin"
-        write_scale_field(path, sf)
-        back = read_scale_field(path)
-        assert back.grid == grid1d_small
-        assert np.allclose(back.scales.scales, sg.scales, rtol=0, atol=0)
-        assert np.array_equal(back.values, sf.values)
-
-    def test_ratio_the_scales_do_not_have_rejected(self, grid1d_small, tmp_path):
-        sg = ScaleGrid(np.array([1.0, 0.1, 0.01]), ratio=0.1)
-        path = tmp_path / "sf.bin"
-        write_scale_field(path, ScaleField(grid1d_small, sg, np.zeros((3, 1024))))
-        raw = bytearray(path.read_bytes())
-        raw[24:32] = np.float64(0.5).tobytes()  # the header's ratio, after magic and 20 bytes
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="ratio of consecutive scales"):
-            read_scale_field(path)
-
-    def test_explicit_scale_grid_round_trip(self, grid1d_small, tmp_path):
-        sg = ScaleGrid(np.array([3.0, 1.7, 0.2]))
-        sf = ScaleField(grid1d_small, sg, np.zeros((3, 1024)))
-        path = tmp_path / "sf2.bin"
-        write_scale_field(path, sf)
-        back = read_scale_field(path)
-        assert back.scales.ratio is None
-        assert np.array_equal(back.scales.scales, sg.scales)

@@ -46,11 +46,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 1024, math.inf)
 
-    @pytest.mark.parametrize("extent", [1e308, 1e-310])
+    @pytest.mark.parametrize("extent", [1e308, 1e-310, 1e200, 1e-200])
     def test_rejects_extent_with_non_finite_spacing_or_dual(self, extent):
-        # 1e308: 2E overflows the spacing; 1e-310: P / (4E) overflows the dual extent
+        # 1e308: 2E overflows the spacing; 1e-310: P / (4E) overflows the dual
+        # extent; 1e200 and 1e-200: in 2-d the cell volume of the grid or of
+        # its dual, spacing ** 2, overflows though both spacings are finite
         with pytest.raises(ValueError, match="both must be positive and finite"):
-            Grid(1, 1024, extent)
+            Grid(2, 8, extent)
+
+    def test_spatial_grid_keeps_its_dual(self, monkeypatch):
+        g = Grid(2, 8, 2.0)
+        assert g.frequency_grid() is g.frequency_grid()
+        assert g.frequency_grid().frequency_grid() is g
+        f = SampledField(Grid(1, 64, 4.0), np.ones(64))
+        made = []
+        post_init = Grid.__post_init__
+
+        def counted(grid):
+            made.append(grid)
+            post_init(grid)
+
+        monkeypatch.setattr(Grid, "__post_init__", counted)
+        for _ in range(3):
+            assert from_spectrum(to_spectrum(f)).grid is f.grid
+        assert len(made) == 1  # the dual, made once and kept
 
     def test_frequency_grid_spacing_is_reciprocal_period(self):
         g = Grid(1, 1024, 16.0)
@@ -275,13 +294,3 @@ class TestImmutability:
         f = gaussian_field(grid1d_small)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
-
-
-class TestDefaultScaleGrid:
-    def test_range_tracks_half_extent(self, grid1d_small):
-        from lplab import default_scale_grid
-
-        sg = default_scale_grid(grid1d_small)
-        assert sg.t_max == pytest.approx(2.0 * grid1d_small.half_extent)
-        assert sg.t_min == pytest.approx(grid1d_small.half_extent / 1024.0)
-        assert sg.count == 96

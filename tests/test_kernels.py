@@ -6,7 +6,6 @@ import pytest
 from lplab import (
     DecaySpec,
     Grid,
-    KernelFamily,
     KernelSpec,
     ScaleGrid,
     check_cancellation,
@@ -147,12 +146,6 @@ class TestNondegeneracy:
         b = check_nondegeneracy(dilated, WIDE_SCALES)
         assert abs(a - b) <= 1e-6
 
-    def test_family_sums_members(self, poissonq, gaussian):
-        fam = KernelFamily((poissonq, gaussian))
-        val = check_nondegeneracy(fam, WIDE_SCALES)
-        # gaussian alone contributes 1 near t = 0
-        assert val >= 1.0
-
     def test_requires_four_decades(self, poissonq):
         with pytest.raises(ValueError):
             check_nondegeneracy(poissonq, ScaleGrid.log_spaced(0.1, 1.0, 64))
@@ -200,12 +193,6 @@ class TestLowFrequencyGrowth:
     def test_vanishing_ray_rejected(self, annulus):
         with pytest.raises(ValueError):
             check_low_frequency_growth(annulus)
-
-
-class TestFamilyValidation:
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            KernelFamily(())
 
 
 class TestCancellationClaims:

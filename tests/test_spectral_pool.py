@@ -50,9 +50,8 @@ def _field(grid, seed=0):
 def _serial(f, multipliers):
     """from_spectrum(to_spectrum(f) * m) per multiplier, one after another."""
     spec = fields.to_spectrum(f)
-    coords = spec.grid.coords()
-    return [fields.from_spectrum(SpectralField(spec.grid, spec.values * np.asarray(
-        m(coords) if callable(m) else m))).values for m in multipliers]
+    return [fields.from_spectrum(SpectralField(spec.grid, spec.values * m)).values
+            for m in multipliers]
 
 
 def _threaded(grid, workers):
@@ -100,8 +99,8 @@ def test_consumers_match_a_serial_loop(grid, workers):
         expect = np.max(mags, axis=0).astype(complex)
         assert grand_max(f, GrandMaxConfig(mollifier, SCALES)).values.tobytes() == expect.tobytes()
 
-        axes = range(grid.dimension)
-        expect = _serial(f, [coordinate_multiplier(k).symbol for k in axes])
+        xi = grid.frequency_grid().coords()
+        expect = _serial(f, [coordinate_multiplier(k).symbol(xi) for k in range(grid.dimension)])
         assert [g.values.tobytes() for g in spectral_gradient(f)] == [e.tobytes() for e in expect]
 
 

@@ -228,17 +228,6 @@ class TestSynthesis:
         total = float(np.sum(0.5 * (vals[1:] + vals[:-1]) * du))
         assert total == pytest.approx(1.0, rel=1e-6)
 
-    def test_multiplier_profile_scale_invariant_for_radial_symbols(self, poissonq):
-        # m(xi) = sum_k |psi_hat(t_k xi)|^2 dlog t is constant in |xi| once the
-        # scale grid covers the symbol's energy at both sampled radii
-        from lplab.transforms import spectral_multiplier_profile
-
-        sg = ScaleGrid.log_spaced(1e-5, 1e3, 256)
-        xi = np.array([[0.5, 1.0, 2.0, 4.0]])
-        m = spectral_multiplier_profile(poissonq, sg, xi)
-        assert np.max(np.abs(m - 0.25)) <= 0.25 * 1e-3  # analytic scale energy 1/4
-
-
 def counting_annulus():
     """The narrow annulus bump, and the lengths of the arrays its profile saw."""
     seen = []
