@@ -49,8 +49,9 @@ class TestGrid:
     @pytest.mark.parametrize("extent", [1e308, 1e-310, 1e200, 1e-200])
     def test_rejects_extent_with_non_finite_spacing_or_dual(self, extent):
         # 1e308: 2E overflows the spacing; 1e-310: P / (4E) overflows the dual
-        # extent; 1e200 and 1e-200: in 2-d the cell volume of the grid or of
-        # its dual, spacing ** 2, overflows though both spacings are finite
+        # extent; 1e200 and 1e-200: both spacings are finite, but in 2-d the
+        # cell volume spacing ** 2 of the grid (1e200) or of its dual (1e-200)
+        # overflows
         with pytest.raises(ValueError, match="both must be positive and finite"):
             Grid(2, 8, extent)
 
