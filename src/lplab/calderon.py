@@ -170,18 +170,14 @@ PLATEAU_MARGIN = 2.0
 NORMALIZER_FLOOR = 1e-10
 
 
-def build_partition(phi: KernelSpec, b: float, intervals, dimension: int = 1) -> PartitionSystem:
+def build_partition(phi: KernelSpec, b: float, cover: IntervalCover,
+                    dimension: int = 1) -> PartitionSystem:
     """Assemble the reproducing partition for the kernel ``phi``.
 
-    ``intervals`` is an IntervalCover or an explicit list of (a, b) pairs.
-    Raises if the normalizer dips below NORMALIZER_FLOOR on the sampled
-    annulus.
+    ``cover`` is ``find_intervals(phi)``'s IntervalCover.  Raises if b lies
+    outside [cover.b0, 1), or if the normalizer dips below NORMALIZER_FLOOR
+    on the sampled annulus.
     """
-    if isinstance(intervals, IntervalCover):
-        cover = intervals
-    else:
-        ivs = tuple((float(a), float(bb)) for a, bb in intervals)
-        cover = IntervalCover(ivs, max(a / bb for a, bb in ivs), math.nan, math.nan)
     if not (cover.b0 <= b < 1.0):
         raise ValueError(f"b must lie in [b0, 1) = [{cover.b0}, 1), got {b}")
     m = min(a for a, _ in cover.intervals)

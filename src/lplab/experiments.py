@@ -22,6 +22,7 @@ synthesis_atoms (lemma33) H^1 size of synthesized atoms, uniform over the
                           scale cutoff
 constants_audit           the admissibility condition verdicts
 
+A runner returns rows and ``Check``s; ``run_experiment`` derives the verdict.
 ``constants_audit`` derives phi, psi, the partition, (A, Theta) and the
 audit from a config for every scenario that needs them, and for the CLI.
 Configs are single JSON documents with every physical parameter explicit;
@@ -287,6 +288,7 @@ class Report:
     criterion: str
     diagnostics: dict
     environment: dict
+    checks: list
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -300,6 +302,15 @@ class Report:
 def _row(fname: str, lam: float, lhs: float, rhs: float) -> dict:
     ratio = lhs / rhs if rhs > 0 else math.inf
     return {"fname": fname, "lambda": lam, "lhs": lhs, "rhs": rhs, "ratio": ratio}
+
+
+#: the bound ``measured <= bound`` (NaN fails), stated as ``phrase.format(bound)``
+Check = namedtuple("Check", "name measured bound phrase")
+
+
+def _worst(values) -> float:
+    """The largest of ``values``; NaN if one is NaN or there are none."""
+    return float(np.max(list(values) or [math.nan]))
 
 
 def _family_stats(rows) -> tuple:
@@ -317,9 +328,10 @@ def _by_shape(rows) -> dict:
     return by_shape
 
 
-def _family_rows(family, measure, diagnostics: dict, columns=None) -> list:
+def _family_rows(family, measure, diagnostics: dict, columns=None, translate=False) -> list:
     """A row per member from ``measure(member) -> (sampled f, lhs, rhs)``, plus
-    ``columns[key](f)`` under each key; records the largest boundary leakage."""
+    ``columns[key](f)`` under each key; records the largest boundary leakage
+    and, if ``translate``, the first member's translation gap."""
     rows, leakage = [], 0.0
     for tf in family:
         f, lhs, rhs = measure(tf)
@@ -327,17 +339,21 @@ def _family_rows(family, measure, diagnostics: dict, columns=None) -> list:
         rows.append(_row(tf.name, tf.lam, lhs, rhs)
                     | {key: column(f) for key, column in (columns or {}).items()})
     diagnostics["boundary_leakage"] = leakage
+    if family and translate:
+        diagnostics["translation_gap"] = _translation_gap(family[0], measure)
     return rows
 
 
-def _stable(rows, bound: float, diagnostics: dict) -> bool:
-    """Family ratio max/min <= bound and each shape's ratio spread across its
-    dilates <= 2%; records the spreads."""
+def _stable(rows, diagnostics: dict) -> tuple:
+    """(the family ratio max/min, the check that each shape's ratio spread
+    across its dilates, max/min - 1, is at most 2%); records the spreads."""
     ratios = {shape: [r["ratio"] for r in rws] for shape, rws in _by_shape(rows).items()}
     spread = {shape: max(v) / min(v) if min(v) > 0 else math.inf for shape, v in ratios.items()}
     diagnostics["dilation_spread"] = spread
     fmax, fmin = _family_stats(rows)
-    return fmin > 0 and fmax / fmin <= bound and all(s <= 1.02 for s in spread.values())
+    return (math.inf if fmin <= 0 else fmax / fmin,
+            Check("dilation_spread", _worst(spread.values()) - 1.0, 0.02,
+                  "per-shape dilation spread <= {:.0%}"))
 
 
 def _translation_gap(tf, measure) -> float:
@@ -466,17 +482,17 @@ def _run_ladder(cfg: ExperimentConfig, diagnostics: dict, vanishing: bool) -> tu
     if vanishing and not use_oracle:
         log.info("thm210: no spectral-multiplier oracle (weight %s, q = %g); "
                  "the verdict rests on family stability only", weight.kind, cfg.q)
-    family = cfg.make_family()
-    rows = _family_rows(family, measure, diagnostics, {"oracle": oracle.ratio} if oracle else None)
-    bound = 3 if vanishing else 5
-    stable = _stable(rows, bound, diagnostics)
-    if family and unit_weight:
-        diagnostics["translation_gap"] = _translation_gap(family[0], measure)
-    if use_oracle:
-        gap = max((abs(r["ratio"] / r["oracle"] - 1.0) for r in rows), default=math.nan)
+    rows = _family_rows(cfg.make_family(), measure, diagnostics,
+                        {"oracle": oracle.ratio} if oracle else None, translate=unit_weight)
+    family_ratio, spread = _stable(rows, diagnostics)
+    checks = [Check("family_max_over_min", family_ratio, 3 if vanishing else 5,
+                    "family ratio max/min <= {}"), spread]
+    if use_oracle:  # the spreads stay diagnostics
+        gap = _worst(abs(r["ratio"] / r["oracle"] - 1.0) for r in rows)
         diagnostics["max_oracle_gap"] = gap
-        return rows, gap <= 0.02, "ratio matches the spectral-multiplier oracle within 2%"
-    return rows, stable, f"family ratio max/min <= {bound} and per-shape dilation spread <= 2%"
+        checks = [Check("oracle_gap", gap, 0.02,
+                        "ratio matches the spectral-multiplier oracle within {:.0%}")]
+    return rows, checks
 
 
 def _run_hardy_lower(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
@@ -496,12 +512,9 @@ def _run_hardy_lower(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         gq = g_function(f, phi, scales, 2.0)
         return (f, lp_norm(star, cfg.p), lp_norm(gq, cfg.p))
 
-    family = cfg.make_family()
-    rows = _family_rows(family, measure, diagnostics)
-    passed = _stable(rows, 5, diagnostics)
-    if family:
-        diagnostics["translation_gap"] = _translation_gap(family[0], measure)
-    return rows, passed, "per-shape dilation spread <= 2% and family max/min <= 5"
+    rows = _family_rows(cfg.make_family(), measure, diagnostics, translate=True)
+    family_ratio, spread = _stable(rows, diagnostics)
+    return rows, [spread, Check("family_max_over_min", family_ratio, 5, "family max/min <= {}")]
 
 
 def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
@@ -521,16 +534,15 @@ def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
 
     rows = _family_rows(cfg.make_family(), measure, diagnostics)
     diagnostics.update(j_count=len(jr), normalization=norm)
-    bound = 0.02 if b >= 0.99 else (0.15 if b >= 0.9 else 0.5)
-    return (rows, all(r["ratio"] <= bound for r in rows),
-            f"relative L2 difference <= {bound:.0%} at b = {b}")
+    return rows, [Check("relative_l2_difference", _worst(r["ratio"] for r in rows),
+                        0.02 if b >= 0.99 else (0.15 if b >= 0.9 else 0.5),
+                        f"relative L2 difference <= {{:.0%}} at b = {b}")]
 
 
 def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
     grid = cfg.make_grid()
     eps_list = tuple(float(e) for e in cfg.epsilons)
-    need = 1.0 / min(eps_list)
-    scales = ScaleGrid.log_spaced(min(eps_list) / 2.0, 2.0 * need, 128)
+    scales = ScaleGrid.log_spaced(min(eps_list) / 2.0, 2.0 / min(eps_list), 128)
     psi_cfg = cfg.psi or {"name": "annulus_bump"}
     if psi_cfg["name"] == "annulus_bump" and not psi_cfg.get("params"):
         # narrow default: symbol supported in {1 <= |xi| <= 2}
@@ -546,21 +558,19 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         seed = int(rng.integers(0, 2**31 - 1))
         center = float(rng.uniform(-grid.half_extent / 4.0, grid.half_extent / 4.0))
         centers = (center,) * grid.dimension
-        atom = make_atom(grid, scales, centers, cube_side, cfg.p, seed)
+        try:
+            atom = make_atom(grid, scales, centers, cube_side, cfg.p, seed)
+        except ValueError as exc:  # a cube too small for the grid
+            raise ConfigError(str(exc)) from exc
         name = f"atom{k:02d}[seed={seed}]"
-        vals = []
-        for eps in eps_list:
-            synth = synthesize(atom.values, psi, eps)
-            star = grand_max(synth, gm_cfg)
-            vals.append(lp_norm(star, cfg.p))
+        vals = [lp_norm(grand_max(synthesize(atom.values, psi, eps), gm_cfg), cfg.p)
+                for eps in eps_list]
         del atom  # its scale stack goes before the next atom draws one
-        ref = min(vals)
-        for eps, v in zip(eps_list, vals):
-            rows.append(_row(name, eps, v, ref))
+        rows += [_row(name, eps, v, min(vals)) for eps, v in zip(eps_list, vals)]
         per_atom[name] = max(vals) / min(vals) if min(vals) > 0 else math.inf
     diagnostics.update(per_atom_spread=per_atom, across_atom_max=_family_stats(rows)[0])
-    return (rows, all(s <= 1.5 for s in per_atom.values()),
-            "per-atom max/min of the synthesized H^p size <= 1.5 across cutoffs")
+    return rows, [Check("per_atom_spread", _worst(per_atom.values()), 1.5,
+                        "per-atom max/min of the synthesized H^p size <= {} across cutoffs")]
 
 
 def _run_constants_audit(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
@@ -572,11 +582,12 @@ def _run_constants_audit(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
          "ratio": math.nan, "passed": v.passed}
         for k, v in audit.condition_verdicts.items()
     ]
-    return rows, audit.all_passed, "all admissibility condition verdicts pass"
+    return rows, [Check("failed_conditions", sum(not r["passed"] for r in rows), 0,
+                        "all admissibility condition verdicts pass")]
 
 
 class _Scenario(NamedTuple):
-    """A runner, ``(cfg, diagnostics) -> (rows, passed, criterion)`` filling
+    """A runner, ``(cfg, diagnostics) -> (rows, checks)`` filling
     ``diagnostics``, and which of ``validate``'s scenario rules it takes."""
 
     run: Callable
@@ -597,18 +608,21 @@ SCENARIOS = {
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Compute both sides of the scenario's inequality over the test family;
-    a report without rows has nothing to show and fails."""
+    the run passes when it has rows and every check holds."""
     cfg.validate()
     diagnostics: dict = {}
-    rows, passed, criterion = SCENARIOS[cfg.scenario].run(cfg, diagnostics)
+    rows, checks = SCENARIOS[cfg.scenario].run(cfg, diagnostics)
     environment = {"grid": dict(cfg.grid), "scales": dict(cfg.scales), "seed": cfg.seed,
                    "b": cfg.b, "cpu_count": os.cpu_count(),
                    "spectral_workers": _spectral_workers(),
                    "versions": {"lplab": __version__, "numpy": np.__version__,
                                 "scipy": scipy.__version__,
                                 "python": platform.python_version()}}
-    return Report(cfg.scenario, rows, *_family_stats(rows), bool(rows and passed), criterion,
-                  diagnostics, environment)
+    return Report(cfg.scenario, rows, *_family_stats(rows),
+                  bool(rows) and all(c.measured <= c.bound for c in checks),
+                  " and ".join(c.phrase.format(c.bound) for c in checks), diagnostics,
+                  environment, [{"name": c.name, "measured": c.measured, "bound": c.bound,
+                                 "margin": c.bound - c.measured} for c in checks])
 
 
 def _fmt(x) -> str:

@@ -324,18 +324,22 @@ def filtered_stack(f: SampledField, multipliers, count: int) -> np.ndarray:
     return _centred(out, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=out)
 
 
+def check_exponent(name: str, x: float) -> None:
+    """Raise unless the exponent ``x`` satisfies 0 < x < inf (NaN does not)."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+
+
 def lp_norm(f: SampledField, p: float) -> float:
     """(sum |f|^p * cell_volume)^(1/p).  Quasi-norm for 0 < p < 1 permitted."""
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    check_exponent("p", p)
     amp = np.abs(f.values)
     return float(np.sum(amp**p) * f.grid.cell_volume) ** (1.0 / p)
 
 
 def weighted_lp_norm(f: SampledField, w: SampledField, p: float) -> float:
     """(integral |f|^p w)^(1/p) by grid quadrature.  Requires w >= 0 on a matching grid."""
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    check_exponent("p", p)
     if f.grid != w.grid:
         raise ValueError("field and weight grids do not match")
     wv = w.values.real
@@ -435,8 +439,7 @@ def scale_integral(u: np.ndarray, scales: ScaleGrid, q: float):
     order (the order np.sum takes along a leading axis), so no |u|^q stack
     is allocated beside ``u``.
     """
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
+    check_exponent("q", q)
     arr = np.asarray(u)
     if arr.shape[0] != scales.count:
         raise ValueError("scale axis length does not match the scale grid")

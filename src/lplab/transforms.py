@@ -30,6 +30,7 @@ from .fields import (
     ScaleGrid,
     SpectralField,
     _adopt,
+    check_exponent,
     filtered,
     filtered_stack,
     from_spectrum,
@@ -75,6 +76,7 @@ def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2
 
 def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2.0) -> SampledField:
     """(sum_j |f * psi_{b^j}|^q)^(1/q) over the given integer range."""
+    check_exponent("q", q)
     if not 0 < b < 1:
         raise ValueError("b must lie in (0, 1)")
     js = list(j_range)

@@ -256,6 +256,11 @@ BAD_INPUTS = {
                                           "--out", str(d / "o.bin")],
     "calderon_gaussian_width_nan": lambda d, f: ["calderon", "build", "--kernel", "gaussian",
                                                  "--params", "nan", "--out", str(d / "cal")],
+    # make_atom needs 8 grid cells per axis in the cube of side min(4, E/2)
+    "lemma33_cube_below_8_cells": lambda d, f: [
+        "run", _write_config(d, scenario="lemma33", p=1.0, atom_count=2,
+                             grid={"dimension": 1, "points_per_axis": 32, "half_extent": 16.0}),
+        "--out", str(d / "run")],
     "power_weight_with_c": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": -0.5, "c": 3.0}),
         "--out", str(d / "run")],

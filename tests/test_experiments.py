@@ -189,6 +189,61 @@ TINY = {
 }
 
 
+POWER_WEIGHT = {"kind": "power", "a": -0.5}
+SPREAD = ("dilation_spread", 0.02)
+
+# each scenario's (and branch's) checks as (name, bound), and its criterion
+CHECKS = {
+    "prop23": ("prop23", TINY["prop23"], [("family_max_over_min", 5), SPREAD],
+               "family ratio max/min <= 5 and per-shape dilation spread <= 2%"),
+    "thm210_oracle": ("thm210", TINY["thm210"], [("oracle_gap", 0.02)],
+                      "ratio matches the spectral-multiplier oracle within 2%"),
+    "thm210_weighted": ("thm210", {**TINY["thm210"], "weight": POWER_WEIGHT},
+                        [("family_max_over_min", 3), SPREAD],
+                        "family ratio max/min <= 3 and per-shape dilation spread <= 2%"),
+    "cor31": ("cor31", TINY["cor31"], [SPREAD, ("family_max_over_min", 5)],
+              "per-shape dilation spread <= 2% and family max/min <= 5"),
+    "prop36_b099": ("prop36", {"discrete_b": 0.99}, [("relative_l2_difference", 0.02)],
+                    "relative L2 difference <= 2% at b = 0.99"),
+    "prop36_b095": ("prop36", {"discrete_b": 0.95}, [("relative_l2_difference", 0.15)],
+                    "relative L2 difference <= 15% at b = 0.95"),
+    "prop36_b05": ("prop36", {"discrete_b": 0.5}, [("relative_l2_difference", 0.5)],
+                   "relative L2 difference <= 50% at b = 0.5"),
+    "lemma33": ("lemma33", TINY["lemma33"], [("per_atom_spread", 1.5)],
+                "per-atom max/min of the synthesized H^p size <= 1.5 across cutoffs"),
+    "constants_audit": ("constants_audit", TINY["constants_audit"], [("failed_conditions", 0)],
+                        "all admissibility condition verdicts pass"),
+}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("case", sorted(CHECKS))
+    def test_bounds_and_criterion_pinned(self, case):
+        scenario, overrides, checks, criterion = CHECKS[case]
+        rep = run_experiment(fast_config(scenario, **overrides))
+        assert [(c["name"], c["bound"]) for c in rep.checks] == checks
+        assert rep.criterion == criterion
+        assert all(c["margin"] == c["bound"] - c["measured"] for c in rep.checks)
+        assert rep.passed == all(c["margin"] >= 0 for c in rep.checks)
+
+    def test_unmeasured_margins_are_strict_json_and_restored(self, tmp_path):
+        rep = run_experiment(fast_config("cor31", p=1.0, test_family={
+            "shapes": ["gaussian_derivative"], "dilations": []}))
+        assert not rep.passed
+        assert all(math.isnan(c["measured"]) and math.isnan(c["margin"]) for c in rep.checks)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        emit_report(rep, tmp_path)
+        parsed = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert [c["margin"] for c in parsed["checks"]] == ["NaN", "NaN"]
+        restored = Report.from_dict(parsed)
+        assert [c["name"] for c in restored.checks] == [c["name"] for c in rep.checks]
+        assert all(math.isnan(c["measured"]) and math.isnan(c["margin"])
+                   for c in restored.checks)
+
+
 class TestReports:
     @pytest.mark.parametrize("scenario", sorted(TINY))
     def test_csv_contract_and_determinism(self, scenario, tmp_path):

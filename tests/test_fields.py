@@ -19,7 +19,7 @@ from lplab import (
     weighted_lp_norm,
 )
 from lplab.kernels import make_builtin, sample_kernel
-from lplab.transforms import ScaleField, synthesize
+from lplab.transforms import ScaleField, g_discrete, synthesize
 
 
 def gaussian_field(grid):
@@ -187,6 +187,18 @@ class TestLpNorm:
         g = SampledField(grid1d_small, -2.5 * vals)
         for p in (0.5, 1.0, 2.0):
             assert lp_norm(g, p) == pytest.approx(2.5 * lp_norm(f, p), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda f, x: lp_norm(f, x),
+    lambda f, x: weighted_lp_norm(f, SampledField(f.grid, np.ones(f.grid.shape)), x),
+    lambda f, x: scale_integral(np.ones((4,) + f.grid.shape), ScaleGrid.geometric(1.0, 0.5, 4), x),
+    lambda f, x: g_discrete(f, make_builtin("gaussian"), 0.5, range(2), x),
+], ids=["lp_norm", "weighted_lp_norm", "scale_integral", "g_discrete"])
+def test_exponent_outside_open_half_line_rejected(call, x, grid1d_small):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        call(gaussian_field(grid1d_small), x)
 
 
 class TestWeightedNorm:
