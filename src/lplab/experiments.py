@@ -344,14 +344,24 @@ def _family_rows(family, measure, diagnostics: dict, columns=None, translate=Fal
     return rows
 
 
+def _max_over_min(ratios: list) -> float:
+    """max/min of ``ratios``: NaN if there are none or one is NaN, wherever
+    it sits; inf if the least is not positive."""
+    if not ratios:
+        return math.nan
+    hi, lo = float(np.max(ratios)), float(np.min(ratios))  # NaN propagates
+    return math.nan if math.isnan(lo) else hi / lo if lo > 0 else math.inf
+
+
 def _stable(rows, diagnostics: dict) -> tuple:
-    """(the family ratio max/min, the check that each shape's ratio spread
-    across its dilates, max/min - 1, is at most 2%); records the spreads."""
-    ratios = {shape: [r["ratio"] for r in rws] for shape, rws in _by_shape(rows).items()}
-    spread = {shape: max(v) / min(v) if min(v) > 0 else math.inf for shape, v in ratios.items()}
+    """(the family ratio max/min over the rows' ratios short of inf, the
+    check that each shape's ratio spread across its dilates, max/min - 1,
+    is at most 2%); records the spreads.  A NaN ratio makes its shape's
+    spread and the family ratio NaN, so both checks fail."""
+    spread = {shape: _max_over_min([r["ratio"] for r in rws])
+              for shape, rws in _by_shape(rows).items()}
     diagnostics["dilation_spread"] = spread
-    fmax, fmin = _family_stats(rows)
-    return (math.inf if fmin <= 0 else fmax / fmin,
+    return (_max_over_min([r["ratio"] for r in rows if r["ratio"] != math.inf]),
             Check("dilation_spread", _worst(spread.values()) - 1.0, 0.02,
                   "per-shape dilation spread <= {:.0%}"))
 
@@ -568,7 +578,8 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         del atom  # its scale stack goes before the next atom draws one
         rows += [_row(name, eps, v, min(vals)) for eps, v in zip(eps_list, vals)]
         per_atom[name] = max(vals) / min(vals) if min(vals) > 0 else math.inf
-    diagnostics.update(per_atom_spread=per_atom, across_atom_max=_family_stats(rows)[0])
+    # the largest H^p size over every atom and cutoff: Lemma 3.3's uniform constant
+    diagnostics.update(per_atom_spread=per_atom, across_atom_max=_worst(r["lhs"] for r in rows))
     return rows, [Check("per_atom_spread", _worst(per_atom.values()), 1.5,
                         "per-atom max/min of the synthesized H^p size <= {} across cutoffs")]
 

@@ -30,17 +30,19 @@ On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
 cores, each multiplier's product, inverse transform and optional per-result
 map run on a thread pool that lives as long as the call (numpy, numpy.fft
 included, releases the GIL on these arrays), at most
-``_IN_FLIGHT_PER_WORKER`` results per worker in flight.  ``filtered_stack``
-collects the results into a (multipliers x grid) stack; below the gate it
-inverts the whole stack in one batched pass per spatial axis instead, since
+``_IN_FLIGHT_PER_WORKER`` results per worker in flight.  ``filtered_slices``
+yields the same results as arrays, the slices of a (multipliers x grid)
+stack that is never built; below the gate it inverts them in blocks of at
+most ``_BLOCK_BYTES``, one batched pass per spatial axis per block, since
 the leading axis batches and every row gets the same 1-d transform.  Every
 result is an independent transform computed by the same code on either
-path, so no output depends on the worker count or the path.
+path, so no output depends on the worker count, the block or the path.
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing set of
 positive scales, log-uniform in the geometric case.  Integrals against the
 multiplicative measure dt/t are rectangle sums in log t: each scale owns a
-log-cell and contributes u(t_k)^q * log-cell-width.
+log-cell and contributes u(t_k)^q * log-cell-width.  ``ScaleSum`` folds
+that sum one scale at a time, so a stream of slices needs no stack.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def from_spectrum(F: SpectralField) -> SampledField:
 
 
 # Transforms of at least this many points run filtered's per-multiplier work
-# on a pool; filtered_stack inverts smaller stacks in one batch.  On a 2-core
+# on a pool; filtered_slices inverts smaller ones in batched blocks.  On a 2-core
 # VM, grand_max over 64 scales is slower on the pool at 64^2 (5.5 -> 9.7 ms)
 # and 4096 points (6.1 -> 9.8 ms), even at 16384 points in 1-d (23.0 -> 22.6
 # ms), and faster at 128^2 (22.7 -> 18.3 ms) and above.
@@ -255,6 +257,10 @@ _PARALLEL_MIN_POINTS = 16384
 # results in flight per worker: the workers stay busy while the caller
 # reduces the oldest result
 _IN_FLIGHT_PER_WORKER = 2
+# bytes of one batched block of filtered_slices below the gate: large enough
+# that a block amortizes numpy.fft's per-call cost, small enough that a
+# reduction over a scale stack holds about one block of it
+_BLOCK_BYTES = 1 << 20
 
 
 def _spectral_workers() -> int:
@@ -304,24 +310,36 @@ def filtered(f: SampledField, multipliers, post=None):
             pool.shutdown(cancel_futures=True)
 
 
-def filtered_stack(f: SampledField, multipliers, count: int) -> np.ndarray:
-    """The ``count`` results of ``filtered(f, multipliers)`` as one new
-    (count x grid) complex stack.
+def filtered_slices(f: SampledField, multipliers):
+    """Yield the values of inverse(f_hat * m) per multiplier m, in
+    multiplier order: the slices of a scale stack, which is never built.
 
-    Below ``_PARALLEL_MIN_POINTS`` the products are written into the stack
-    and inverted in one batched pass per spatial axis, which gives each slice
-    the bytes of its own ``from_spectrum``; at and above it the results
-    stream through ``filtered``, one inverse transform per multiplier."""
+    Below ``_PARALLEL_MIN_POINTS`` the products are written into blocks of at
+    most ``_BLOCK_BYTES``, each inverted in one batched pass per spatial axis,
+    which gives each slice the bytes of its own ``from_spectrum``; the slices
+    are views of their block.  At and above it the results stream through
+    ``filtered``, one inverse transform per multiplier."""
     g = f.grid
-    out = np.empty((count,) + g.shape, dtype=complex)
     if g.cell_count >= _PARALLEL_MIN_POINTS:
-        for k, conv in enumerate(filtered(f, multipliers)):
-            out[k] = conv.values
-        return out
+        for conv in filtered(f, multipliers):
+            yield conv.values
+        return
+    def inverted(block):
+        return _centred(block, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=block)
+
     spec = to_spectrum(f).values
-    for k, m in enumerate(multipliers):
-        np.multiply(spec, m, out=out[k])
-    return _centred(out, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=out)
+    rows = max(1, _BLOCK_BYTES // spec.nbytes)
+    n = 0
+    for m in multipliers:
+        if n == 0:  # a new block: the slices yielded so far keep theirs
+            block = np.empty((rows,) + g.shape, dtype=complex)
+        np.multiply(spec, m, out=block[n])
+        n += 1
+        if n == rows:
+            yield from inverted(block)
+            n = 0
+    if n:
+        yield from inverted(block[:n])
 
 
 def check_exponent(name: str, x: float) -> None:
@@ -429,27 +447,45 @@ class ScaleGrid:
         return math.log10(self.t_max / self.t_min) if self.count > 1 else 0.0
 
 
+class ScaleSum:
+    """The rectangle sum in log t of |u(t_k)|^q over a ScaleGrid, folded one
+    scale at a time: ``add(k, u_k)`` adds |u_k|^q * log-cell-width_k to a
+    running total of ``shape``, and ``result()`` is the total's q-th root.
+    Two arrays of ``shape`` live at a time, the total and one term."""
+
+    def __init__(self, shape: tuple, scales: ScaleGrid, q: float):
+        check_exponent("q", q)
+        self.q = q
+        self.weights = scales.log_weights()
+        self.total = np.zeros(shape)
+
+    def add(self, k: int, uk: np.ndarray) -> None:
+        term = np.abs(uk)
+        term **= self.q
+        term *= self.weights[k]
+        self.total += term
+
+    def result(self) -> np.ndarray:
+        return self.total ** (1.0 / self.q)
+
+
 def scale_integral(u: np.ndarray, scales: ScaleGrid, q: float):
     """(integral |u(t)|^q dt/t)^(1/q) by rectangle sum in log t; complex
     input allowed.
 
     ``u`` has the scale axis first; extra trailing axes (e.g. space) are
     preserved, so the result is a scalar for 1-d input and an array
-    otherwise.  Trailing axes are accumulated one scale at a time, in scale
-    order (the order np.sum takes along a leading axis), so no |u|^q stack
-    is allocated beside ``u``.
+    otherwise.  Trailing axes are folded through ``ScaleSum`` one scale at a
+    time, in scale order (the order np.sum takes along a leading axis), so no
+    |u|^q stack is allocated beside ``u``.
     """
     check_exponent("q", q)
     arr = np.asarray(u)
     if arr.shape[0] != scales.count:
         raise ValueError("scale axis length does not match the scale grid")
-    w = scales.log_weights()
     if arr.ndim == 1:
-        return float(np.sum(np.abs(arr) ** q * w) ** (1.0 / q))
-    total = np.zeros(arr.shape[1:])
-    for uk, wk in zip(arr, w):
-        term = np.abs(uk)
-        term **= q
-        term *= wk
-        total += term
-    return total ** (1.0 / q)
+        return float(np.sum(np.abs(arr) ** q * scales.log_weights()) ** (1.0 / q))
+    total = ScaleSum(arr.shape[1:], scales, q)
+    for k, uk in enumerate(arr):
+        total.add(k, uk)
+    return total.result()

@@ -1,11 +1,14 @@
 """Square functions, scale fields, the synthesis operator and atoms.
 
 The scale field of an analysis pair is E(x, t) = (f * psi_t)(x), computed
-per scale as the inverse transform of f_hat(xi) * psi_hat(t xi); the
-(scales x grid) stack comes from ``fields.filtered_stack``.  Square
-functions integrate |E| over scales against dt/t (continuous, log-rectangle
-weights) or sum over a geometric ladder t = b^j (discrete); the two agree
-after a log(1/b)^(1/q) normalization as b -> 1.
+per scale as the inverse transform of f_hat(xi) * psi_hat(t xi).
+``scale_transform`` streams its slices from ``fields.filtered_slices`` in
+scale order, into a (scales x grid) ScaleField or into a caller's per-scale
+fold, which keeps no stack.  Square functions integrate |E| over scales
+against dt/t (continuous, log-rectangle weights; ``g_function`` folds them
+through ``fields.ScaleSum`` as they stream) or sum over a geometric ladder
+t = b^j (discrete); the two agree after a log(1/b)^(1/q) normalization as
+b -> 1.
 
 The synthesis operator is the adjoint-style assembly
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +32,12 @@ from .fields import (
     Grid,
     SampledField,
     ScaleGrid,
+    ScaleSum,
     SpectralField,
     _adopt,
     check_exponent,
     filtered,
-    filtered_stack,
+    filtered_slices,
     from_spectrum,
     scale_integral,
     to_spectrum,
@@ -63,15 +68,30 @@ class ScaleField:
         return _adopt(SampledField, self.values[k], grid=self.grid)
 
 
-def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
-    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale."""
-    out = filtered_stack(f, dilates(psi, f.grid, scales.scales), scales.count)
-    return _adopt(ScaleField, out, grid=f.grid, scales=scales)
+def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid, fold=None):
+    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale.
+
+    Without ``fold`` the slices are collected into a ScaleField.  With it,
+    ``fold(k, values)`` is called on each slice in scale order and the result
+    is None: no stack is kept.  An error in ``fold`` ends the stream, and
+    joins any pool it runs on, before it propagates."""
+    stack = None
+    if fold is None:
+        stack = np.empty((scales.count,) + f.grid.shape, dtype=complex)
+        fold = stack.__setitem__
+    with closing(filtered_slices(f, dilates(psi, f.grid, scales.scales))) as slices:
+        for k, values in enumerate(slices):
+            fold(k, values)
+    return None if stack is None else _adopt(ScaleField, stack, grid=f.grid, scales=scales)
 
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:
-    """(integral |f * psi_t|^q dt/t)^(1/q), pointwise over the grid."""
-    return SampledField(f.grid, scale_integral(scale_transform(f, psi, scales).values, scales, q))
+    """(integral |f * psi_t|^q dt/t)^(1/q), pointwise over the grid: the
+    scale transform folded into ``ScaleSum`` as it streams, with the bytes
+    of ``scale_integral`` over the collected stack."""
+    total = ScaleSum(f.grid.shape, scales, q)
+    scale_transform(f, psi, scales, total.add)
+    return SampledField(f.grid, total.result())
 
 
 def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2.0) -> SampledField:

@@ -10,7 +10,7 @@ import scipy
 
 import lplab
 from lplab import ConfigError, ExperimentConfig, Report, emit_report, fields, run_experiment
-from lplab.experiments import constants_audit
+from lplab.experiments import _stable, constants_audit
 
 
 FAST_GRID = {"dimension": 1, "points_per_axis": 2048, "half_extent": 16.0}
@@ -119,6 +119,10 @@ class TestScenarios:
         rep = run_experiment(fast_config("lemma33", p=1.0, atom_count=2))
         assert rep.passed
         assert all(s <= 1.5 for s in rep.diagnostics["per_atom_spread"].values())
+        # the uniform constant of Lemma 3.3: the largest H^p size over every
+        # atom and cutoff, not a ratio
+        assert rep.diagnostics["across_atom_max"] == max(r["lhs"] for r in rep.rows)
+        assert rep.diagnostics["across_atom_max"] != rep.family_max_ratio
 
     def test_synthesis_atoms_reads_grand_scales(self):
         default = run_experiment(fast_config("lemma33", p=1.0, atom_count=1))
@@ -225,6 +229,26 @@ class TestChecks:
         assert rep.criterion == criterion
         assert all(c["margin"] == c["bound"] - c["measured"] for c in rep.checks)
         assert rep.passed == all(c["margin"] >= 0 for c in rep.checks)
+
+    @pytest.mark.parametrize("ratios", [[1.0, math.nan, 1.01], [math.nan, 1.0, 1.01]],
+                             ids=["nan-inside", "nan-first"])
+    def test_a_nan_ratio_fails_both_stability_checks_wherever_it_sits(self, ratios):
+        rows = [{"fname": f"shape[lam={k}]", "ratio": r} for k, r in enumerate(ratios)]
+        diagnostics = {}
+        family, spread = _stable(rows, diagnostics)
+        assert math.isnan(diagnostics["dilation_spread"]["shape"])
+        assert math.isnan(family)
+        assert math.isnan(spread.measured) and not spread.measured <= spread.bound
+
+    def test_finite_and_infinite_ratios_keep_their_stability_numbers(self):
+        rows = [{"fname": f"{shape}[lam={k}]", "ratio": r}
+                for shape, rs in (("a", [1.0, 1.01]), ("b", [2.0, math.inf]))
+                for k, r in enumerate(rs)]
+        diagnostics = {}
+        family, spread = _stable(rows, diagnostics)
+        assert diagnostics["dilation_spread"] == {"a": 1.01, "b": math.inf}
+        assert family == 2.0  # inf rows stay out of the family ratio
+        assert spread.measured == math.inf
 
     def test_unmeasured_margins_are_strict_json_and_restored(self, tmp_path):
         rep = run_experiment(fast_config("cor31", p=1.0, test_family={

@@ -10,11 +10,15 @@ periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
 disc; the periodic running max against scipy.ndimage's wrapped maximum
 filter and the row-segment disc dilation against the full-footprint one,
-bit for bit; the 1-d Hardy-Littlewood recurrence against a per-width scan.
+bit for bit; the 1-d Hardy-Littlewood recurrence against a per-width scan;
+the Peetre maximal function, in blocks of any size, against a loop over
+every grid offset.
 """
 
 import dataclasses
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import strategies as st
 from scipy import fft as scipy_fft
 from scipy import ndimage
 
+from lplab import maximal
 from lplab.experiments import _SpectralRatioOracle
 from lplab.fields import (
     Grid,
@@ -45,7 +50,15 @@ from lplab.kernels import (
     power_tail_kernel,
     smoothstep,
 )
-from lplab.maximal import _disc_dilate, _disc_means, _hl_max_1d, _running_max, _window_means
+from lplab.maximal import (
+    PeetreParams,
+    _disc_dilate,
+    _disc_means,
+    _hl_max_1d,
+    _running_max,
+    _window_means,
+    peetre_max,
+)
 from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -419,3 +432,30 @@ def test_hl_max_1d_matches_per_width_scan(n, seed, levels, zeros, spikes):
     spike = rng.random(n) < spikes
     vals[spike] = 1e6 * (1.0 + rng.random(int(spike.sum())))
     assert _hl_max_1d(vals).tobytes() == _hl_max_1d_per_width(vals).tobytes()
+
+
+def _peetre_per_offset(grid: Grid, vals: np.ndarray, params: PeetreParams) -> np.ndarray:
+    """max over every grid offset y of |f(x - y)| (1 + R|y|)^-N, one offset
+    at a time, |y| the wrapped distance."""
+    p, h = grid.points_per_axis, grid.spacing
+    ax = np.minimum(np.arange(p), p - np.arange(p)) * h
+    dist = ax if grid.dimension == 1 else np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
+    w = (1.0 + params.R * dist) ** (-params.N)
+    absf = np.abs(vals)
+    out = np.zeros(grid.shape)
+    for y in itertools.product(range(p), repeat=grid.dimension):
+        np.maximum(out, np.roll(absf, y, axis=tuple(range(grid.dimension))) * w[y], out=out)
+    return out
+
+
+@SETTINGS
+@given(grid=small_grids, seed=st.integers(0, 2**32 - 1), N=st.floats(0.25, 6.0),
+       R=st.floats(0.1, 10.0), shifts_per_block=st.sampled_from([1, 2, 4, 8, 16, 32]))
+def test_peetre_max_matches_per_offset_loop(grid, seed, N, R, shifts_per_block):
+    vals = _random_complex(grid, seed)
+    params = PeetreParams(N, R)
+    # the block takes this many shifts (all of them where the axis is shorter)
+    block = shifts_per_block * grid.cell_count
+    with mock.patch.object(maximal, "_PEETRE_BLOCK_VALUES", block):
+        got = peetre_max(SampledField(grid, vals), params).values
+    assert got.tobytes() == _peetre_per_offset(grid, vals, params).astype(complex).tobytes()

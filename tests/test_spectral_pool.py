@@ -9,8 +9,10 @@ the multipliers a bounded distance ahead, leave nothing running and no
 thread alive when the call ends or the caller stops early, raise a bad
 multiplier where the serial loop does, serve concurrent callers and work in
 a forked child.  The grids sit on both sides of the gate: 1-d 4096 and 2-d
-64^2 below it, where ``scale_transform`` inverts its stack in one batched
-pass instead, and 1-d 32768 and 2-d 256^2 above.
+64^2 below it, where ``scale_transform`` inverts its slices in batched
+blocks instead, and 1-d 32768 and 2-d 256^2 above.  A fold over the
+streamed slices must give the bytes of the collected stack, hold no stack
+and, when it raises, leave no pool thread behind.
 """
 
 import collections
@@ -19,13 +21,14 @@ import os
 import queue
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lplab import fields, transforms
 from lplab.families import FamilyMember
-from lplab.fields import Grid, SampledField, ScaleGrid, SpectralField, filtered
+from lplab.fields import Grid, SampledField, ScaleGrid, SpectralField, filtered, scale_integral
 from lplab.kernels import coordinate_multiplier, derived_kernel, dilates, make_builtin
 from lplab.maximal import GrandMaxConfig, grand_max, spectral_gradient
 from lplab.transforms import g_discrete, g_function, scale_transform
@@ -105,6 +108,57 @@ def test_consumers_match_a_serial_loop(grid, workers):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_streamed_g_function_has_the_bytes_of_the_collected_stack(grid, workers):
+    # 40 scales: below the gate, two full 1 MiB blocks of 16 slices and a part block
+    scales = ScaleGrid.log_spaced(0.02, 4.0, 40)
+    for f, psi in _inputs(grid):
+        stack = scale_transform(f, psi, scales).values
+        assert stack.tobytes() == np.stack(_serial(f, dilates(psi, grid, scales.scales))).tobytes()
+        for q in (0.5, 1.0, 2.0):
+            expect = SampledField(grid, scale_integral(stack, scales, q)).values
+            assert g_function(f, psi, scales, q).values.tobytes() == expect.tobytes()
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_a_failing_fold_ends_the_stream(grid, workers):
+    folded = []
+
+    def fold(k, values):
+        folded.append(k)
+        if k == 5:
+            raise RuntimeError("fold failed")
+
+    # the exception's traceback keeps scale_transform's frame alive, so only
+    # closing the stream, not collecting it, can have joined the pool
+    with pytest.raises(RuntimeError, match="fold failed"):
+        scale_transform(_field(grid), make_builtin("gaussian"), SCALES, fold)
+    assert folded == list(range(6))
+    assert not _pool_threads()
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_g_function_holds_no_scale_stack(workers):
+    # 48 x 256^2 complex values are a 48 MiB stack; the fold keeps two
+    # grid-sized float arrays and the results in flight (9.8 MiB measured
+    # at 2 workers on a 2-core VM)
+    grid = Grid(2, 256, 8.0)
+    f = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
+    psi, scales = make_builtin("poissonQ"), ScaleGrid.log_spaced(1e-3, 50.0, 48)
+    g_function(f, psi, scales)  # the kernel keeps its profile rows from the first call
+    tracemalloc.start()
+    try:
+        g_function(f, psi, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_multipliers_are_drawn_a_bounded_distance_ahead(grid, workers):
     f = _field(grid)
     mults = list(dilates(make_builtin("gaussian"), grid, SCALES.scales))
@@ -151,10 +205,6 @@ def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkey
     (pool,) = recorded
     assert len(pool.futures) > 2
     assert all(fut.done() for fut in pool.futures)
-
-
-def _pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
 
 
 @pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
