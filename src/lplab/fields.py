@@ -328,7 +328,7 @@ def filtered_slices(f: SampledField, multipliers):
         return _centred(block, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=block)
 
     spec = to_spectrum(f).values
-    rows = max(1, _BLOCK_BYTES // spec.nbytes)
+    rows = _BLOCK_BYTES // spec.nbytes  # at least 4 below the gate
     n = 0
     for m in multipliers:
         if n == 0:  # a new block: the slices yielded so far keep theirs
