@@ -71,7 +71,6 @@ from .transforms import (
     Atom,
     scale_transform,
     g_function,
-    g_discrete,
     synthesize,
     make_atom,
     validate_atom,

@@ -35,12 +35,14 @@ from .kernels import KernelSpec, _unit_directions, plateau
 
 @dataclass(frozen=True)
 class IntervalCover:
-    """Output of the scale-window search: compact t-intervals plus b0."""
+    """Output of the scale-window search: compact t-intervals plus b0, and
+    the dimension whose rays were scanned."""
 
     intervals: tuple
     b0: float
     squared_infimum: float
     threshold: float
+    dimension: int
 
 
 def find_intervals(
@@ -92,7 +94,7 @@ def find_intervals(
         else:
             merged.append((a, b))
     b0 = max(a / b for a, b in merged)
-    return IntervalCover(tuple(merged), b0, c_sq, threshold)
+    return IntervalCover(tuple(merged), b0, c_sq, threshold, dimension)
 
 
 def _j_window(r_min: float, r_max: float, lo: float, hi: float, b: float) -> range:
@@ -170,13 +172,13 @@ PLATEAU_MARGIN = 2.0
 NORMALIZER_FLOOR = 1e-10
 
 
-def build_partition(phi: KernelSpec, b: float, cover: IntervalCover,
-                    dimension: int = 1) -> PartitionSystem:
+def build_partition(phi: KernelSpec, b: float, cover: IntervalCover) -> PartitionSystem:
     """Assemble the reproducing partition for the kernel ``phi``.
 
-    ``cover`` is ``find_intervals(phi)``'s IntervalCover.  Raises if b lies
-    outside [cover.b0, 1), or if the normalizer dips below NORMALIZER_FLOOR
-    on the sampled annulus.
+    ``cover`` is ``find_intervals(phi)``'s IntervalCover; the normalizer is
+    probed on rays of the cover's dimension.  Raises if b lies outside
+    [cover.b0, 1), or if the normalizer dips below NORMALIZER_FLOOR on the
+    sampled annulus.
     """
     if not (cover.b0 <= b < 1.0):
         raise ValueError(f"b must lie in [b0, 1) = [{cover.b0}, 1), got {b}")
@@ -196,7 +198,7 @@ def build_partition(phi: KernelSpec, b: float, cover: IntervalCover,
 
     # normalizer must stay bounded below on the annulus (construction guarantee)
     probe_r = np.exp(np.linspace(math.log(r1 * 1.0001), math.log(r2 * 0.9999), 512))
-    for d in _unit_directions(dimension, 8 if dimension == 2 else 2):
+    for d in _unit_directions(cover.dimension, 8 if cover.dimension == 2 else 2):
         pts = probe_r[np.newaxis, :] * d[:, np.newaxis]
         psi_vals = psi_big(pts)
         if float(psi_vals.min()) < NORMALIZER_FLOOR:

@@ -180,8 +180,6 @@ class ConditionVerdict:
 class ConstantsReport:
     """Constants, their decay fit, and the scale-calculus condition verdicts."""
 
-    L: float
-    b: float
     c_values: dict
     d_value: float
     tau_fit: float
@@ -264,8 +262,6 @@ def check_conditions(
     )
 
     return ConstantsReport(
-        L=float(N),
-        b=float(b),
         c_values={j: e.value for j, e in psi_c.items()},
         d_value=d_est.value,
         tau_fit=min(rho_psi, 99.0),

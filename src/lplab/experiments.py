@@ -62,7 +62,7 @@ from .kernels import (
     make_builtin,
 )
 from .maximal import GrandMaxConfig, default_grand_scales, grand_max
-from .transforms import g_discrete, g_function, make_atom, synthesize
+from .transforms import g_function, make_atom, synthesize
 from .weights import Weight, admissible_power_range
 
 log = logging.getLogger("lplab")
@@ -424,7 +424,10 @@ def constants_audit(cfg: ExperimentConfig, vanishing: bool | None = None) -> Ana
             f"psi_hat differs from phi_hat * {theta.name} near the origin (max {gap:.2e} "
             f"on |xi| < {P.r2 / A:.3g}); this scenario needs that relation"
         )
-    audit = check_conditions(P, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    try:
+        audit = check_conditions(P, psi, theta, A, float(cfg.N), CONSTANTS_GRID)
+    except ValueError as exc:  # phi_hat vanishing on a ray, or a box too small for N
+        raise ConfigError(str(exc)) from exc
     return Analysis(phi, psi, P, A, theta, audit)
 
 
@@ -533,17 +536,19 @@ def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
     phi = resolve_kernel(**cfg.phi)
     b = cfg.discrete_b
     jr = cfg.discrete_j_range()
-    norm = math.log(1.0 / b) ** (1.0 / cfg.q)
+    # the ladder t = b^j: its log-cells carry the weight log(1/b)
+    ladder = ScaleGrid.geometric(b ** jr.start, b, len(jr))
 
     def measure(tf):
         f = tf.sample(grid)
         gc = g_function(f, phi, scales, cfg.q)
-        gd = g_discrete(f, phi, b, jr, cfg.q)
-        diff = SampledField(grid, norm * gd.values - gc.values)
+        gd = g_function(f, phi, ladder, cfg.q)
+        diff = SampledField(grid, gd.values - gc.values)
         return (f, lp_norm(diff, 2.0), lp_norm(gc, 2.0))
 
     rows = _family_rows(cfg.make_family(), measure, diagnostics)
-    diagnostics.update(j_count=len(jr), normalization=norm)
+    diagnostics.update(j_count=len(jr),
+                       normalization=float(ladder.log_weights()[0]) ** (1.0 / cfg.q))
     return rows, [Check("relative_l2_difference", _worst(r["ratio"] for r in rows),
                         0.02 if b >= 0.99 else (0.15 if b >= 0.9 else 0.5),
                         f"relative L2 difference <= {{:.0%}} at b = {b}")]

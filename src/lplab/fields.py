@@ -475,17 +475,13 @@ def scale_integral(u: np.ndarray, scales: ScaleGrid, q: float):
 
     ``u`` has the scale axis first; extra trailing axes (e.g. space) are
     preserved, so the result is a scalar for 1-d input and an array
-    otherwise.  Trailing axes are folded through ``ScaleSum`` one scale at a
-    time, in scale order (the order np.sum takes along a leading axis), so no
-    |u|^q stack is allocated beside ``u``.
+    otherwise.  ``u`` is folded through ``ScaleSum`` one scale at a time, in
+    scale order, so no |u|^q stack is allocated beside it.
     """
-    check_exponent("q", q)
     arr = np.asarray(u)
+    total = ScaleSum(arr.shape[1:], scales, q)
     if arr.shape[0] != scales.count:
         raise ValueError("scale axis length does not match the scale grid")
-    if arr.ndim == 1:
-        return float(np.sum(np.abs(arr) ** q * scales.log_weights()) ** (1.0 / q))
-    total = ScaleSum(arr.shape[1:], scales, q)
     for k, uk in enumerate(arr):
         total.add(k, uk)
     return total.result()

@@ -249,31 +249,21 @@ class PeetreBoundReport:
     """Pointwise comparison F** <= C [delta^-N M(|F|^r)^(1/r) + delta/R |grad F|**]."""
 
     c_min: float
-    delta: float
     lhs: SampledField
     term_average: SampledField
     term_gradient: SampledField
 
 
-def peetre_bound_check(
-    F: SampledField,
-    params: PeetreParams,
-    delta: float,
-    r: float | None = None,
-) -> PeetreBoundReport:
+def peetre_bound_check(F: SampledField, params: PeetreParams, delta: float) -> PeetreBoundReport:
     """Minimal constant making the smoothing bound on the Peetre maximal hold.
 
-    Requires N = n/r; ``r`` defaults to dimension/N.  The right-hand side is
+    The bound holds with r = n/N, n the dimension.  The right-hand side is
     delta^-N M(|F|^r)^(1/r) + delta R^-1 |grad F|**_{N,R} with the gradient
     realized spectrally.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    n = F.grid.dimension
-    if r is None:
-        r = n / params.N
-    if abs(params.N - n / r) > 1e-12:
-        raise ValueError("need N = dimension / r")
+    r = F.grid.dimension / params.N
     lhs = peetre_max(F, params)
     avg = hl_max(SampledField(F.grid, np.abs(F.values) ** r))
     t1 = delta ** (-params.N) * np.maximum(avg.values.real, 0.0) ** (1.0 / r)
@@ -284,7 +274,6 @@ def peetre_bound_check(
     ratio = np.where(denom > 0, lhs.values.real / np.where(denom > 0, denom, 1.0), 0.0)
     return PeetreBoundReport(
         c_min=float(np.max(ratio)),
-        delta=float(delta),
         lhs=lhs,
         term_average=SampledField(F.grid, t1),
         term_gradient=SampledField(F.grid, t2),

@@ -5,10 +5,11 @@ per scale as the inverse transform of f_hat(xi) * psi_hat(t xi).
 ``scale_transform`` streams its slices from ``fields.filtered_slices`` in
 scale order, into a (scales x grid) ScaleField or into a caller's per-scale
 fold, which keeps no stack.  Square functions integrate |E| over scales
-against dt/t (continuous, log-rectangle weights; ``g_function`` folds them
-through ``fields.ScaleSum`` as they stream) or sum over a geometric ladder
-t = b^j (discrete); the two agree after a log(1/b)^(1/q) normalization as
-b -> 1.
+against dt/t with log-rectangle weights: ``g_function`` folds them through
+``fields.ScaleSum`` as they stream.  A discrete ladder t = b^j is the
+geometric ScaleGrid of ratio b, whose log-cells carry the weight log(1/b),
+so its square function is ``g_function`` on that grid; it tends to the
+continuous one as b -> 1.
 
 The synthesis operator is the adjoint-style assembly
 
@@ -35,7 +36,6 @@ from .fields import (
     ScaleSum,
     SpectralField,
     _adopt,
-    check_exponent,
     filtered,
     filtered_slices,
     from_spectrum,
@@ -92,20 +92,6 @@ def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2
     total = ScaleSum(f.grid.shape, scales, q)
     scale_transform(f, psi, scales, total.add)
     return SampledField(f.grid, total.result())
-
-
-def g_discrete(f: SampledField, psi: KernelSpec, b: float, j_range, q: float = 2.0) -> SampledField:
-    """(sum_j |f * psi_{b^j}|^q)^(1/q) over the given integer range."""
-    check_exponent("q", q)
-    if not 0 < b < 1:
-        raise ValueError("b must lie in (0, 1)")
-    js = list(j_range)
-    if not js:
-        raise ValueError("empty j range")
-    acc = np.zeros(f.grid.shape)
-    for mag in filtered(f, dilates(psi, f.grid, (b**j for j in js)), np.abs):
-        acc += mag**q
-    return SampledField(f.grid, acc ** (1.0 / q))
 
 
 def conjugate_kernel(psi: KernelSpec) -> KernelSpec:

@@ -110,7 +110,8 @@ class TestPartition:
 
     def test_two_dimensional_reproduction(self, poissonq):
         cover = find_intervals(poissonq, direction_count=16, dimension=2)
-        P = build_partition(poissonq, 0.5, cover, dimension=2)
+        assert cover.dimension == 2  # build_partition probes the normalizer on 2-d rays
+        P = build_partition(poissonq, 0.5, cover)
         assert reproduction_residual(P, dimension=2, directions=16) <= 1e-10
 
 

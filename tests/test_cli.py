@@ -7,6 +7,7 @@ import pytest
 from lplab import Grid, SampledField
 from lplab.cli import main
 from lplab.io import read_field, write_field
+from lplab.kernels import BUILTIN_KERNELS
 
 
 @pytest.fixture()
@@ -264,6 +265,13 @@ BAD_INPUTS = {
     "power_weight_with_c": lambda d, f: [
         "run", _write_config(d, scenario="prop23", weight={"kind": "power", "a": -0.5, "c": 3.0}),
         "--out", str(d / "run")],
+    # audits that cannot be evaluated: phi_hat vanishes on the probe ray near 0,
+    # or the box cannot resolve D over the derivative multipliers at N = 50
+    "audit_phi_annulus_bump": lambda d, f: ["run", _write_config(d, phi={"name": "annulus_bump"}),
+                                            "--out", str(d / "run")],
+    "audit_N_50": lambda d, f: ["run", _write_config(d, N=50), "--out", str(d / "run")],
+    "thm210_N_50": lambda d, f: ["run", _write_config(d, scenario="thm210", N=50),
+                                 "--out", str(d / "run")],
 }
 
 
@@ -271,6 +279,13 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(case, stored_field, tmp_path, capsys):
     assert main(BAD_INPUTS[case](tmp_path, stored_field)) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [["--phi", name] for name in BUILTIN_KERNELS] + [["--N", "50"]],
+                         ids=lambda argv: "=".join(argv).lstrip("-"))
+def test_constants_report_raises_nothing(argv, tmp_path):
+    # 0 pass, 1 a condition failed, 2 bad input: never an escaped exception
+    assert main(["constants", "report", *argv, "--out", str(tmp_path / "cons")]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("scenario, overrides", [

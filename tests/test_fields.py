@@ -19,7 +19,7 @@ from lplab import (
     weighted_lp_norm,
 )
 from lplab.kernels import make_builtin, sample_kernel
-from lplab.transforms import ScaleField, g_discrete, synthesize
+from lplab.transforms import ScaleField, g_function, synthesize
 
 
 def gaussian_field(grid):
@@ -194,7 +194,8 @@ class TestLpNorm:
     lambda f, x: lp_norm(f, x),
     lambda f, x: weighted_lp_norm(f, SampledField(f.grid, np.ones(f.grid.shape)), x),
     lambda f, x: scale_integral(np.ones((4,) + f.grid.shape), ScaleGrid.geometric(1.0, 0.5, 4), x),
-    lambda f, x: g_discrete(f, make_builtin("gaussian"), 0.5, range(2), x),
+    # the discrete square function: g on the two-rung ladder t = 1, 1/2
+    lambda f, x: g_function(f, make_builtin("gaussian"), ScaleGrid.geometric(1.0, 0.5, 2), x),
 ], ids=["lp_norm", "weighted_lp_norm", "scale_integral", "g_discrete"])
 def test_exponent_outside_open_half_line_rejected(call, x, grid1d_small):
     with pytest.raises(ValueError, match="must be positive and finite"):

@@ -259,11 +259,6 @@ class TestPeetreBound:
         c2 = peetre_bound_check(f2, PeetreParams(1.0, 4.0), delta=1.0).c_min
         assert c2 == pytest.approx(c1, rel=0.05)
 
-    def test_requires_matching_exponents(self, grid1d_small):
-        f = SampledField(grid1d_small, np.ones(1024))
-        with pytest.raises(ValueError):
-            peetre_bound_check(f, PeetreParams(2.0, 1.0), delta=0.5, r=1.0)
-
 
 class TestScaleChain:
     """The scale-integrated Peetre maximal of the analysis field is dominated

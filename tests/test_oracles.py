@@ -5,7 +5,8 @@ against explicit DFT sums in the continuous Fourier convention, and the
 two transforms against the scipy.fft chain they replace, bit for bit; radial
 profiles and their dilates against the symbols they stand for, and the
 ramp-only plateau and in-place scale integral against the expressions they
-replace; the ladder oracle's per-radius multipliers against the symbol at every frequency; the
+replace; ``g_function`` on a ratio-b scale grid against a per-scale loop
+over the ladder t = b^j, weighted log(1/b); the ladder oracle's per-radius multipliers against the symbol at every frequency; the
 periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
 disc; the periodic running max against scipy.ndimage's wrapped maximum
@@ -59,7 +60,8 @@ from lplab.maximal import (
     _window_means,
     peetre_max,
 )
-from lplab.transforms import ScaleField, calderon_normalize, conjugate_kernel, scale_transform
+from lplab.transforms import (ScaleField, calderon_normalize, conjugate_kernel, g_function,
+                              scale_transform)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -280,11 +282,34 @@ def test_scale_integral_matches_weighted_power_sum(count, trailing, q, geometric
     if is_complex:
         u = u * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, u.shape))
     before = u.copy()
-    w = scales.log_weights().reshape((-1,) + (1,) * len(trailing))
-    expect = np.sum(np.abs(u) ** q * w, axis=0) ** (1.0 / q)
+    # summed in scale order: np.sum of 1-d input would sum pairwise
+    expect = np.zeros(trailing)
+    for uk, wk in zip(u, scales.log_weights()):
+        expect += np.abs(uk) ** q * wk
+    expect **= 1.0 / q
     got = scale_integral(u, scales, q)
     assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
     assert np.array_equal(u, before)
+
+
+@SETTINGS
+@given(grid=small_grids, index=st.integers(0, len(KERNELS) - 1), b=st.floats(0.3, 0.95),
+       j_start=st.integers(-6, 4), count=st.integers(1, 12),
+       q=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_g_function_on_a_ratio_b_grid_is_the_weighted_ladder_sum(grid, index, b, j_start, count,
+                                                                 q, seed):
+    # the ladder t = b^j, j_start <= j < j_start + count, each log-cell of width log(1/b)
+    ladder = ScaleGrid.geometric(b**j_start, b, count)
+    psi = KERNELS[index]
+    f = SampledField(grid, _random_complex(grid, seed))
+    spec = to_spectrum(f)
+    xi = spec.grid.coords()
+    acc = np.zeros(grid.shape)
+    for t in ladder.scales:
+        conv = from_spectrum(SpectralField(spec.grid, spec.values * psi.symbol(t * xi)))
+        acc += np.abs(conv.values) ** q
+    expect = math.log(1.0 / b) ** (1.0 / q) * acc ** (1.0 / q)
+    assert _close(g_function(f, psi, ladder, q).values, expect)
 
 
 @pytest.mark.parametrize("grid", [Grid(1, 4096, 16.0), Grid(1, 64, 4.0), Grid(2, 32, 4.0)])

@@ -31,7 +31,7 @@ from lplab.families import FamilyMember
 from lplab.fields import Grid, SampledField, ScaleGrid, SpectralField, filtered, scale_integral
 from lplab.kernels import coordinate_multiplier, derived_kernel, dilates, make_builtin
 from lplab.maximal import GrandMaxConfig, grand_max, spectral_gradient
-from lplab.transforms import g_discrete, g_function, scale_transform
+from lplab.transforms import g_function, scale_transform
 
 GRIDS = [Grid(1, 4096, 16.0), Grid(1, 32768, 16.0), Grid(2, 64, 8.0), Grid(2, 256, 8.0)]
 GRID_IDS = ["1d-4096", "1d-32768", "2d-64", "2d-256"]
@@ -90,13 +90,6 @@ def test_consumers_match_a_serial_loop(grid, workers):
             expect = np.sum(np.abs(stack) ** q * w, axis=0) ** (1.0 / q)
             g_q = g_function(f, psi, SCALES, q).values
             assert g_q.tobytes() == expect.astype(complex).tobytes()
-
-        b, js = 0.7, range(-4, 5)
-        acc = np.zeros(grid.shape)
-        for conv in _serial(f, dilates(psi, grid, (b**j for j in js))):
-            acc += np.abs(conv) ** 2.0
-        expect = (acc ** 0.5).astype(complex)
-        assert g_discrete(f, psi, b, js).values.tobytes() == expect.tobytes()
 
         mags = np.abs(np.stack(_serial(f, dilates(mollifier, grid, SCALES.scales))))
         expect = np.max(mags, axis=0).astype(complex)

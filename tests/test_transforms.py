@@ -17,7 +17,6 @@ from lplab import (
     conjugate_kernel,
     field_from_function,
     from_spectrum,
-    g_discrete,
     g_function,
     grand_max,
     lp_norm,
@@ -133,9 +132,12 @@ class TestGFunction:
 
 
 class TestGDiscrete:
+    """The discrete square function: g_function on the ladder t = b^j, a
+    geometric ScaleGrid of ratio b."""
+
     def test_zero(self, grid1d_small, poissonq):
-        g = g_discrete(SampledField(grid1d_small, np.zeros(1024)), poissonq, 0.5,
-                       range(-4, 5), 2.0)
+        ladder = ScaleGrid.geometric(0.5**-4, 0.5, 9)  # j in [-4, 4]
+        g = g_function(SampledField(grid1d_small, np.zeros(1024)), poissonq, ladder, 2.0)
         assert np.max(g.values.real) == 0.0
 
     def test_support_arithmetic_kills_far_scales(self, annulus):
@@ -147,7 +149,7 @@ class TestGDiscrete:
         f = from_spectrum(SpectralField(fg, spec))
         peak = np.max(np.abs(f.values))
         for j in (-6, -5, -4, 4, 5, 6):
-            term = g_discrete(f, annulus, 0.5, [j], 2.0)
+            term = g_function(f, annulus, ScaleGrid.geometric(0.5**j, 0.5, 1), 2.0)
             assert np.max(term.values.real) <= 1e-14 * peak
 
     def test_riemann_consistency_near_one(self, poissonq):
@@ -158,9 +160,8 @@ class TestGDiscrete:
         j_hi = math.floor(math.log(sg.t_min) / math.log(b))
         f = band_member(grid, seed=5)
         gc = g_function(f, poissonq, sg, 2.0)
-        gd = g_discrete(f, poissonq, b, range(j_lo, j_hi + 1), 2.0)
-        normalized = math.log(1.0 / b) ** 0.5 * gd.values.real
-        rel = lp_norm(SampledField(grid, normalized - gc.values.real), 2.0) / lp_norm(gc, 2.0)
+        gd = g_function(f, poissonq, ScaleGrid.geometric(b**j_lo, b, j_hi - j_lo + 1), 2.0)
+        rel = lp_norm(SampledField(grid, gd.values - gc.values), 2.0) / lp_norm(gc, 2.0)
         assert rel <= 0.02
 
 
