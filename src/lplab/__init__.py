@@ -26,7 +26,6 @@ from .kernels import (
     KernelSpec,
     DecaySpec,
     make_builtin,
-    sample_kernel,
     check_cancellation,
     check_nondegeneracy,
     check_decay_class,
@@ -74,8 +73,6 @@ from .transforms import (
     synthesize,
     make_atom,
     validate_atom,
-    calderon_normalize,
-    conjugate_kernel,
 )
 from .weights import Weight, ap_characteristic, a1_check, admissible_power_range
 from .families import FamilyMember, default_family, boundary_leakage

@@ -45,23 +45,17 @@ class IntervalCover:
     dimension: int
 
 
-def find_intervals(
-    phi: KernelSpec,
-    direction_count: int | None = None,
-    dimension: int = 1,
-) -> IntervalCover:
+def find_intervals(phi: KernelSpec, dimension: int = 1) -> IntervalCover:
     """Locate compact scale intervals where the squared symbol is large.
 
-    For every sampled unit direction (default: 2 rays in 1-d, 64 in 2-d)
-    the widest window of the 2049 log-uniform scales t in [1e-4, 1e4] with
-    |phi_hat(t xi)|^2 >= c/2 is taken (c = the measured infimum over
+    For every probe ray of ``kernels._unit_directions`` (2 in 1-d, 64 in
+    2-d) the widest window of the 2049 log-uniform scales t in [1e-4, 1e4]
+    with |phi_hat(t xi)|^2 >= c/2 is taken (c = the measured infimum over
     directions of the sup over scales); overlapping windows are merged.  b0
     is the largest ratio a_h/b_h over the returned intervals [a_h, b_h], so
     any b in [b0, 1) steps through every interval along each ray.
     """
-    if direction_count is None:
-        direction_count = 64 if dimension == 2 else 2
-    dirs = _unit_directions(dimension, direction_count)
+    dirs = _unit_directions(dimension)
     ts = ScaleGrid.log_spaced(1e-4, 1e4, 2049).scales[::-1]  # increasing
     profiles = np.asarray([np.abs(np.asarray(phi.symbol(ts * d[:, np.newaxis]))) ** 2
                            for d in dirs])
@@ -127,7 +121,8 @@ def _annulus_sum(xi, out: np.ndarray, term, r1: float, r2: float, b: float, j_mi
 
 @dataclass(frozen=True)
 class PartitionSystem:
-    """The analyzing kernel phi, its dual symbol eta, and the construction data."""
+    """The analyzing kernel phi, its dual symbol eta, and the construction
+    data, with the dimension whose rays its cover scanned."""
 
     phi: KernelSpec
     eta_symbol: object  # callable on stacked coords
@@ -137,6 +132,7 @@ class PartitionSystem:
     r2: float
     intervals: tuple
     psi_big: object  # the normalizer Psi on stacked coords
+    dimension: int
     # grid -> the read-only eta_hat on the grid's frequency grid; kept by the
     # partition, as a kernel keeps its dilate rows, so it is freed with it
     _etas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -176,9 +172,9 @@ def build_partition(phi: KernelSpec, b: float, cover: IntervalCover) -> Partitio
     """Assemble the reproducing partition for the kernel ``phi``.
 
     ``cover`` is ``find_intervals(phi)``'s IntervalCover; the normalizer is
-    probed on rays of the cover's dimension.  Raises if b lies outside
-    [cover.b0, 1), or if the normalizer dips below NORMALIZER_FLOOR on the
-    sampled annulus.
+    probed on 512 radii along each probe ray of the cover's dimension (2 in
+    1-d, 64 in 2-d).  Raises if b lies outside [cover.b0, 1), or if the
+    normalizer dips below NORMALIZER_FLOOR on the sampled annulus.
     """
     if not (cover.b0 <= b < 1.0):
         raise ValueError(f"b must lie in [b0, 1) = [{cover.b0}, 1), got {b}")
@@ -198,7 +194,7 @@ def build_partition(phi: KernelSpec, b: float, cover: IntervalCover) -> Partitio
 
     # normalizer must stay bounded below on the annulus (construction guarantee)
     probe_r = np.exp(np.linspace(math.log(r1 * 1.0001), math.log(r2 * 0.9999), 512))
-    for d in _unit_directions(cover.dimension, 8 if cover.dimension == 2 else 2):
+    for d in _unit_directions(cover.dimension):
         pts = probe_r[np.newaxis, :] * d[:, np.newaxis]
         psi_vals = psi_big(pts)
         if float(psi_vals.min()) < NORMALIZER_FLOOR:
@@ -228,23 +224,16 @@ def build_partition(phi: KernelSpec, b: float, cover: IntervalCover) -> Partitio
         r2=float(r2),
         intervals=cover.intervals,
         psi_big=psi_big,
+        dimension=cover.dimension,
     )
 
 
-def reproduction_residual(
-    P: PartitionSystem,
-    radii=None,
-    dimension: int = 1,
-    directions: int = 2,
-) -> float:
-    """sup |reproducing_sum - 1| over sampled rays through the core annulus."""
-    if radii is None:
-        radii = np.exp(
-            np.linspace(math.log(P.b * P.r1), math.log(P.r2 / P.b), 801)
-        )
-    radii = np.asarray(radii, dtype=float)
+def reproduction_residual(P: PartitionSystem) -> float:
+    """sup |reproducing_sum - 1| over 801 log-uniform radii in [b r1, r2/b]
+    along each probe ray of P's dimension."""
+    radii = np.exp(np.linspace(math.log(P.b * P.r1), math.log(P.r2 / P.b), 801))
     worst = 0.0
-    for d in _unit_directions(dimension, directions):
+    for d in _unit_directions(P.dimension):
         pts = radii[np.newaxis, :] * d[:, np.newaxis]
         worst = max(worst, float(np.max(np.abs(P.reproducing_sum(pts) - 1.0))))
     return worst

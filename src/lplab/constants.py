@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calderon import PartitionSystem, build_zeta
-from .fields import Grid, SampledField, SpectralField, box_face_max, from_spectrum
+from .fields import Grid, SampledField, SpectralField, box_face_max, check_exponent, from_spectrum
 from .kernels import (
     KernelSpec,
     check_low_frequency_growth,
@@ -51,8 +51,8 @@ NOISE_FLOOR = 1e-9
 
 def _weighted_modulus(P: PartitionSystem, grid: Grid, symbol, L: float) -> SampledField:
     """(1 + |x|)^L |inverse transform of symbol(xi)| on a grid resolving P's annulus."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    if not 0 <= L < math.inf:
+        raise ValueError(f"L must be nonnegative and finite, got {L}")
     if grid.spacing > 1.0 / (4.0 * P.r2):
         raise ValueError(
             f"grid spacing {grid.spacing:.4g} too coarse for the annulus "
@@ -88,9 +88,10 @@ class IntegralEstimate:
 
     @property
     def reliable(self) -> bool:
-        """False when the boundary tail exceeds BOX_TAIL_FRACTION of a
-        positive value: the box cuts off the profile at this L."""
-        return not (self.value > 0 and self.boundary_tail > BOX_TAIL_FRACTION * self.value)
+        """True when the value is finite and the boundary tail is at most
+        BOX_TAIL_FRACTION of it: the box holds the profile at this L.  A NaN
+        value or tail fails the comparison."""
+        return math.isfinite(self.value) and self.boundary_tail <= BOX_TAIL_FRACTION * self.value
 
     def __add__(self, other: "IntegralEstimate") -> "IntegralEstimate":
         return IntegralEstimate(self.value + other.value,
@@ -169,6 +170,10 @@ def fit_decay_exponent(ts, values, reliable=None) -> float:
     return fit
 
 
+#: the audit's j-ranges: [0, J_MAX] for phi, and J_MAX + 1 steps from the first b^j <= A for psi
+J_MAX = 40
+
+
 @dataclass(frozen=True)
 class ConditionVerdict:
     passed: bool
@@ -197,12 +202,11 @@ def check_conditions(
     A: float,
     N: float,
     grid: Grid,
-    j_max: int = 40,
 ) -> ConstantsReport:
     """Evaluate the five admissibility conditions of the scale calculus for
     the partition's kernel phi = P.phi and the pair (A, Theta) of psi.
 
-    Verdicts (measured quantities are tail-decay fits over j in [0, j_max],
+    Verdicts (measured quantities are tail-decay fits over j in [0, J_MAX],
     i.e. scales t = b^j):
 
     low_freq_growth          |phi_hat(xi)| <= C |xi|^eps near 0, eps >= 0.1
@@ -215,8 +219,7 @@ def check_conditions(
     resolve, yield a failed verdict, never an exception; the derivative
     multipliers' D still raises when unreliable (box too small).
     """
-    if N <= 0:
-        raise ValueError("N must be positive")
+    check_exponent("N", N)
     n = grid.dimension
     phi, b = P.phi, P.b
     verdicts: dict = {}
@@ -226,7 +229,7 @@ def check_conditions(
         eps_low >= 0.1, eps_low, "fitted low-frequency growth exponent of phi_hat"
     )
 
-    js = np.arange(0, j_max + 1)
+    js = np.arange(0, J_MAX + 1)
     ts = b ** js.astype(float)
 
     grads = [derived_kernel(f"d{k}_{phi.name}", phi, coordinate_multiplier(k)) for k in range(n)]
@@ -246,7 +249,7 @@ def check_conditions(
     )
 
     j_start = P.first_j(A)
-    js_psi = np.arange(j_start, j_start + j_max + 1)
+    js_psi = np.arange(j_start, j_start + J_MAX + 1)
     ts_psi = b ** js_psi.astype(float)
     psi_c = {int(j): c_const(P, psi, int(j), N, grid, tail_check=False) for j in js_psi}
     rho_psi = fit_decay_exponent(ts_psi, [e.value for e in psi_c.values()],

@@ -14,7 +14,8 @@ Shapes:
 
 The small residual mass of the oscillatory shapes (their transform at 0 is
 exp(-pi rho^2)-tiny but nonzero) is removed on the grid, so every sampled
-member is exactly mean-free on the periodic box.
+member is exactly mean-free on the periodic box; ``evaluate`` keeps the
+closed form, mass included.
 """
 
 from __future__ import annotations
@@ -89,11 +90,10 @@ class FamilyMember:
             return _band_noise(y, self.seed)
         raise ValueError(f"unknown shape {self.shape!r}")
 
-    def sample(self, grid: Grid, demean: bool = True) -> SampledField:
+    def sample(self, grid: Grid) -> SampledField:
+        """The member on ``grid``, its grid mean removed."""
         vals = np.asarray(self.evaluate(grid.coords()), dtype=complex)
-        if demean:
-            vals = vals - vals.mean()
-        return SampledField(grid, vals)
+        return SampledField(grid, vals - vals.mean())
 
 
 DEFAULT_DILATIONS = (0.25, 0.5, 1.0, 2.0, 4.0)

@@ -38,11 +38,12 @@ the leading axis batches and every row gets the same 1-d transform.  Every
 result is an independent transform computed by the same code on either
 path, so no output depends on the worker count, the block or the path.
 
-Scale ("t") axes are handled by ScaleGrid, a strictly decreasing set of
-positive scales, log-uniform in the geometric case.  Integrals against the
+Scale ("t") axes are handled by ScaleGrid, a strictly decreasing geometric
+set of positive scales t_k = t_max * ratio^k.  Integrals against the
 multiplicative measure dt/t are rectangle sums in log t: each scale owns a
-log-cell and contributes u(t_k)^q * log-cell-width.  ``ScaleSum`` folds
-that sum one scale at a time, so a stream of slices needs no stack.
+log-cell of width log(1/ratio) and contributes u(t_k)^q times that width.
+``ScaleSum`` folds that sum one scale at a time, so a stream of slices
+needs no stack.
 """
 
 from __future__ import annotations
@@ -375,15 +376,13 @@ def box_face_max(vals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Strictly decreasing positive scales, with per-scale log-cell weights.
-
-    Geometric grids (t_k = t_max * ratio^k, ratio in (0,1)) carry a constant
-    log spacing; explicit grids get centered log cells.  Either way, the
-    weights realize integral u(t)^q dt/t ~= sum u(t_k)^q * weight_k.
+    """Strictly decreasing positive scales t_k = t_max * ratio^k, ratio in
+    (0, 1), each owning a log-cell of width log(1/ratio), so that
+    integral u(t)^q dt/t ~= sum u(t_k)^q * log(1/ratio).
     """
 
     scales: np.ndarray
-    ratio: float | None = field(default=None)
+    ratio: float
 
     def __post_init__(self):
         arr = np.asarray(self.scales, dtype=float).copy()
@@ -395,8 +394,8 @@ class ScaleGrid:
             raise ValueError("scales must be strictly decreasing")
         arr.setflags(write=False)
         object.__setattr__(self, "scales", arr)
-        if self.ratio is not None and not (0 < self.ratio < 1 and np.allclose(
-                arr[1:] / arr[:-1], self.ratio, rtol=1e-9, atol=0)):
+        if not (0 < self.ratio < 1 and np.allclose(arr[1:] / arr[:-1], self.ratio,
+                                                   rtol=1e-9, atol=0)):
             raise ValueError(f"ratio must lie in (0, 1) and be the ratio of consecutive scales "
                              f"(to 1e-9), got {self.ratio}")
 
@@ -404,8 +403,7 @@ class ScaleGrid:
     def geometric(cls, t_max: float, ratio: float, count: int) -> "ScaleGrid":
         if count < 1:
             raise ValueError("count must be >= 1")
-        scales = t_max * ratio ** np.arange(count)
-        return cls(scales, ratio=ratio)
+        return cls(t_max * ratio ** np.arange(count), ratio)
 
     @classmethod
     def log_spaced(cls, t_min: float, t_max: float, count: int) -> "ScaleGrid":
@@ -416,7 +414,7 @@ class ScaleGrid:
             raise ValueError("need 0 < t_min < t_max")
         ratio = (t_min / t_max) ** (1.0 / (count - 1))
         scales = np.exp(np.linspace(math.log(t_max), math.log(t_min), count))
-        return cls(scales, ratio=ratio)
+        return cls(scales, ratio)
 
     @property
     def count(self) -> int:
@@ -431,20 +429,11 @@ class ScaleGrid:
         return float(self.scales[0])
 
     def log_weights(self) -> np.ndarray:
-        """Per-scale log-cell widths (each node owns one cell of the log axis)."""
-        if self.ratio is not None:
-            return np.full(self.count, math.log(1.0 / self.ratio))
-        if self.count == 1:
-            raise ValueError("single explicit scale has no log-cell width")
-        logs = np.log(self.scales)
-        w = np.empty(self.count)
-        w[1:-1] = 0.5 * (logs[:-2] - logs[2:])
-        w[0] = logs[0] - logs[1]
-        w[-1] = logs[-2] - logs[-1]
-        return w
+        """Per-scale log-cell widths, each log(1/ratio)."""
+        return np.full(self.count, math.log(1.0 / self.ratio))
 
     def spans_decades(self) -> float:
-        return math.log10(self.t_max / self.t_min) if self.count > 1 else 0.0
+        return math.log10(self.t_max / self.t_min)
 
 
 class ScaleSum:

@@ -20,7 +20,8 @@ Builtins:
 The checks in this module are Fourier-side: cancellation (symbol(0) = 0),
 non-degeneracy (inf over directions of the sup over scales of the symbol
 magnitude), symbol-derivative decay classes, and low-frequency
-growth exponents.
+growth exponents.  Every directional probe here and in ``calderon`` scans
+the one ray set ``_unit_directions`` gives its dimension.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, SampledField, ScaleGrid, SpectralField, from_spectrum
+from .fields import Grid, ScaleGrid
 
 
 def smoothstep(s):
@@ -213,7 +214,7 @@ def derived_kernel(name: str, base: KernelSpec, multiplier: KernelSpec) -> Kerne
     return KernelSpec(name, symbol)
 
 
-def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
+def power_tail_kernel(tau: float) -> KernelSpec:
     """Mean-zero radial kernel with symbol 2*pi*r (1+r^2)^(-(tau+1)/2).
 
     Rises like |xi| at the origin (same cancellation rate as poissonQ) and
@@ -227,15 +228,7 @@ def power_tail_kernel(tau: float, name: str | None = None) -> KernelSpec:
     def profile(r):
         return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
 
-    return radial_kernel(name or f"power_tail({tau})", profile)
-
-
-def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:
-    """Spatial samples of the dilate psi_t (kernel of the symbol xi -> sym(t*xi))."""
-    if not t > 0:
-        raise ValueError(f"dilation scale must be positive, got {t}")
-    (sym,) = dilates(k, g, [t])
-    return from_spectrum(SpectralField(g.frequency_grid(), sym))
+    return radial_kernel(f"power_tail({tau})", profile)
 
 
 @dataclass(frozen=True)
@@ -250,22 +243,17 @@ def check_cancellation(k: KernelSpec, dimension: int = 1) -> CancellationCheck:
     return CancellationCheck(residual <= 1e-12, residual)
 
 
-def _unit_directions(dimension: int, count: int) -> np.ndarray:
-    if count < 1:
-        raise ValueError("need at least one direction")
+def _unit_directions(dimension: int) -> np.ndarray:
+    """The probe rays, shape (rays, dimension): +-e_1 in 1-d, the 64 angles
+    2 pi k / 64 in 2-d."""
     if dimension == 1:
-        return np.array([[1.0], [-1.0]])[: max(1, min(count, 2))]
-    angles = 2.0 * np.pi * np.arange(count) / count
+        return np.array([[1.0], [-1.0]])
+    angles = 2.0 * np.pi * np.arange(64) / 64
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def check_nondegeneracy(
-    k: KernelSpec,
-    t_range: ScaleGrid,
-    directions: int = 2,
-    dimension: int = 1,
-) -> float:
-    """Estimate inf over directions of sup over scales of |symbol(t*xi)|.
+def check_nondegeneracy(k: KernelSpec, t_range: ScaleGrid, dimension: int = 1) -> float:
+    """Estimate inf over the probe rays of sup over scales of |symbol(t*xi)|.
 
     By homogeneity of the dilation the scan over rays suffices.  The sup in t
     is a grid scan over ``t_range`` refined by a bounded 1-d maximization in
@@ -276,12 +264,11 @@ def check_nondegeneracy(
     # +0.16 s on every `import lplab`), and no scenario or CLI command calls this
     from scipy.optimize import minimize_scalar
 
-    if t_range.count < 2 or t_range.spans_decades() < 4.0:
+    if t_range.spans_decades() < 4.0:
         raise ValueError("scale range must span at least 4 decades")
-    dirs = _unit_directions(dimension, directions)
     ts = t_range.scales
     worst = math.inf
-    for d in dirs:
+    for d in _unit_directions(dimension):
         pts = ts[np.newaxis, :] * d[:, np.newaxis]  # (dim, K)
         vals = np.abs(np.asarray(k.symbol(pts)))
         i = int(np.argmax(vals))
@@ -348,14 +335,9 @@ class DecayCheck:
     slopes: dict  # multi-index -> fitted log-log slope (None where vacuous)
 
 
-def check_decay_class(
-    k: KernelSpec,
-    d: DecaySpec,
-    probe_radii,
-    dimension: int = 1,
-    directions: int = 4,
-) -> DecayCheck:
-    """Fit log|d^gamma symbol| against log|xi| on probe spheres.
+def check_decay_class(k: KernelSpec, d: DecaySpec, probe_radii, dimension: int = 1) -> DecayCheck:
+    """Fit log|d^gamma symbol| against log|xi| on probe spheres (the max
+    over the probe rays at each radius).
 
     Passes when every fitted slope with |gamma| <= l is at most
     -tau - |gamma| + 0.1 (the 0.1 margin absorbs finite-probe-range bias).
@@ -367,7 +349,7 @@ def check_decay_class(
     radii = np.asarray(probe_radii, dtype=float)
     if np.any(radii <= d.neighborhood_radius):
         raise ValueError("probe radii must exceed the neighborhood radius")
-    dirs = _unit_directions(dimension, directions)
+    dirs = _unit_directions(dimension)
     slopes: dict = {}
     passed = True
     for gamma in _multi_indices(dimension, d.l):
@@ -393,21 +375,15 @@ def check_decay_class(
     return DecayCheck(passed, slopes)
 
 
-def check_low_frequency_growth(
-    k: KernelSpec,
-    dimension: int = 1,
-    radii=None,
-) -> float:
+def check_low_frequency_growth(k: KernelSpec, dimension: int = 1) -> float:
     """Estimate the growth exponent eps with |symbol(xi)| ~ |xi|^eps near 0.
 
-    Median of local log-log slopes along a ray over |xi| in [1e-4, 1e-1];
-    the median is exact for pure powers and insensitive to the symbol's
-    curvature at the top of the probe range.
+    Median of local log-log slopes along the first probe ray over 65
+    log-uniform |xi| in [1e-4, 1e-1]; the median is exact for pure powers
+    and insensitive to the symbol's curvature at the top of the probe range.
     """
-    if radii is None:
-        radii = np.exp(np.linspace(math.log(1e-4), math.log(1e-1), 65))
-    radii = np.asarray(radii, dtype=float)
-    direction = _unit_directions(dimension, 1)[0]
+    radii = np.exp(np.linspace(math.log(1e-4), math.log(1e-1), 65))
+    direction = _unit_directions(dimension)[0]
     pts = radii[np.newaxis, :] * direction[:, np.newaxis]
     vals = np.abs(np.asarray(k.symbol(pts)))
     if np.all(vals < 1e-300):

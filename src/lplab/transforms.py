@@ -94,41 +94,6 @@ def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2
     return SampledField(f.grid, total.result())
 
 
-def conjugate_kernel(psi: KernelSpec) -> KernelSpec:
-    """Kernel with symbol conj(psi_hat): the reflected complex conjugate kernel."""
-
-    def symbol(xi):
-        return np.conj(np.asarray(psi.symbol(xi)))
-
-    profile = None if psi.profile is None else (lambda r: np.conj(psi.profile(r)))
-    return KernelSpec(f"conj({psi.name})", symbol, profile)
-
-
-def calderon_constant(psi: KernelSpec, dimension: int = 1) -> float:
-    """integral_0^inf |psi_hat(t e)|^2 dt/t along a unit ray (radial symbols:
-    the same for every ray, by scale invariance of dt/t)."""
-    u = np.exp(np.linspace(math.log(1e-8), math.log(1e8), 1 << 15))
-    e = np.zeros((dimension, u.size))
-    e[0] = u
-    vals = np.abs(np.asarray(psi.symbol(e))) ** 2
-    du = np.diff(np.log(u))
-    return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * du))
-
-
-def calderon_normalize(psi: KernelSpec, dimension: int = 1) -> KernelSpec:
-    """Rescale a radial kernel so integral |psi_hat(t xi)|^2 dt/t = 1 for xi != 0."""
-    c = calderon_constant(psi, dimension)
-    if c <= 0:
-        raise ValueError("kernel has vanishing scale energy; cannot normalize")
-    scale = 1.0 / math.sqrt(c)
-
-    def symbol(xi):
-        return scale * np.asarray(psi.symbol(xi))
-
-    profile = None if psi.profile is None else (lambda r: scale * np.asarray(psi.profile(r)))
-    return KernelSpec(f"{psi.name}_norm", symbol, profile)
-
-
 def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
     """Assemble sum over t in (eps, 1/eps) of (psi_t * h^t) * dlog t, spectrally."""
     if not 0 < epsilon < 1:

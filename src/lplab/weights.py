@@ -1,4 +1,4 @@
-"""Muckenhoupt weights: power weights and characteristic estimation.
+"""Muckenhoupt weights: power and constant weights, and characteristic estimation.
 
 The characteristic
 
@@ -15,6 +15,7 @@ bias that keeps the quadrature convergent for a in (-n, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +26,19 @@ from .maximal import _disc_means, _window_means, hl_max
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight: power |x|^a, a constant, or custom samples."""
+    """A positive weight: power |x|^a (a finite) or a constant in (0, inf)."""
 
-    kind: str  # "power" | "constant" | "custom"
+    kind: str  # "power" | "constant"
     exponent: float = 0.0
     constant: float = 1.0
-    samples: SampledField | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power", "constant", "custom"):
+        if self.kind not in ("power", "constant"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "constant" and not self.constant > 0:
-            raise ValueError("constant weight must be positive")
-        if self.kind == "custom" and self.samples is None:
-            raise ValueError("custom weight needs samples")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"power weight exponent must be finite, got {self.exponent}")
+        if not 0 < self.constant < math.inf:
+            raise ValueError(f"constant weight must be positive and finite, got {self.constant}")
 
     @classmethod
     def power(cls, a: float) -> "Weight":
@@ -48,19 +48,9 @@ class Weight:
     def const(cls, c: float = 1.0) -> "Weight":
         return cls("constant", constant=c)
 
-    @classmethod
-    def custom(cls, samples: SampledField) -> "Weight":
-        return cls("custom", samples=samples)
-
     def materialize(self, grid: Grid) -> SampledField:
         if self.kind == "constant":
             return SampledField(grid, np.full(grid.shape, self.constant, dtype=float))
-        if self.kind == "custom":
-            if self.samples.grid != grid:
-                raise ValueError("custom weight grid mismatch")
-            if np.any(self.samples.values.real <= 0):
-                raise ValueError("custom weight must be strictly positive")
-            return self.samples
         a = self.exponent
         r = grid.radii()
         with np.errstate(divide="ignore"):
@@ -86,14 +76,17 @@ def _singular_cell_average(grid: Grid, a: float) -> float:
 
 
 def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:
-    """Estimate [w]_{A_p} over grid-aligned balls of the given radii."""
-    if not p > 1:
-        raise ValueError("A_p characteristic needs p > 1")
+    """Estimate [w]_{A_p} over grid-aligned balls of the given radii (at
+    least one); a NaN product anywhere makes the estimate NaN."""
+    if not 1 < p < math.inf:
+        raise ValueError(f"A_p characteristic needs 1 < p < inf, got {p}")
+    radii = np.asarray(ball_radii, dtype=float)
+    if radii.size == 0:
+        raise ValueError("A_p characteristic needs at least one ball radius")
     wf = w.materialize(grid).values.real
     if np.any(wf <= 0):
         raise ValueError("weight must be strictly positive on the grid")
     sig = wf ** (-1.0 / (p - 1.0))
-    radii = np.asarray(ball_radii, dtype=float)
     if grid.dimension == 1:
         widths = [min(max(1, int(round(2.0 * r / grid.spacing))), grid.points_per_axis)
                   for r in radii]
@@ -102,10 +95,7 @@ def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:
         cells = radii / grid.spacing
         means_w = (m for _, m in _disc_means(wf, cells))
         means_s = (m for _, m in _disc_means(sig, cells))
-    best = 0.0
-    for mw, ms in zip(means_w, means_s):
-        best = max(best, float(np.max(mw * ms ** (p - 1.0))))
-    return best
+    return float(np.max([np.max(mw * ms ** (p - 1.0)) for mw, ms in zip(means_w, means_s)]))
 
 
 def a1_check(w: Weight, grid: Grid) -> float:

@@ -109,10 +109,11 @@ class TestPartition:
             build_partition(poissonq, q_cover.b0 / 2, q_cover)
 
     def test_two_dimensional_reproduction(self, poissonq):
-        cover = find_intervals(poissonq, direction_count=16, dimension=2)
+        cover = find_intervals(poissonq, dimension=2)
         assert cover.dimension == 2  # build_partition probes the normalizer on 2-d rays
         P = build_partition(poissonq, 0.5, cover)
-        assert reproduction_residual(P, dimension=2, directions=16) <= 1e-10
+        assert P.dimension == 2  # and reproduction_residual scans 2-d rays
+        assert reproduction_residual(P) <= 1e-10
 
 
 class TestZeta:

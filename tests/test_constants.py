@@ -23,7 +23,8 @@ from lplab import (
     power_tail_kernel,
     scale_transform,
 )
-from lplab import constants
+from lplab import IntegralEstimate, constants
+from lplab.constants import J_MAX
 from lplab.experiments import CONSTANTS_GRID
 from lplab.fields import SpectralField
 
@@ -104,6 +105,32 @@ class TestBoxLimitGate:
                 c_const(q_partition, annulus, j, L, constants_grid)
 
 
+class TestNonFiniteExponents:
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -1.0])
+    def test_c_and_d_reject_a_weight_power_outside_the_half_line(self, q_partition, annulus,
+                                                                 constants_grid, L):
+        with pytest.raises(ValueError, match="L must be nonnegative and finite"):
+            c_const(q_partition, annulus, 0, L, constants_grid, tail_check=False)
+        with pytest.raises(ValueError, match="L must be nonnegative and finite"):
+            d_const(q_partition, constant_multiplier(1.0), 1.0, L, constants_grid,
+                    tail_check=False)
+
+    @pytest.mark.parametrize("N", [math.nan, math.inf, 0.0, -2.0])
+    def test_check_conditions_rejects_N_outside_the_open_half_line(self, q_partition, annulus,
+                                                                  constants_grid, N):
+        with pytest.raises(ValueError, match="N must be positive and finite"):
+            check_conditions(q_partition, annulus, constant_multiplier(0.0),
+                             2.4 * q_partition.r2, N, constants_grid)
+
+    @pytest.mark.parametrize("value, tail, reliable", [
+        (1.0, 0.05, True), (1.0, 0.06, False), (0.0, 0.0, True), (0.0, 1e-300, False),
+        (math.nan, math.nan, False), (math.nan, 0.0, False), (1.0, math.nan, False),
+        (math.inf, math.inf, False), (math.inf, 0.0, False), (0.0, math.inf, False),
+    ])
+    def test_reliable_needs_a_finite_value_and_tail(self, value, tail, reliable):
+        assert IntegralEstimate(value, tail).reliable is reliable
+
+
 class TestDecayLaw:
     @pytest.mark.parametrize("tau", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("L", [0.0, 2.0])
@@ -163,9 +190,9 @@ class TestConditionAudit:
     def test_report_carries_c_profile(self, q_partition, annulus, constants_grid):
         A = 2.4 * q_partition.r2
         rep = check_conditions(q_partition, annulus,
-                               constant_multiplier(0.0), A, 2.0, constants_grid, j_max=10)
+                               constant_multiplier(0.0), A, 2.0, constants_grid)
         js = sorted(rep.c_values)
-        assert js == list(range(js[0], js[0] + 11))
+        assert js == list(range(js[0], js[0] + J_MAX + 1))
         # the ladder starts at the least j with b^j <= A
         assert q_partition.b ** js[0] <= A < q_partition.b ** (js[0] - 1)
         assert all(v >= 0 for v in rep.c_values.values())
@@ -195,7 +222,7 @@ class TestConditionAudit:
 
         monkeypatch.setattr(constants, "c0_profile", c0_evaluating_eta_each_time)
         ref = audit()
-        assert calls.count(audit_shape) == 2 * 41  # C(grad phi, j) and C(psi, j), j_max = 40
+        assert calls.count(audit_shape) == 2 * (J_MAX + 1)  # C(grad phi, j) and C(psi, j)
         # repr round-trips every float, so equal reprs are equal bytes
         assert repr(rep.c_values) == repr(ref.c_values)
         assert repr(rep.d_value) == repr(ref.d_value)
@@ -230,11 +257,11 @@ class TestScaleFieldBound:
             spec = spec + spec[::-1]
             f = from_spectrum(SpectralField(fg, spec))
             for t in (0.5, 1.0, 2.0):
-                e_psi = scale_transform(f, annulus, ScaleGrid(np.array([t]))).slice(0)
+                e_psi = scale_transform(f, annulus, ScaleGrid.geometric(t, 0.5, 1)).slice(0)
                 rhs = np.zeros(grid.shape)
                 for j in js:
                     s = P.b**j * t
-                    e_phi = scale_transform(f, poissonq, ScaleGrid(np.array([s]))).slice(0)
+                    e_phi = scale_transform(f, poissonq, ScaleGrid.geometric(s, 0.5, 1)).slice(0)
                     pj = peetre_max(e_phi, PeetreParams(N, 1.0 / s)).values.real
                     rhs += c_vals[j] * pj
                 ratio = np.abs(e_psi.values) / np.maximum(rhs, 1e-300)

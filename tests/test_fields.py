@@ -18,8 +18,10 @@ from lplab import (
     to_spectrum,
     weighted_lp_norm,
 )
-from lplab.kernels import make_builtin, sample_kernel
+from lplab.kernels import make_builtin
 from lplab.transforms import ScaleField, g_function, synthesize
+
+from kernel_helpers import sample_kernel
 
 
 def gaussian_field(grid):
@@ -236,12 +238,12 @@ class TestWeightedNorm:
 
 class TestScaleGrid:
     def test_scales_strictly_decreasing(self):
-        with pytest.raises(ValueError):
-            ScaleGrid(np.array([1.0, 1.0, 0.5]))
-        with pytest.raises(ValueError):
-            ScaleGrid(np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            ScaleGrid(np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ScaleGrid(np.array([1.0, 1.0, 0.5]), 0.5)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ScaleGrid(np.array([0.5, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScaleGrid(np.array([1.0, -0.5]), 0.5)
 
     def test_geometric_ratio_constant(self):
         sg = ScaleGrid.geometric(4.0, 0.5, 8)
@@ -249,12 +251,21 @@ class TestScaleGrid:
         assert np.allclose(ratios, 0.5, rtol=1e-14)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ScaleGrid(np.array([]))
+        with pytest.raises(ValueError, match="nonempty"):
+            ScaleGrid(np.array([]), 0.5)
 
     def test_rejects_nan_scale(self):
-        with pytest.raises(ValueError):
-            ScaleGrid(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScaleGrid(np.array([np.nan, 1.0]), 0.5)
+
+    def test_ratio_is_required(self):
+        with pytest.raises(TypeError):
+            ScaleGrid(np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
+    def test_rejects_ratio_outside_the_open_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            ScaleGrid(np.array([1.0]), ratio)
 
     def test_geometric_rejects_infinite_t_max(self):
         with pytest.raises(ValueError):

@@ -14,10 +14,11 @@ from lplab import (
     check_nondegeneracy,
     make_builtin,
     power_tail_kernel,
-    sample_kernel,
     to_spectrum,
 )
-from lplab.kernels import radial_symbol
+from lplab.kernels import _unit_directions, radial_symbol
+
+from kernel_helpers import sample_kernel
 
 
 def ray(vals):
@@ -151,8 +152,23 @@ class TestNondegeneracy:
             check_nondegeneracy(poissonq, ScaleGrid.log_spaced(0.1, 1.0, 64))
 
     def test_two_dimensional_directions(self, poissonq):
-        val = check_nondegeneracy(poissonq, WIDE_SCALES, directions=16, dimension=2)
+        val = check_nondegeneracy(poissonq, WIDE_SCALES, dimension=2)
         assert val == pytest.approx(math.exp(-1), abs=1e-6)
+
+
+class TestProbeRays:
+    def test_one_ray_set_per_dimension(self):
+        assert _unit_directions(1).tolist() == [[1.0], [-1.0]]
+        rays = _unit_directions(2)
+        assert rays.shape == (64, 2)
+        assert rays[0].tolist() == [1.0, 0.0]  # the low-frequency probe's ray
+        assert np.allclose(np.hypot(rays[:, 0], rays[:, 1]), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("count", [4, 8, 16, 32])
+    def test_coarser_equiangular_sets_are_exact_subsets(self, count):
+        angles = 2.0 * np.pi * np.arange(count) / count
+        coarse = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert np.array_equal(_unit_directions(2)[:: 64 // count], coarse)
 
 
 class TestDecayClass:

@@ -175,7 +175,7 @@ class TestGrandMax:
         cfg = GrandMaxConfig(gaussian, scales)
         f = band_noise(grid1d_small, 3)
         star = grand_max(f, cfg).values.real
-        e_min = scale_transform(f, gaussian, ScaleGrid(np.array([scales.t_min]))).slice(0)
+        e_min = scale_transform(f, gaussian, ScaleGrid.geometric(scales.t_min, 0.5, 1)).slice(0)
         assert np.all(star >= np.abs(e_min.values) - 1e-14)
 
     def test_dominates_field_up_to_mollification_gap(self, grid1d_small, gaussian):
@@ -185,7 +185,7 @@ class TestGrandMax:
         cfg = GrandMaxConfig(gaussian, scales)
         f = band_noise(grid1d_small, 8)
         star = grand_max(f, cfg).values.real
-        e_min = scale_transform(f, gaussian, ScaleGrid(np.array([scales.t_min]))).slice(0)
+        e_min = scale_transform(f, gaussian, ScaleGrid.geometric(scales.t_min, 0.5, 1)).slice(0)
         delta_grid = float(np.max(np.abs(e_min.values - f.values)))
         assert np.all(star >= np.abs(f.values) - delta_grid - 1e-14)
 

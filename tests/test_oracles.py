@@ -60,8 +60,9 @@ from lplab.maximal import (
     _window_means,
     peetre_max,
 )
-from lplab.transforms import (ScaleField, calderon_normalize, conjugate_kernel, g_function,
-                              scale_transform)
+from lplab.transforms import ScaleField, g_function, scale_transform
+
+from kernel_helpers import calderon_normalize, conjugate_kernel
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -268,24 +269,21 @@ def test_plateau_matches_nested_where(radii, seed):
 
 
 @SETTINGS
-@given(count=st.integers(2, 9), trailing=st.sampled_from([(), (7,), (3, 4)]),
-       q=st.sampled_from([0.5, 1.0, 2.0, 3.7]), geometric=st.booleans(),
+@given(t_max=st.floats(1e-3, 1e3), ratio=st.floats(0.01, 0.99), count=st.integers(1, 9),
+       trailing=st.sampled_from([(), (7,), (3, 4)]), q=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
        is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_scale_integral_matches_weighted_power_sum(count, trailing, q, geometric, is_complex,
+def test_scale_integral_matches_weighted_power_sum(t_max, ratio, count, trailing, q, is_complex,
                                                    seed):
     rng = np.random.default_rng(seed)
-    if geometric:
-        scales = ScaleGrid.log_spaced(1e-3, 10.0, count)
-    else:
-        scales = ScaleGrid(np.sort(rng.uniform(0.01, 10.0, count))[::-1])
+    scales = ScaleGrid.geometric(t_max, ratio, count)
     u = rng.uniform(0.0, 5.0, (count,) + trailing)
     if is_complex:
         u = u * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, u.shape))
     before = u.copy()
     # summed in scale order: np.sum of 1-d input would sum pairwise
     expect = np.zeros(trailing)
-    for uk, wk in zip(u, scales.log_weights()):
-        expect += np.abs(uk) ** q * wk
+    for uk in u:
+        expect += np.abs(uk) ** q * math.log(1.0 / ratio)
     expect **= 1.0 / q
     got = scale_integral(u, scales, q)
     assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()

@@ -13,8 +13,6 @@ from lplab import (
     SampledField,
     ScaleField,
     ScaleGrid,
-    calderon_normalize,
-    conjugate_kernel,
     field_from_function,
     from_spectrum,
     g_function,
@@ -32,13 +30,15 @@ from lplab.families import FamilyMember
 from lplab.fields import SpectralField
 from lplab.kernels import plateau, radial_kernel
 
+from kernel_helpers import calderon_normalize, conjugate_kernel
+
 
 def gaussian_field(grid):
     return field_from_function(grid, lambda x: np.exp(-np.pi * x[0] ** 2))
 
 
 def band_member(grid, lam=1.0, seed=7):
-    return FamilyMember("band_noise", lam, 0.0, seed).sample(grid, demean=False)
+    return SampledField(grid, FamilyMember("band_noise", lam, 0.0, seed).evaluate(grid.coords()))
 
 
 class TestScaleTransform:
@@ -50,7 +50,7 @@ class TestScaleTransform:
     def test_spot_value_against_closed_forms(self, poissonq):
         grid = Grid(1, 2048, 16.0)
         f = gaussian_field(grid)
-        E = scale_transform(f, poissonq, ScaleGrid(np.array([1.0])))
+        E = scale_transform(f, poissonq, ScaleGrid.geometric(1.0, 0.5, 1))
         spec = to_spectrum(E.slice(0))
         xi = spec.grid.axis_coords()
         i = int(np.argmin(np.abs(xi - 1.0)))
@@ -61,7 +61,7 @@ class TestScaleTransform:
     def test_gaussian_small_scale_approximate_identity(self, gaussian):
         grid = Grid(1, 2048, 16.0)
         f = band_member(grid)
-        E = scale_transform(f, gaussian, ScaleGrid(np.array([1e-3])))
+        E = scale_transform(f, gaussian, ScaleGrid.geometric(1e-3, 0.5, 1))
         resid = lp_norm(SampledField(grid, E.values[0] - f.values), 2.0) / lp_norm(f, 2.0)
         assert resid <= 1e-3
 
@@ -96,8 +96,8 @@ class TestGFunction:
         lam = 2.0
         tf = FamilyMember("band_noise", 1.0, 0.0, 3)
         tf_lam = FamilyMember("band_noise", lam, 0.0, 3)
-        f = tf.sample(grid, demean=False)
-        f_lam = tf_lam.sample(grid, demean=False)
+        f = SampledField(grid, tf.evaluate(grid.coords()))
+        f_lam = SampledField(grid, tf_lam.evaluate(grid.coords()))
         sg = ScaleGrid.geometric(64.0, 2 ** -0.125, 97)  # closed under t -> 2t
         g1 = g_function(f, annulus, sg, 2.0).values.real
         g2 = g_function(f_lam, annulus, sg, 2.0).values.real

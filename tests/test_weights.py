@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,12 @@ class TestApCharacteristic:
     def test_homogeneity_degree_zero(self, grid1d_small):
         base = Weight.power(0.5).materialize(grid1d_small)
         v1 = ap_characteristic(Weight.power(0.5), 2.0, RADII, grid1d_small)
-        scaled = Weight.custom(SampledField(grid1d_small, 7.3 * base.values))
-        v2 = ap_characteristic(scaled, 2.0, RADII, grid1d_small)
+
+        class Scaled:  # 7.3 |x|^(1/2), sampled
+            def materialize(self, grid):
+                return SampledField(grid, 7.3 * base.values)
+
+        v2 = ap_characteristic(Scaled(), 2.0, RADII, grid1d_small)
         assert v2 == pytest.approx(v1, rel=1e-12)
 
     def test_nonincreasing_in_p(self, grid1d_small):
@@ -63,6 +69,25 @@ class TestApCharacteristic:
     def test_rejects_p_at_most_one(self, grid1d_small):
         with pytest.raises(ValueError):
             ap_characteristic(Weight.const(1.0), 1.0, RADII, grid1d_small)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_p_that_is_not_finite(self, grid1d_small, p):
+        with pytest.raises(ValueError, match="needs 1 < p < inf"):
+            ap_characteristic(Weight.power(0.5), p, RADII, grid1d_small)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    def test_rejects_an_empty_radius_list(self, grid):
+        with pytest.raises(ValueError, match="at least one ball radius"):
+            ap_characteristic(Weight.const(1.0), 2.0, (), grid)
+
+    def test_a_nan_product_makes_the_estimate_nan(self, grid1d_small):
+        class NanAtOneCell:  # a weight whose samples hold one NaN
+            def materialize(self, grid):
+                vals = np.ones(grid.shape)
+                vals[3] = math.nan
+                return SampledField(grid, vals)
+
+        assert math.isnan(ap_characteristic(NanAtOneCell(), 2.0, RADII, grid1d_small))
 
     def test_2d_unit_weight(self):
         grid = Grid(2, 32, 4.0)
@@ -84,6 +109,22 @@ class TestA1:
         small = a1_check(Weight.power(0.5), grid1d_small)
         large = a1_check(Weight.power(0.5), Grid(1, 4096, 64.0))
         assert large > 1.2 * small  # grows with the box
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_exponent(self, a):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            Weight.power(a)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_constant_outside_the_open_half_line(self, c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Weight.const(c)
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown weight kind"):
+            Weight("custom")
 
 
 class TestAdmissibleRange:
