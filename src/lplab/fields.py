@@ -25,10 +25,11 @@ powers of two, and scaling by a power of two is exact.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier (an array on the frequency
-grid), yielded in multiplier order.
+grid), yielded in multiplier order.  Each inverse is ``from_spectrum`` with
+the multiplier, which writes the product straight into its output array.
 On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
-cores, each multiplier's product, inverse transform and optional per-result
-map run on a thread pool that lives as long as the call (numpy, numpy.fft
+cores, each multiplier's inverse transform and optional per-result map run
+on a thread pool that lives as long as the call (numpy, numpy.fft
 included, releases the GIL on these arrays), at most
 ``_IN_FLIGHT_PER_WORKER`` results per worker in flight.  ``filtered_slices``
 yields the same results as arrays, the slices of a (multipliers x grid)
@@ -242,10 +243,23 @@ def to_spectrum(f: SampledField) -> SpectralField:
     return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
 
-def from_spectrum(F: SpectralField) -> SampledField:
-    """Exact inverse of to_spectrum (up to floating round-off)."""
+def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
+    """Exact inverse of to_spectrum (up to floating round-off).
+
+    With ``multiplier`` (an array on F's grid) this is the inverse of F
+    times it, with the bytes of ``from_spectrum(SpectralField(F.grid,
+    F.values * multiplier))``: the product is written straight into the
+    output array, and the sign and transform passes run on it in place, so
+    no product temporary is made."""
     spatial = F.grid.frequency_grid()
-    vals = _centred(F.values, np.fft.ifft, spatial.shape, 1.0 / spatial.cell_volume)
+    scale = 1.0 / spatial.cell_volume
+    if multiplier is None:
+        vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
+    else:
+        vals = np.multiply(F.values, multiplier)
+        if vals.shape != F.values.shape:
+            raise ValueError(f"multiplier shape {vals.shape} does not match {F.grid.shape}")
+        _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
 
 
@@ -273,10 +287,7 @@ def _spectral_workers() -> int:
 
 
 def _inverse(spec: SpectralField, m: np.ndarray, post):
-    product = spec.values * m
-    if product.shape != spec.values.shape:
-        raise ValueError(f"multiplier shape {product.shape} does not match {spec.grid.shape}")
-    out = from_spectrum(_adopt(SpectralField, product, grid=spec.grid))
+    out = from_spectrum(spec, m)
     return out if post is None else post(out.values)
 
 
@@ -285,7 +296,9 @@ def filtered(f: SampledField, multipliers, post=None):
     frequency grid.  One forward transform serves all of them, and the
     results are yielded in multiplier order, so callers reduce as they
     stream.  With ``post`` given, ``post(values)`` of each result is yielded
-    instead of the field.
+    instead of the field.  Each result is ``from_spectrum(f_hat, m)``, which
+    writes the product straight into the result's own array, so a result in
+    flight holds one grid-sized array.
 
     On large grids the products, inverses and ``post`` run on a thread pool
     opened for this call: the multipliers are drawn on the calling thread,
@@ -315,11 +328,12 @@ def filtered_slices(f: SampledField, multipliers):
     """Yield the values of inverse(f_hat * m) per multiplier m, in
     multiplier order: the slices of a scale stack, which is never built.
 
-    Below ``_PARALLEL_MIN_POINTS`` the products are written into blocks of at
-    most ``_BLOCK_BYTES``, each inverted in one batched pass per spatial axis,
-    which gives each slice the bytes of its own ``from_spectrum``; the slices
-    are views of their block.  At and above it the results stream through
-    ``filtered``, one inverse transform per multiplier."""
+    Below ``_PARALLEL_MIN_POINTS`` the products are written straight into
+    blocks of at most ``_BLOCK_BYTES``, each inverted in place in one batched
+    pass per spatial axis, which gives each slice the bytes of its own
+    ``from_spectrum``; the slices are views of their block.  At and above it
+    the results stream through ``filtered``, one ``from_spectrum(f_hat, m)``
+    per multiplier, each product written into its own output array."""
     g = f.grid
     if g.cell_count >= _PARALLEL_MIN_POINTS:
         for conv in filtered(f, multipliers):

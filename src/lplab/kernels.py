@@ -5,8 +5,8 @@ from the inverse transform of the dilated symbol, never from closed spatial
 forms.  Symbols accept stacked frequency coordinates of shape (dim, ...) and
 return a complex array of shape (...), so the same spec works in 1-d and 2-d.
 A radial kernel also carries its profile r -> value, symbol(xi) =
-profile(|xi|), so its dilates on a grid are evaluated once per scale on the
-grid's distinct |xi| and kept with the kernel.
+profile(|xi|), so its dilates on a grid are evaluated on the grid's distinct
+|xi|; on a grid below the spectral pool's gate the kernel keeps them.
 
 Builtins:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScaleGrid
+from .fields import _PARALLEL_MIN_POINTS, Grid, ScaleGrid
 
 
 def smoothstep(s):
@@ -101,8 +101,8 @@ class KernelSpec:
     name: str
     symbol: object  # callable (dim, ...) -> (...)
     profile: object = None  # callable r -> value, or None if not radial
-    # (grid, t) -> the read-only profile at t * r on the grid's distinct
-    # radii r; kept by the kernel, so it is freed with the kernel
+    # (grid, t) -> the read-only profile at t * r on the distinct radii r of
+    # a grid below the pool's gate; kept by the kernel, so freed with it
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at_origin(self, dimension: int = 1) -> complex:
@@ -128,17 +128,24 @@ def _distinct_radii(grid: Grid) -> tuple:
 
 def dilates(k: KernelSpec, grid: Grid, ts):
     """Yield xi -> symbol(t xi) on the frequency grid of ``grid``, one array
-    per scale t.  A radial kernel evaluates its profile once per (grid, t),
-    at t * r on the grid's distinct radii r, and keeps that row for every
-    later call; other kernels evaluate the symbol at the scaled coordinates."""
+    per scale t; other kernels evaluate the symbol at the scaled coordinates.
+    A radial kernel evaluates its profile at t * r on the grid's distinct
+    radii r and gathers that row to every frequency.  Below the spectral
+    pool's gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
+    (grid, t) for every later call, since there a row costs about as much
+    as the inverse it feeds; at and above the gate it keeps none: at 256^2
+    a row costs about a tenth of its inverse, and the 176 rows of one
+    ``cor31`` member held 8 MiB."""
     if k.profile is not None:
         ru, inv = _distinct_radii(grid)
+        keep = grid.cell_count < _PARALLEL_MIN_POINTS
         for t in ts:
             row = k._rows.get((grid, t))
             if row is None:
                 row = np.asarray(k.profile(t * ru))
-                row.setflags(write=False)
-                k._rows[(grid, t)] = row
+                if keep:
+                    row.setflags(write=False)
+                    k._rows[(grid, t)] = row
             yield row[inv]
     else:
         coords = grid.frequency_grid().coords()

@@ -198,13 +198,26 @@ def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:
     return out
 
 
+def _ball_radii(radii) -> np.ndarray:
+    """``radii`` as a float array; raise unless every radius r satisfies
+    0 < r < inf (NaN does not), naming the first that fails."""
+    arr = np.asarray(radii, dtype=float)
+    bad = arr[~((arr > 0) & (arr < math.inf))]
+    if bad.size:
+        raise ValueError(f"ball radii must be positive and finite, got {bad[0]}")
+    return arr
+
+
 def hl_max(f: SampledField, radii=None) -> SampledField:
     """Uncentered Hardy-Littlewood maximal function over grid-aligned balls.
 
     In 1-d every contiguous periodic window is scanned (exact up to the
     grid); in 2-d discs at the sampled radii are used (default: log-spaced
-    from one cell to the half extent).
+    from one cell to the half extent).  Given radii must be positive and
+    finite in either dimension.
     """
+    if radii is not None:
+        radii = _ball_radii(radii)
     g = f.grid
     absf = np.abs(f.values)
     if g.dimension == 1:

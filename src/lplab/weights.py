@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, SampledField
-from .maximal import _disc_means, _window_means, hl_max
+from .maximal import _ball_radii, _disc_means, _window_means, hl_max
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,11 @@ def _singular_cell_average(grid: Grid, a: float) -> float:
 
 def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:
     """Estimate [w]_{A_p} over grid-aligned balls of the given radii (at
-    least one); a NaN product anywhere makes the estimate NaN."""
+    least one, each positive and finite); a NaN product anywhere makes the
+    estimate NaN."""
     if not 1 < p < math.inf:
         raise ValueError(f"A_p characteristic needs 1 < p < inf, got {p}")
-    radii = np.asarray(ball_radii, dtype=float)
+    radii = _ball_radii(ball_radii)
     if radii.size == 0:
         raise ValueError("A_p characteristic needs at least one ball radius")
     wf = w.materialize(grid).values.real

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -126,6 +127,13 @@ class TestHardyLittlewood:
         rng = np.random.default_rng(5)
         f = SampledField(grid, np.abs(rng.standard_normal((32, 32))))
         assert np.all(hl_max(f).values.real >= np.abs(f.values) - 1e-12)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan, math.inf])
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, grid, bad):
+        f = SampledField(grid, np.ones(grid.shape))
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {bad}")):
+            hl_max(f, radii=[0.5, bad])
 
     def test_2d_matches_brute_force_discs(self):
         grid = Grid(2, 8, 2.0)

@@ -2,7 +2,8 @@
 
 ``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
 against explicit DFT sums in the continuous Fourier convention, and the
-two transforms against the scipy.fft chain they replace, bit for bit; radial
+two transforms against the scipy.fft chain they replace, bit for bit, and
+an inverse with a multiplier against the inverse of the product; radial
 profiles and their dilates against the symbols they stand for, and the
 ramp-only plateau and in-place scale integral against the expressions they
 replace; ``g_function`` on a ratio-b scale grid against a per-scale loop
@@ -164,6 +165,38 @@ def test_transforms_match_the_scipy_fft_chain(grid, seed, is_complex):
     assert spec.values.tobytes() == expect.tobytes()
     back = scipy_fft.ifftn(spec.values * c, overwrite_x=True) * (c * (1.0 / grid.cell_volume))
     assert from_spectrum(spec).values.tobytes() == back.tobytes()
+
+
+@SETTINGS
+@given(grid=st.one_of(transform_grids, st.just(Grid(2, 256, 8.0))),
+       seed=st.integers(0, 2**32 - 1), is_complex=st.booleans(),
+       kind=st.sampled_from(["sparse", "zero", "gaussian", "derivative"]),
+       t=st.floats(0.1, 1e4), axis=st.integers(0, 1))
+def test_a_multiplied_inverse_has_the_bytes_of_the_inverse_of_the_product(
+        grid, seed, is_complex, kind, t, axis):
+    """from_spectrum(F, m) writes F * m into its output and inverts it in
+    place: the bytes of inverting the product as a field of its own, signed
+    zeros included.  The multipliers hold exact zeros: half of them, all of
+    them, a gaussian that underflows at large t, and the complex derivative
+    symbol, which vanishes on a line."""
+    rng = np.random.default_rng(seed)
+    fg = grid.frequency_grid()
+    vals = rng.standard_normal(grid.shape)
+    if is_complex:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    F = SpectralField(fg, vals)
+    if kind == "sparse":
+        m = np.where(rng.random(grid.shape) < 0.5, 0.0, rng.standard_normal(grid.shape))
+    elif kind == "zero":
+        m = np.zeros(grid.shape)
+    elif kind == "gaussian":
+        m = np.exp(-np.pi * (t * fg.radii()) ** 2)
+    else:
+        m = coordinate_multiplier(axis % grid.dimension).symbol(fg.coords())
+    got = from_spectrum(F, m)
+    expect = from_spectrum(SpectralField(fg, F.values * m))
+    assert got.grid == expect.grid == grid
+    assert got.values.tobytes() == expect.values.tobytes()
 
 
 def _kernels():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestApCharacteristic:
     def test_rejects_an_empty_radius_list(self, grid):
         with pytest.raises(ValueError, match="at least one ball radius"):
             ap_characteristic(Weight.const(1.0), 2.0, (), grid)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("bad", [-5.0, -2.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, grid, bad):
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {bad}")):
+            ap_characteristic(Weight.power(0.5), 2.0, (1.0, bad), grid)
 
     def test_a_nan_product_makes_the_estimate_nan(self, grid1d_small):
         class NanAtOneCell:  # a weight whose samples hold one NaN
