@@ -23,6 +23,9 @@ synthesis_atoms (lemma33) H^1 size of synthesized atoms, uniform over the
 constants_audit           the admissibility condition verdicts
 
 A runner returns rows and ``Check``s; ``run_experiment`` derives the verdict.
+On a grid of at least ``fields._PARALLEL_MIN_POINTS`` points a family's
+members, independent and each serial inside, run side by side on a thread
+pool; rows keep family order and their bytes.
 ``constants_audit`` derives phi, psi, the partition, (A, Theta) and the
 audit from a config for every scenario that needs them, and for the CLI.
 Configs are single JSON documents with every physical parameter explicit;
@@ -37,6 +40,7 @@ import math
 import os
 import platform
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -45,11 +49,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy
 
-from . import __version__, families
+from . import __version__, families, fields
 from .calderon import build_partition, find_intervals, near_origin_gap
 from .constants import check_conditions
-from .fields import (Grid, SampledField, ScaleGrid, _spectral_workers, lp_norm, to_spectrum,
-                     weighted_lp_norm)
+from .fields import Grid, SampledField, ScaleGrid, lp_norm, to_spectrum, weighted_lp_norm
 from .io import restore_nonfinite, write_json
 from .kernels import (
     ANNULUS_RADII,
@@ -328,20 +331,36 @@ def _by_shape(rows) -> dict:
     return by_shape
 
 
-def _family_rows(family, measure, diagnostics: dict, columns=None, translate=False) -> list:
+def _measured(fn, members: list, grid: Grid) -> list:
+    """[fn(member) for member in members], in member order.  On a grid of
+    at least ``fields._PARALLEL_MIN_POINTS`` points, with two or more
+    workers, the members run on a pool of ``fields._spectral_workers()``
+    threads that lives as long as the call.  A member that raises cancels
+    those not yet started, and the pool's threads are joined before the
+    error propagates."""
+    workers = fields._spectral_workers()
+    if workers < 2 or len(members) < 2 or grid.cell_count < fields._PARALLEL_MIN_POINTS:
+        return [fn(m) for m in members]
+    with ThreadPoolExecutor(workers, thread_name_prefix="lplab-member") as pool:
+        return list(pool.map(fn, members))
+
+
+def _family_rows(family, measure, diagnostics: dict, grid: Grid, columns=None,
+                 translate=False) -> list:
     """A row per member from ``measure(member) -> (sampled f, lhs, rhs)``, plus
     ``columns[key](f)`` under each key; records the largest boundary leakage
     and, if ``translate``, the first member's translation gap."""
-    rows, leakage = [], 0.0
-    for tf in family:
+    def row(tf):
         f, lhs, rhs = measure(tf)
-        leakage = max(leakage, families.boundary_leakage(f))
-        rows.append(_row(tf.name, tf.lam, lhs, rhs)
-                    | {key: column(f) for key, column in (columns or {}).items()})
-    diagnostics["boundary_leakage"] = leakage
+        return (_row(tf.name, tf.lam, lhs, rhs)
+                | {key: column(f) for key, column in (columns or {}).items()},
+                families.boundary_leakage(f))
+
+    measured = _measured(row, family, grid)
+    diagnostics["boundary_leakage"] = max([0.0] + [leak for _, leak in measured])
     if family and translate:
-        diagnostics["translation_gap"] = _translation_gap(family[0], measure)
-    return rows
+        diagnostics["translation_gap"] = _translation_gap(family[0], measure, grid)
+    return [r for r, _ in measured]
 
 
 def _max_over_min(ratios: list) -> float:
@@ -366,12 +385,12 @@ def _stable(rows, diagnostics: dict) -> tuple:
                   "per-shape dilation spread <= {:.0%}"))
 
 
-def _translation_gap(tf, measure) -> float:
+def _translation_gap(tf, measure, grid: Grid) -> float:
     """Relative ratio change under a translate of the first family member
     (unweighted scenarios only; the periodic grid makes this a pure
     discretization diagnostic)."""
-    _, lhs0, rhs0 = measure(replace(tf, lam=1.0, shift=0.0))
-    _, lhs1, rhs1 = measure(replace(tf, lam=1.0, shift=1.5))
+    (lhs0, rhs0), (lhs1, rhs1) = _measured(
+        lambda m: measure(m)[1:], [replace(tf, lam=1.0, shift=s) for s in (0.0, 1.5)], grid)
     if rhs0 <= 0 or rhs1 <= 0:
         return math.nan
     return abs((lhs1 / rhs1) / (lhs0 / rhs0) - 1.0)
@@ -495,7 +514,7 @@ def _run_ladder(cfg: ExperimentConfig, diagnostics: dict, vanishing: bool) -> tu
     if vanishing and not use_oracle:
         log.info("thm210: no spectral-multiplier oracle (weight %s, q = %g); "
                  "the verdict rests on family stability only", weight.kind, cfg.q)
-    rows = _family_rows(cfg.make_family(), measure, diagnostics,
+    rows = _family_rows(cfg.make_family(), measure, diagnostics, grid,
                         {"oracle": oracle.ratio} if oracle else None, translate=unit_weight)
     family_ratio, spread = _stable(rows, diagnostics)
     checks = [Check("family_max_over_min", family_ratio, 3 if vanishing else 5,
@@ -525,7 +544,7 @@ def _run_hardy_lower(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         gq = g_function(f, phi, scales, 2.0)
         return (f, lp_norm(star, cfg.p), lp_norm(gq, cfg.p))
 
-    rows = _family_rows(cfg.make_family(), measure, diagnostics, translate=True)
+    rows = _family_rows(cfg.make_family(), measure, diagnostics, grid, translate=True)
     family_ratio, spread = _stable(rows, diagnostics)
     return rows, [spread, Check("family_max_over_min", family_ratio, 5, "family max/min <= {}")]
 
@@ -546,7 +565,7 @@ def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         diff = SampledField(grid, gd.values - gc.values)
         return (f, lp_norm(diff, 2.0), lp_norm(gc, 2.0))
 
-    rows = _family_rows(cfg.make_family(), measure, diagnostics)
+    rows = _family_rows(cfg.make_family(), measure, diagnostics, grid)
     diagnostics.update(j_count=len(jr),
                        normalization=float(ladder.log_weights()[0]) ** (1.0 / cfg.q))
     return rows, [Check("relative_l2_difference", _worst(r["ratio"] for r in rows),
@@ -630,7 +649,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     rows, checks = SCENARIOS[cfg.scenario].run(cfg, diagnostics)
     environment = {"grid": dict(cfg.grid), "scales": dict(cfg.scales), "seed": cfg.seed,
                    "b": cfg.b, "cpu_count": os.cpu_count(),
-                   "spectral_workers": _spectral_workers(),
+                   "spectral_workers": fields._spectral_workers(),
                    "versions": {"lplab": __version__, "numpy": np.__version__,
                                 "scipy": scipy.__version__,
                                 "python": platform.python_version()}}

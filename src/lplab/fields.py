@@ -25,19 +25,17 @@ powers of two, and scaling by a power of two is exact.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier (an array on the frequency
-grid), yielded in multiplier order.  Each inverse is ``from_spectrum`` with
-the multiplier, which writes the product straight into its output array.
-On grids of at least ``_PARALLEL_MIN_POINTS`` points, and with two or more
-cores, each multiplier's inverse transform and optional per-result map run
-on a thread pool that lives as long as the call (numpy, numpy.fft
-included, releases the GIL on these arrays), at most
-``_IN_FLIGHT_PER_WORKER`` results per worker in flight.  ``filtered_slices``
-yields the same results as arrays, the slices of a (multipliers x grid)
-stack that is never built; below the gate it inverts them in blocks of at
-most ``_BLOCK_BYTES``, one batched pass per spatial axis per block, since
-the leading axis batches and every row gets the same 1-d transform.  Every
+grid), yielded in multiplier order as each is asked for.  Each inverse is
+``from_spectrum`` with the multiplier, which writes the product straight
+into its output array.  ``filtered_slices`` yields the same results as
+arrays, the slices of a (multipliers x grid) stack that is never built;
+below ``_PARALLEL_MIN_POINTS`` points it inverts them in blocks of at most
+``_BLOCK_BYTES``, one batched pass per spatial axis per block, since the
+leading axis batches and every row gets the same 1-d transform.  Every
 result is an independent transform computed by the same code on either
-path, so no output depends on the worker count, the block or the path.
+path, so no output depends on the block or the path.  A field's transforms
+run on the calling thread; a run on a large grid measures its family
+members side by side instead (``experiments``).
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing geometric
 set of positive scales t_k = t_max * ratio^k.  Integrals against the
@@ -52,8 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,22 +252,29 @@ def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
     if multiplier is None:
         vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
     else:
-        vals = np.multiply(F.values, multiplier)
-        if vals.shape != F.values.shape:
-            raise ValueError(f"multiplier shape {vals.shape} does not match {F.grid.shape}")
+        vals = _multiplied(F.values, multiplier, np.empty_like(F.values))
         _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
 
 
-# Transforms of at least this many points run filtered's per-multiplier work
-# on a pool; filtered_slices inverts smaller ones in batched blocks.  On a 2-core
-# VM, grand_max over 64 scales is slower on the pool at 64^2 (5.5 -> 9.7 ms)
-# and 4096 points (6.1 -> 9.8 ms), even at 16384 points in 1-d (23.0 -> 22.6
-# ms), and faster at 128^2 (22.7 -> 18.3 ms) and above.
+def _multiplied(values: np.ndarray, multiplier, out: np.ndarray) -> np.ndarray:
+    """values * multiplier, written into ``out`` of values' shape; a
+    multiplier whose product would have another shape, or none, raises the
+    one message of every inverse."""
+    try:
+        return np.multiply(values, multiplier, out=out)
+    except ValueError:
+        raise ValueError(f"multiplier shape {np.shape(multiplier)} does not match "
+                         f"{values.shape}") from None
+
+
+# The large-grid gate: a run on a grid this large measures its family members
+# on a thread pool (experiments); below it filtered_slices inverts in batched
+# blocks and radial kernels keep their rows.  On a 2-core VM a per-field pool
+# lost below it (grand_max, 64 scales: 5.5 -> 9.7 ms at 64^2, 23.0 -> 22.6 ms
+# at 16384 points in 1-d) and won from 128^2 (22.7 -> 18.3 ms); a member pool
+# on 1-d grids of 4096 points gained nothing and raised VmHWM 53 -> 65-73 MiB.
 _PARALLEL_MIN_POINTS = 16384
-# results in flight per worker: the workers stay busy while the caller
-# reduces the oldest result
-_IN_FLIGHT_PER_WORKER = 2
 # bytes of one batched block of filtered_slices below the gate: large enough
 # that a block amortizes numpy.fft's per-call cost, small enough that a
 # reduction over a scale stack holds about one block of it
@@ -279,49 +282,23 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _spectral_workers() -> int:
-    """The cores this process may run on: the size of filtered's pool."""
+    """The cores this process may run on: the size of a run's member pool."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _inverse(spec: SpectralField, m: np.ndarray, post):
-    out = from_spectrum(spec, m)
-    return out if post is None else post(out.values)
-
-
-def filtered(f: SampledField, multipliers, post=None):
+def filtered(f: SampledField, multipliers):
     """Yield inverse(f_hat * m) per multiplier m, an array of values on the
     frequency grid.  One forward transform serves all of them, and the
-    results are yielded in multiplier order, so callers reduce as they
-    stream.  With ``post`` given, ``post(values)`` of each result is yielded
-    instead of the field.  Each result is ``from_spectrum(f_hat, m)``, which
-    writes the product straight into the result's own array, so a result in
-    flight holds one grid-sized array.
-
-    On large grids the products, inverses and ``post`` run on a thread pool
-    opened for this call: the multipliers are drawn on the calling thread,
-    at most ``_IN_FLIGHT_PER_WORKER`` results per worker ahead.  Finishing
-    or abandoning the generator cancels or waits out every result in flight
-    and joins the pool's threads."""
+    results are yielded in multiplier order, each multiplier drawn only when
+    its result is asked for, so callers reduce as they stream.  Each result
+    is ``from_spectrum(f_hat, m)``, which writes the product straight into
+    the result's own array."""
     spec = to_spectrum(f)
-    workers = _spectral_workers()
-    if workers < 2 or f.grid.cell_count < _PARALLEL_MIN_POINTS:
-        for m in multipliers:
-            yield _inverse(spec, m, post)
-        return
-    with ThreadPoolExecutor(workers, thread_name_prefix="lplab-spectral") as pool:
-        pending = deque()
-        try:
-            for m in multipliers:
-                pending.append(pool.submit(_inverse, spec, m, post))
-                if len(pending) == _IN_FLIGHT_PER_WORKER * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    for m in multipliers:
+        yield from_spectrum(spec, m)
 
 
 def filtered_slices(f: SampledField, multipliers):
@@ -333,7 +310,8 @@ def filtered_slices(f: SampledField, multipliers):
     pass per spatial axis, which gives each slice the bytes of its own
     ``from_spectrum``; the slices are views of their block.  At and above it
     the results stream through ``filtered``, one ``from_spectrum(f_hat, m)``
-    per multiplier, each product written into its own output array."""
+    per multiplier, each product written into its own output array.  A
+    wrong-shape multiplier raises ``from_spectrum``'s message on both paths."""
     g = f.grid
     if g.cell_count >= _PARALLEL_MIN_POINTS:
         for conv in filtered(f, multipliers):
@@ -348,7 +326,7 @@ def filtered_slices(f: SampledField, multipliers):
     for m in multipliers:
         if n == 0:  # a new block: the slices yielded so far keep theirs
             block = np.empty((rows,) + g.shape, dtype=complex)
-        np.multiply(spec, m, out=block[n])
+        _multiplied(spec, m, block[n])
         n += 1
         if n == rows:
             yield from inverted(block)

@@ -6,7 +6,8 @@ forms.  Symbols accept stacked frequency coordinates of shape (dim, ...) and
 return a complex array of shape (...), so the same spec works in 1-d and 2-d.
 A radial kernel also carries its profile r -> value, symbol(xi) =
 profile(|xi|), so its dilates on a grid are evaluated on the grid's distinct
-|xi|; on a grid below the spectral pool's gate the kernel keeps them.
+|xi|; on a grid below the large-grid gate (``fields._PARALLEL_MIN_POINTS``
+points) the kernel keeps them.
 
 Builtins:
 
@@ -102,7 +103,7 @@ class KernelSpec:
     symbol: object  # callable (dim, ...) -> (...)
     profile: object = None  # callable r -> value, or None if not radial
     # (grid, t) -> the read-only profile at t * r on the distinct radii r of
-    # a grid below the pool's gate; kept by the kernel, so freed with it
+    # a grid below the large-grid gate; kept by the kernel, so freed with it
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at_origin(self, dimension: int = 1) -> complex:
@@ -130,8 +131,8 @@ def dilates(k: KernelSpec, grid: Grid, ts):
     """Yield xi -> symbol(t xi) on the frequency grid of ``grid``, one array
     per scale t; other kernels evaluate the symbol at the scaled coordinates.
     A radial kernel evaluates its profile at t * r on the grid's distinct
-    radii r and gathers that row to every frequency.  Below the spectral
-    pool's gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
+    radii r and gathers that row to every frequency.  Below the large-grid
+    gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
     (grid, t) for every later call, since there a row costs about as much
     as the inverse it feeds; at and above the gate it keeps none: at 256^2
     a row costs about a tenth of its inverse, and the 176 rows of one

@@ -36,7 +36,6 @@ from .fields import (
     ScaleSum,
     SpectralField,
     _adopt,
-    filtered,
     filtered_slices,
     from_spectrum,
     scale_integral,
@@ -73,8 +72,8 @@ def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid, fold=No
 
     Without ``fold`` the slices are collected into a ScaleField.  With it,
     ``fold(k, values)`` is called on each slice in scale order and the result
-    is None: no stack is kept.  An error in ``fold`` ends the stream, and
-    joins any pool it runs on, before it propagates."""
+    is None: no stack is kept.  An error in ``fold`` closes the stream
+    before it propagates."""
     stack = None
     if fold is None:
         stack = np.empty((scales.count,) + f.grid.shape, dtype=complex)
@@ -208,7 +207,7 @@ def make_atom(
     lowpass = np.exp(-((fg.radii() / kcut) ** 2))
     for k in range(scales.count):
         noise = SampledField(grid, rng.standard_normal(grid.shape))
-        (smooth,) = filtered(noise, [lowpass])
+        smooth = from_spectrum(to_spectrum(noise), lowpass)
         slice_k = smooth.values.real * window
         for b in basis:
             slice_k = slice_k - np.sum(slice_k * b) * vol * b

@@ -67,9 +67,9 @@ def rng():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def no_spectral_thread_outlives_the_run():
-    """Each ``fields.filtered`` call joins its own pool's threads before it
+def no_member_thread_outlives_the_run():
+    """Each run on a large grid joins its member pool's threads before it
     returns, so none may be left once the last test has run."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
-    assert not left, f"spectral pool threads outlived the run: {left}"
+    left = [t.name for t in threading.enumerate() if t.name.startswith("lplab-member")]
+    assert not left, f"member pool threads outlived the run: {left}"

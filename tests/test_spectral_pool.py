@@ -1,21 +1,25 @@
-"""``fields.filtered``'s thread pool against the serial pipeline.
+"""Single-field pipelines against the serial loop, and the member pool.
 
-On grids of at least ``fields._PARALLEL_MIN_POINTS`` points, and with two or
-more workers, ``filtered`` runs each multiplier's product, inverse transform
-and per-result map on a thread pool.  Every consumer must still give the
-bytes of an explicit serial loop of ``from_spectrum(to_spectrum(f) * m)``,
-whatever the worker count; the pool must keep the transform counts, draw
-the multipliers a bounded distance ahead, leave nothing running and no
-thread alive when the call ends or the caller stops early, raise a bad
-multiplier where the serial loop does, serve concurrent callers and work in
-a forked child.  The grids sit on both sides of the gate: 1-d 4096 and 2-d
-64^2 below it, where ``scale_transform`` inverts its slices in batched
-blocks instead, and 1-d 32768 and 2-d 256^2 above.  A fold over the
-streamed slices must give the bytes of the collected stack, hold no stack
-and, when it raises, leave no pool thread behind.
+``fields.filtered`` and ``filtered_slices`` run on the calling thread.
+Every consumer must give the bytes of an explicit serial loop of
+``from_spectrum(to_spectrum(f) * m)`` whatever ``fields._spectral_workers``
+says; keep the transform counts; draw each multiplier only when its result
+is asked for; start no thread; raise a wrong-shape multiplier at its
+position with one message; serve concurrent callers and work in a forked
+child.  The grids sit on both sides of the large-grid gate: 1-d 4096 and
+2-d 64^2 below it, where ``scale_transform`` inverts its slices in batched
+blocks, and 1-d 32768 and 2-d 256^2 above.  A fold over the streamed slices
+must give the bytes of the collected stack and hold no stack.
+
+At and above the gate ``run_experiment`` measures a family's members on a
+pool of ``fields._spectral_workers()`` threads.  Its report must not depend
+on the worker count, a run below the gate must start no thread, and a
+member that raises must propagate with no member pending and no pool thread
+left.
 """
 
 import collections
+import itertools
 import multiprocessing
 import os
 import queue
@@ -26,17 +30,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lplab import fields, transforms
+from lplab import experiments, fields, transforms
+from lplab.experiments import ExperimentConfig, emit_report, run_experiment
 from lplab.families import FamilyMember
 from lplab.fields import Grid, SampledField, ScaleGrid, SpectralField, filtered, scale_integral
-from lplab.kernels import coordinate_multiplier, derived_kernel, dilates, make_builtin
+from lplab.kernels import KernelSpec, coordinate_multiplier, derived_kernel, dilates, make_builtin
 from lplab.maximal import GrandMaxConfig, grand_max, spectral_gradient
 from lplab.transforms import g_function, scale_transform
 
 GRIDS = [Grid(1, 4096, 16.0), Grid(1, 32768, 16.0), Grid(2, 64, 8.0), Grid(2, 256, 8.0)]
 GRID_IDS = ["1d-4096", "1d-32768", "2d-64", "2d-256"]
 LARGE_GRIDS = [Grid(1, 32768, 16.0), Grid(2, 256, 8.0)]
-SCALES = ScaleGrid.log_spaced(0.02, 4.0, 9)  # more than the lookahead at 3 workers
+SCALES = ScaleGrid.log_spaced(0.02, 4.0, 9)
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -55,10 +60,6 @@ def _serial(f, multipliers):
     spec = fields.to_spectrum(f)
     return [fields.from_spectrum(SpectralField(spec.grid, spec.values * m)).values
             for m in multipliers]
-
-
-def _threaded(grid, workers):
-    return workers >= 2 and grid.cell_count >= fields._PARALLEL_MIN_POINTS
 
 
 def test_gate_splits_the_grids():
@@ -130,7 +131,7 @@ def test_kernels_keep_no_rows_at_or_above_the_gate(grid):
 def test_grand_max_holds_no_rows_at_256(workers):
     # a fresh mollifier over 128 scales at 256^2 on a 2-core VM: with its
     # 128 rows of 5924 radii kept and a product beside each inverse the call
-    # measured 14.3-14.7 MiB at 2 workers (10.8 at 1); without them 7.1 (4.1)
+    # measured 10.8 MiB; without them 4.1
     grid = Grid(2, 256, 8.0)
     f = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
     scales = ScaleGrid.log_spaced(0.0156, 16.0, 128)
@@ -146,7 +147,7 @@ def test_grand_max_holds_no_rows_at_256(workers):
 
 
 def _pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("lplab-spectral")]
+    return [t for t in threading.enumerate() if t.name.startswith("lplab-")]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -158,8 +159,7 @@ def test_a_failing_fold_ends_the_stream(grid, workers):
         if k == 5:
             raise RuntimeError("fold failed")
 
-    # the exception's traceback keeps scale_transform's frame alive, so only
-    # closing the stream, not collecting it, can have joined the pool
+    # no slice after the failing one is folded, and no thread is left
     with pytest.raises(RuntimeError, match="fold failed"):
         scale_transform(_field(grid), make_builtin("gaussian"), SCALES, fold)
     assert folded == list(range(6))
@@ -169,8 +169,7 @@ def test_a_failing_fold_ends_the_stream(grid, workers):
 @pytest.mark.parametrize("workers", [1, 2], indirect=True)
 def test_g_function_holds_no_scale_stack(workers):
     # 48 x 256^2 complex values are a 48 MiB stack; the fold keeps two
-    # grid-sized float arrays and the results in flight (9.8 MiB measured
-    # at 2 workers on a 2-core VM)
+    # grid-sized float arrays and one result
     grid = Grid(2, 256, 8.0)
     f = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
     psi, scales = make_builtin("poissonQ"), ScaleGrid.log_spaced(1e-3, 50.0, 48)
@@ -186,6 +185,8 @@ def test_g_function_holds_no_scale_stack(workers):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_multipliers_are_drawn_a_bounded_distance_ahead(grid, workers):
+    # filtered draws each multiplier only when its result is asked for, on
+    # every grid and at any worker count
     f = _field(grid)
     mults = list(dilates(make_builtin("gaussian"), grid, SCALES.scales))
     drawn = 0
@@ -196,21 +197,45 @@ def test_multipliers_are_drawn_a_bounded_distance_ahead(grid, workers):
             drawn += 1
             yield m
 
-    lookahead = fields._IN_FLIGHT_PER_WORKER * workers
-    ahead = []
     for i, _ in enumerate(filtered(f, counting())):
-        assert drawn <= i + lookahead + 1
-        ahead.append(drawn - (i + 1))
+        assert drawn == i + 1
     assert drawn == len(mults)
-    assert max(ahead) == (lookahead - 1 if _threaded(grid, workers) else 0)
+
+
+def _cor31(grid):
+    """A cheap cor31 config on ``grid``: 4 members and the translation pair."""
+    return ExperimentConfig.from_dict({
+        "scenario": "cor31", "p": 1.0,
+        "grid": {"dimension": grid.dimension, "points_per_axis": grid.points_per_axis,
+                 "half_extent": grid.half_extent},
+        "scales": {"t_min": 0.01, "t_max": 8.0, "count": 8},
+        "grand_scales": {"t_min": 2 * grid.spacing, "t_max": 8.0, "count": 8},
+        "test_family": {"shapes": ["gaussian_derivative", "band_noise"], "dilations": [1.0, 2.0]},
+    })
+
+
+def _fail_second_member(monkeypatch):
+    """Make the second grand_max call of a run raise."""
+    calls, lock, real = itertools.count(), threading.Lock(), experiments.grand_max
+
+    def failing(*args):
+        with lock:
+            k = next(calls)
+        if k == 1:
+            raise RuntimeError("member failed")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "grand_max", failing)
 
 
 @pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkeypatch):
+    # a member that raises abandons the member pool's result stream: the
+    # members not started are cancelled and the running ones waited out
     recorded = []
 
-    class RecordingPool(fields.ThreadPoolExecutor):
+    class RecordingPool(experiments.ThreadPoolExecutor):
         """A pool that keeps the futures submitted to it."""
 
         def __init__(self, *args, **kwargs):
@@ -223,28 +248,80 @@ def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkey
             self.futures.append(fut)
             return fut
 
-    monkeypatch.setattr(fields, "ThreadPoolExecutor", RecordingPool)
-    gen = filtered(_field(grid), dilates(make_builtin("gaussian"), grid, SCALES.scales))
-    next(gen)
-    next(gen)
-    gen.close()
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    _fail_second_member(monkeypatch)
+    with pytest.raises(RuntimeError, match="member failed"):
+        run_experiment(_cor31(grid))
     (pool,) = recorded
-    assert len(pool.futures) > 2
+    assert len(pool.futures) == 4
     assert all(fut.done() for fut in pool.futures)
+    assert not _pool_threads()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_a_failing_member_propagates_and_no_member_thread_outlives_it(workers, monkeypatch):
+    _fail_second_member(monkeypatch)
+    with pytest.raises(RuntimeError, match="member failed"):
+        run_experiment(_cor31(Grid(2, 128, 8.0)))
+    assert not _pool_threads()
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 1024, 16.0), Grid(2, 128, 8.0)], ids=["1d-1024", "2d-128"])
+def test_member_pool_report_does_not_depend_on_the_worker_count(grid, monkeypatch, tmp_path):
+    # 2-d 128^2 is exactly the gate's 16384 points; 1-d 1024 lies below it
+    sample, threads, pools = FamilyMember.sample, [], []
+    monkeypatch.setattr(FamilyMember, "sample",
+                        lambda *a: threads.append(threading.current_thread()) or sample(*a))
+
+    class CountingPool(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
+    pooled = grid.cell_count >= fields._PARALLEL_MIN_POINTS
+    reports, csvs = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fields, "_spectral_workers", lambda: workers)
+        threads.clear()
+        pools.clear()
+        # threads switch every microsecond, and each run makes its grid anew,
+        # so its members race to make the grid's dual
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_experiment(_cor31(grid))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 6  # 4 members and the translation pair
+        if pooled and workers >= 2:  # one pool for the family, one for the pair
+            assert pools == [workers] * 2
+            assert all(t.name.startswith("lplab-member") for t in threads)
+        else:
+            assert pools == [] and threads == [threading.current_thread()] * 6
+        emit_report(report, tmp_path / str(workers))
+        csvs.append((tmp_path / str(workers) / "ratios.csv").read_bytes())
+        d = report.to_dict()
+        assert d.pop("environment")["spectral_workers"] == workers
+        reports.append(repr(d))
+    assert not _pool_threads()
+    assert csvs[1:] == csvs[:-1] and reports[1:] == reports[:-1]
 
 
 @pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 @pytest.mark.parametrize("end", ["completed", "closed"])
 def test_no_pool_thread_outlives_the_call(grid, workers, end):
+    # filtered starts no thread at any worker count, however its stream ends
+    before = set(threading.enumerate())
     gen = filtered(_field(grid), dilates(make_builtin("gaussian"), grid, SCALES.scales))
     next(gen)
-    assert _pool_threads()
+    assert set(threading.enumerate()) == before
     if end == "completed":
         assert len(list(gen)) == SCALES.count - 1
     else:
         gen.close()
-    assert not _pool_threads()
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -253,18 +330,30 @@ def test_wrong_shape_multiplier_raises_at_its_position(grid, bad, workers):
     f = _field(grid)
     mults = list(dilates(make_builtin("gaussian"), grid, SCALES.scales))
     mults[5] = np.ones((2,) + grid.shape) if bad == "broadcasts" else np.ones(3)
+    message = f"multiplier shape {mults[5].shape} does not match {grid.shape}"
     got = []
     with pytest.raises(ValueError) as err:
         for g in filtered(f, mults):
             got.append(g.values)
     assert len(got) == 5
     assert np.stack(got).tobytes() == np.stack(_serial(f, mults[:5])).tobytes()
-    if bad == "broadcasts":
-        assert str(err.value) == f"multiplier shape {(2,) + grid.shape} does not match {grid.shape}"
+    assert str(err.value) == message
+
+    # the same multipliers from a kernel's dilates, through scale_transform:
+    # below the gate the first five slices wait in a block that is never
+    # inverted, so none is folded
+    gaussian, calls = make_builtin("gaussian"), itertools.count()
+    bad_kernel = KernelSpec("bad_at_5", lambda xi: mults[5] if next(calls) == 5
+                            else gaussian.symbol(xi))
+    got = []
+    with pytest.raises(ValueError) as err:
+        scale_transform(f, bad_kernel, SCALES, lambda k, values: got.append(values.copy()))
+    assert str(err.value) == message
+    if grid.cell_count < fields._PARALLEL_MIN_POINTS:
+        assert got == []
     else:
-        with pytest.raises(ValueError) as product_err:
-            np.ones(grid.shape, dtype=complex) * mults[5]
-        assert str(err.value) == str(product_err.value)
+        expect = _serial(f, dilates(KernelSpec("gaussian", gaussian.symbol), grid, SCALES.scales[:5]))
+        assert np.stack(got).tobytes() == np.stack(expect).tobytes()
 
 
 class _CallCounter:
@@ -288,10 +377,10 @@ class _CallCounter:
 @pytest.mark.parametrize("workers", [1, 2], indirect=True)
 def test_pool_keeps_the_transform_counts(workers, monkeypatch):
     # perfbench's traced run checks these counts per config: one forward
-    # transform per field and, on large grids, one inverse per scale,
-    # whoever runs them; below the gate scale_transform inverts its whole
-    # stack in one batched pass, without from_spectrum.  The path depends
-    # on the grid's size alone, never on the worker count.
+    # transform per field and, on large grids, one inverse per scale, all on
+    # the calling thread; below the gate scale_transform inverts its stack
+    # in batched blocks, without from_spectrum.  The path depends on the
+    # grid's size alone, never on the worker count.
     large, small = Grid(2, 256, 8.0), Grid(1, 4096, 16.0)
     f = SampledField(large, np.random.default_rng(0).standard_normal(large.shape))
     f_small = SampledField(small, np.random.default_rng(0).standard_normal(small.shape))
@@ -310,8 +399,7 @@ def test_pool_keeps_the_transform_counts(workers, monkeypatch):
                     m.setattr(module, name, counter.wrap(name, getattr(module, name)))
             run()
         assert counter.calls == collections.Counter(to_spectrum=1, from_spectrum=inverses)
-        pooled = any(t.startswith("lplab-spectral") for t in counter.threads)
-        assert pooled == (workers >= 2 and inverses > 0)
+        assert counter.threads == {threading.current_thread().name}
 
 
 def _grand_max_bytes(f, cfg, out):
@@ -325,7 +413,7 @@ def test_pool_works_in_a_forked_child(workers):
     grid = Grid(2, 256, 8.0)
     f = _field(grid)
     cfg = GrandMaxConfig(make_builtin("gaussian"), ScaleGrid.log_spaced(0.0156, 16.0, 16))
-    parent = grand_max(f, cfg).values.tobytes()  # builds the pool before the fork
+    parent = grand_max(f, cfg).values.tobytes()  # fills the grid's caches before the fork
     ctx = multiprocessing.get_context("fork")
     out = ctx.Queue()
     child = ctx.Process(target=_grand_max_bytes, args=(f, cfg, out))
@@ -344,7 +432,8 @@ def test_pool_works_in_a_forked_child(workers):
 
 @pytest.mark.parametrize("workers", [3], indirect=True)
 def test_concurrent_callers_share_the_pool(workers):
-    # more callers and workers than cores, switching threads every microsecond
+    # more callers than cores, as a member pool's threads call grand_max,
+    # switching threads every microsecond
     grid = Grid(1, 32768, 16.0)
     cfg = GrandMaxConfig(make_builtin("gaussian"), SCALES)
     fs = [_field(grid, seed) for seed in range(4)]
