@@ -16,7 +16,6 @@ from lplab import (
     grand_max,
     hl_max,
     lp_norm,
-    make_builtin,
     peetre_bound_check,
     peetre_max,
 )
@@ -26,7 +25,7 @@ f = field_from_function(grid, lambda x: -2 * np.pi * x[0] * np.exp(-np.pi * x[0]
 
 pm = peetre_max(f, PeetreParams(N=2.0, R=1.0))
 ml = hl_max(f)
-gm = grand_max(f, GrandMaxConfig(make_builtin("gaussian"), default_grand_scales(grid)))
+gm = grand_max(f, GrandMaxConfig(default_grand_scales(grid)))
 
 print(f"||f||_1 = {lp_norm(f, 1.0):.4f}")
 print(f"||F**_(2,1)||_1 = {lp_norm(pm, 1.0):.4f}")

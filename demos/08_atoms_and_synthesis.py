@@ -31,7 +31,7 @@ print(f"  worst normalized moment: {check.moment_residual:.1e}")
 print(f"  validates: {check.passed}")
 
 psi = make_builtin("annulus_bump", [1.0, 1.2, 1.7, 2.0])
-gm = GrandMaxConfig(make_builtin("gaussian"), default_grand_scales(grid))
+gm = GrandMaxConfig(default_grand_scales(grid))
 
 print()
 print("H^1 size of the synthesized atom, per scale cutoff:")

@@ -33,7 +33,7 @@ from .experiments import (
     run_experiment,
 )
 from .fields import ScaleGrid
-from .kernels import BUILTIN_KERNELS, make_builtin
+from .kernels import BUILTIN_KERNELS
 from .maximal import (
     GrandMaxConfig,
     PeetreParams,
@@ -157,7 +157,7 @@ def _cmd_maximal(args) -> int:
         f = lpio.read_field(args.infile)
         params = PeetreParams(args.N, args.R)
         scales = default_grand_scales(f.grid, args.scale_count)
-        gm_cfg = GrandMaxConfig(make_builtin(args.mollifier), scales)
+        gm_cfg = GrandMaxConfig(scales)
     except (OSError, ValueError) as exc:
         return _bad_input(exc)
     if args.op == "peetre":
@@ -183,9 +183,14 @@ def _cmd_transform_g(args) -> int:
     return _write_result(args, g_function(f, psi, scales, args.q), f"g[{args.kernel}, q={args.q}]")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an unknown or malformed option is bad input
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lplab", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="lplab", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a verification scenario from a JSON config")
@@ -224,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--csv", type=Path, default=None)
     p_m.add_argument("--N", type=float, default=2.0)
     p_m.add_argument("--R", type=float, default=1.0)
-    p_m.add_argument("--mollifier", default="gaussian")
     p_m.add_argument("--scale-count", type=int, default=64)
     p_m.set_defaults(func=_cmd_maximal)
 
@@ -246,7 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _bad_input(exc)
     return args.func(args)
 
 

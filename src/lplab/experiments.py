@@ -536,7 +536,7 @@ def _run_hardy_lower(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         raise ConfigError(
             f"analysis kernel must be mean-zero (symbol(0) residual {canc.residual:.2e})"
         )
-    gm_cfg = GrandMaxConfig(make_builtin("gaussian"), cfg.make_grand_scales(grid))
+    gm_cfg = GrandMaxConfig(cfg.make_grand_scales(grid))
 
     def measure(tf):
         f = tf.sample(grid)
@@ -567,7 +567,7 @@ def _run_discrete_ladder(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
 
     rows = _family_rows(cfg.make_family(), measure, diagnostics, grid)
     diagnostics.update(j_count=len(jr),
-                       normalization=float(ladder.log_weights()[0]) ** (1.0 / cfg.q))
+                       normalization=ladder.log_width ** (1.0 / cfg.q))
     return rows, [Check("relative_l2_difference", _worst(r["ratio"] for r in rows),
                         0.02 if b >= 0.99 else (0.15 if b >= 0.9 else 0.5),
                         f"relative L2 difference <= {{:.0%}} at b = {b}")]
@@ -582,7 +582,7 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
         # narrow default: symbol supported in {1 <= |xi| <= 2}
         psi_cfg = {"name": "annulus_bump", "params": [1.0, 1.2, 1.7, 2.0]}
     psi = resolve_kernel(**psi_cfg)
-    gm_cfg = GrandMaxConfig(make_builtin("gaussian"), cfg.make_grand_scales(grid))
+    gm_cfg = GrandMaxConfig(cfg.make_grand_scales(grid))
     cube_side = min(4.0, grid.half_extent / 2.0)
 
     rows = []

@@ -8,12 +8,12 @@ artifacts, not interpolation error.
 Shapes:
 
     gaussian_derivative   -2 pi x1 exp(-pi |x|^2)        (mean zero)
-    modulated_gaussian    exp(-pi |x|^2) cos(2 pi rho x1)
-    band_noise            seeded sum of modulated Gaussian envelopes with
-                          frequencies in [1, 3] (approximately band limited)
+    modulated_gaussian    exp(-pi |x|^2) cos(2 pi RHO x1)
+    band_noise            seeded sum of MODES plane waves, frequencies in
+                          [1, 3], under a Gaussian of width ENVELOPE
 
 The small residual mass of the oscillatory shapes (their transform at 0 is
-exp(-pi rho^2)-tiny but nonzero) is removed on the grid, so every sampled
+exp(-pi RHO^2)-tiny but nonzero) is removed on the grid, so every sampled
 member is exactly mean-free on the periodic box; ``evaluate`` keeps the
 closed form, mass included.
 """
@@ -26,36 +26,40 @@ import numpy as np
 
 from .fields import Grid, SampledField, box_face_max
 
+RHO = 2.0  # modulated_gaussian's frequency
+MODES = 6  # band_noise's plane-wave count
+ENVELOPE = 2.5  # band_noise's envelope width
+
 
 def _gaussian_derivative(x):
     r2 = np.sum(np.asarray(x) ** 2, axis=0)
     return -2.0 * np.pi * np.asarray(x)[0] * np.exp(-np.pi * r2)
 
 
-def _modulated_gaussian(x, rho: float = 2.0):
+def _modulated_gaussian(x):
     x = np.asarray(x)
     r2 = np.sum(x**2, axis=0)
-    return np.exp(-np.pi * r2) * np.cos(2.0 * np.pi * rho * x[0])
+    return np.exp(-np.pi * r2) * np.cos(2.0 * np.pi * RHO * x[0])
 
 
-def _band_noise_components(seed: int, dimension: int, modes: int = 6):
+def _band_noise_components(seed: int, dimension: int):
     rng = np.random.default_rng(seed)
-    amps = rng.uniform(0.5, 1.0, modes)
-    freqs = rng.uniform(1.0, 3.0, modes)
-    phases = rng.uniform(0.0, 2.0 * np.pi, modes)
+    amps = rng.uniform(0.5, 1.0, MODES)
+    freqs = rng.uniform(1.0, 3.0, MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, MODES)
     if dimension == 1:
-        dirs = np.ones((modes, 1))
+        dirs = np.ones((MODES, 1))
     else:
-        ang = rng.uniform(0.0, 2.0 * np.pi, modes)
+        ang = rng.uniform(0.0, 2.0 * np.pi, MODES)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     return amps, freqs, phases, dirs
 
 
-def _band_noise(x, seed: int, envelope: float = 2.5):
+def _band_noise(x, seed: int):
     x = np.asarray(x)
     amps, freqs, phases, dirs = _band_noise_components(seed, x.shape[0])
     r2 = np.sum(x**2, axis=0)
-    env = np.exp(-np.pi * r2 / envelope**2)
+    env = np.exp(-np.pi * r2 / ENVELOPE**2)
     out = np.zeros(x.shape[1:])
     for a, f, ph, d in zip(amps, freqs, phases, dirs):
         arg = sum(d[k] * x[k] for k in range(x.shape[0]))

@@ -420,9 +420,10 @@ class ScaleGrid:
     def t_max(self) -> float:
         return float(self.scales[0])
 
-    def log_weights(self) -> np.ndarray:
-        """Per-scale log-cell widths, each log(1/ratio)."""
-        return np.full(self.count, math.log(1.0 / self.ratio))
+    @property
+    def log_width(self) -> float:
+        """The width log(1/ratio) of every scale's log-cell."""
+        return math.log(1.0 / self.ratio)
 
     def spans_decades(self) -> float:
         return math.log10(self.t_max / self.t_min)
@@ -430,20 +431,20 @@ class ScaleGrid:
 
 class ScaleSum:
     """The rectangle sum in log t of |u(t_k)|^q over a ScaleGrid, folded one
-    scale at a time: ``add(k, u_k)`` adds |u_k|^q * log-cell-width_k to a
-    running total of ``shape``, and ``result()`` is the total's q-th root.
-    Two arrays of ``shape`` live at a time, the total and one term."""
+    scale at a time: ``add(k, u_k)`` adds |u_k|^q times the grid's
+    ``log_width`` to a running total of ``shape``, and ``result()`` is the
+    total's q-th root.  Two arrays of ``shape`` live at a time, the total and one term."""
 
     def __init__(self, shape: tuple, scales: ScaleGrid, q: float):
         check_exponent("q", q)
         self.q = q
-        self.weights = scales.log_weights()
+        self.width = scales.log_width
         self.total = np.zeros(shape)
 
     def add(self, k: int, uk: np.ndarray) -> None:
         term = np.abs(uk)
         term **= self.q
-        term *= self.weights[k]
+        term *= self.width
         self.total += term
 
     def result(self) -> np.ndarray:

@@ -16,20 +16,21 @@ one FFT convolution and are dilated over the disc as a union of row
 segments, one periodic running max (a doubling max, about log2 of the width
 vector ops) per distinct segment width, at O(R p^2 log R) per radius of R
 cells.  The grand maximal function is the pointwise sup over a
-scale grid of mollifications |Phi_t * f| with a unit-mass mollifier.
+scale grid of mollifications |Phi_t * f|, Phi the unit Gaussian.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import Grid, SampledField, ScaleGrid, filtered
-from .kernels import KernelSpec, coordinate_multiplier, dilates
+from .kernels import KernelSpec, coordinate_multiplier, dilates, make_builtin
 
 
 @dataclass(frozen=True)
@@ -182,60 +183,40 @@ def _hl_max_1d(absf: np.ndarray) -> np.ndarray:
 
 
 def _hl_max_2d(absf: np.ndarray, grid: Grid, radii) -> np.ndarray:
-    p = grid.points_per_axis
-    if radii is None:
-        count = max(8, p // 4)
-        # start below one cell so the degenerate single-cell ball (mean = |f|)
-        # is always included, keeping M(f) >= |f| exact on samples
-        radii = np.exp(
-            np.linspace(math.log(grid.spacing / 2.0), math.log(grid.half_extent), count)
-        )
     out = absf.astype(float).copy()  # the degenerate single-cell ball
-    radii_cells = np.asarray(radii, dtype=float) / grid.spacing
-    for fp, means in _disc_means(absf, radii_cells):
+    for fp, means in _disc_means(absf, np.asarray(radii, dtype=float) / grid.spacing):
         # uncentered: take the best ball center within distance r of each point
         np.maximum(out, _disc_dilate(means, fp), out=out)
     return out
 
 
-def _ball_radii(radii) -> np.ndarray:
-    """``radii`` as a float array; raise unless every radius r satisfies
-    0 < r < inf (NaN does not), naming the first that fails."""
-    arr = np.asarray(radii, dtype=float)
-    bad = arr[~((arr > 0) & (arr < math.inf))]
-    if bad.size:
-        raise ValueError(f"ball radii must be positive and finite, got {bad[0]}")
-    return arr
-
-
-def hl_max(f: SampledField, radii=None) -> SampledField:
+def hl_max(f: SampledField) -> SampledField:
     """Uncentered Hardy-Littlewood maximal function over grid-aligned balls.
 
     In 1-d every contiguous periodic window is scanned (exact up to the
-    grid); in 2-d discs at the sampled radii are used (default: log-spaced
-    from one cell to the half extent).  Given radii must be positive and
-    finite in either dimension.
+    grid).  In 2-d the balls are discs at max(8, P/4) radii log-spaced from
+    half a cell to the half extent, P the points per axis; starting below
+    one cell includes the degenerate single-cell ball (mean = |f|), which
+    keeps M(f) >= |f| exact on samples.
     """
-    if radii is not None:
-        radii = _ball_radii(radii)
     g = f.grid
     absf = np.abs(f.values)
     if g.dimension == 1:
         return SampledField(g, _hl_max_1d(absf))
+    radii = np.exp(np.linspace(math.log(g.spacing / 2.0), math.log(g.half_extent),
+                               max(8, g.points_per_axis // 4)))
     return SampledField(g, _hl_max_2d(absf, g, radii))
 
 
 @dataclass(frozen=True)
 class GrandMaxConfig:
-    """Unit-mass mollifier plus the scale grid for the sup over t."""
+    """The scale grid for the sup over t, and the unit-mass mollifier: the
+    Gaussian exp(-pi |xi|^2).  Each config makes its own Gaussian, so the
+    dilate rows it keeps on a small grid are freed with the config."""
 
-    mollifier: KernelSpec
     scales: ScaleGrid
-
-    def __post_init__(self):
-        res = abs(self.mollifier.at_origin() - 1.0)
-        if res > 1e-12:
-            raise ValueError(f"mollifier must have unit mass; symbol(0) is off by {res:.2e}")
+    mollifier: KernelSpec = field(default_factory=partial(make_builtin, "gaussian"),
+                                  init=False, repr=False, compare=False)
 
 
 def default_grand_scales(grid: Grid, count: int = 64) -> ScaleGrid:
@@ -244,7 +225,8 @@ def default_grand_scales(grid: Grid, count: int = 64) -> ScaleGrid:
 
 
 def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
-    """Pointwise max over the scale grid of |Phi_t * f| (convolutions spectral)."""
+    """Pointwise max over the config's scale grid of |Phi_t * f|, Phi its unit
+    Gaussian (convolutions spectral)."""
     out = np.zeros(f.grid.shape)
     for conv in filtered(f, dilates(cfg.mollifier, f.grid, cfg.scales.scales)):
         np.maximum(out, np.abs(conv.values), out=out)

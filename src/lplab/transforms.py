@@ -3,13 +3,12 @@
 The scale field of an analysis pair is E(x, t) = (f * psi_t)(x), computed
 per scale as the inverse transform of f_hat(xi) * psi_hat(t xi).
 ``scale_transform`` streams its slices from ``fields.filtered_slices`` in
-scale order, into a (scales x grid) ScaleField or into a caller's per-scale
-fold, which keeps no stack.  Square functions integrate |E| over scales
-against dt/t with log-rectangle weights: ``g_function`` folds them through
-``fields.ScaleSum`` as they stream.  A discrete ladder t = b^j is the
-geometric ScaleGrid of ratio b, whose log-cells carry the weight log(1/b),
-so its square function is ``g_function`` on that grid; it tends to the
-continuous one as b -> 1.
+scale order into a caller's per-scale fold, and keeps no stack.  Square
+functions integrate |E| over scales against dt/t with log-rectangle
+weights: ``g_function`` folds them through ``fields.ScaleSum`` as they
+stream.  A discrete ladder t = b^j is the geometric ScaleGrid of ratio b,
+whose log-cells carry the weight log(1/b), so its square function is
+``g_function`` on that grid; it tends to the continuous one as b -> 1.
 
 The synthesis operator is the adjoint-style assembly
 
@@ -67,27 +66,20 @@ class ScaleField:
         return _adopt(SampledField, self.values[k], grid=self.grid)
 
 
-def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid, fold=None):
-    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale.
-
-    Without ``fold`` the slices are collected into a ScaleField.  With it,
-    ``fold(k, values)`` is called on each slice in scale order and the result
-    is None: no stack is kept.  An error in ``fold`` closes the stream
-    before it propagates."""
-    stack = None
-    if fold is None:
-        stack = np.empty((scales.count,) + f.grid.shape, dtype=complex)
-        fold = stack.__setitem__
+def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid, fold) -> None:
+    """E(x, t_k) = inverse transform of f_hat(xi) * psi_hat(t_k xi), per scale,
+    folded as it streams: ``fold(k, values)`` is called on each slice in
+    scale order, and no stack is kept.  An error in ``fold`` closes the
+    stream before it propagates."""
     with closing(filtered_slices(f, dilates(psi, f.grid, scales.scales))) as slices:
         for k, values in enumerate(slices):
             fold(k, values)
-    return None if stack is None else _adopt(ScaleField, stack, grid=f.grid, scales=scales)
 
 
 def g_function(f: SampledField, psi: KernelSpec, scales: ScaleGrid, q: float = 2.0) -> SampledField:
     """(integral |f * psi_t|^q dt/t)^(1/q), pointwise over the grid: the
     scale transform folded into ``ScaleSum`` as it streams, with the bytes
-    of ``scale_integral`` over the collected stack."""
+    of ``scale_integral`` over the stack of its slices."""
     total = ScaleSum(f.grid.shape, scales, q)
     scale_transform(f, psi, scales, total.add)
     return SampledField(f.grid, total.result())
@@ -105,13 +97,12 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
         )
     fg = h.grid.frequency_grid()
     acc = np.zeros(fg.shape, dtype=complex)
-    weights = sg.log_weights()
     inside = np.flatnonzero((sg.scales > epsilon) & (sg.scales < 1.0 / epsilon))
     if inside.size < sg.count:
         log.debug("synthesize: cutoff %g skips %d of %d scales",
                   epsilon, sg.count - inside.size, sg.count)
     for k, sym in zip(inside, dilates(psi, h.grid, sg.scales[inside])):
-        acc += weights[k] * np.asarray(sym) * to_spectrum(h.slice(k)).values
+        acc += sg.log_width * np.asarray(sym) * to_spectrum(h.slice(k)).values
     return from_spectrum(_adopt(SpectralField, acc, grid=fg))
 
 

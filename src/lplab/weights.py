@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, SampledField
-from .maximal import _ball_radii, _disc_means, _window_means, hl_max
+from .maximal import _disc_means, _window_means, hl_max
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,16 @@ def _singular_cell_average(grid: Grid, a: float) -> float:
     sub = (np.arange(k) + 0.5) / k * h - h / 2.0
     xx, yy = np.meshgrid(sub, sub, indexing="ij")
     return float(np.mean(np.hypot(xx, yy) ** a))
+
+
+def _ball_radii(radii) -> np.ndarray:
+    """``radii`` as a float array; raise unless every radius r satisfies
+    0 < r < inf (NaN does not), naming the first that fails."""
+    arr = np.asarray(radii, dtype=float)
+    bad = arr[~((arr > 0) & (arr < math.inf))]
+    if bad.size:
+        raise ValueError(f"ball radii must be positive and finite, got {bad[0]}")
+    return arr
 
 
 def ap_characteristic(w: Weight, p: float, ball_radii, grid: Grid) -> float:

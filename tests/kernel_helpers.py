@@ -1,11 +1,13 @@
 """Kernel constructions that only the tests use: spatial samples of a
-dilate, the conjugate kernel and the Calderon normalization."""
+dilate, a collected scale stack, the conjugate kernel and the Calderon
+normalization."""
 
 import math
 
 import numpy as np
 
-from lplab import Grid, KernelSpec, SampledField, SpectralField, from_spectrum
+from lplab import (Grid, KernelSpec, SampledField, ScaleField, ScaleGrid, SpectralField,
+                   from_spectrum, scale_transform)
 from lplab.kernels import dilates
 
 
@@ -15,6 +17,14 @@ def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:
         raise ValueError(f"dilation scale must be positive, got {t}")
     (sym,) = dilates(k, g, [t])
     return from_spectrum(SpectralField(g.frequency_grid(), sym))
+
+
+def scale_stack(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
+    """The scale field E(x, t_k) = (f * psi_{t_k})(x), every slice of
+    ``scale_transform``'s stream collected in scale order."""
+    stack = np.empty((scales.count,) + f.grid.shape, dtype=complex)
+    scale_transform(f, psi, scales, stack.__setitem__)
+    return ScaleField(f.grid, scales, stack)
 
 
 def conjugate_kernel(psi: KernelSpec) -> KernelSpec:

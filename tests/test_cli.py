@@ -8,6 +8,8 @@ from lplab import Grid, SampledField
 from lplab.cli import main
 from lplab.io import read_field, write_field
 from lplab.kernels import BUILTIN_KERNELS
+from lplab.maximal import (GrandMaxConfig, PeetreParams, default_grand_scales, grand_max,
+                           hl_max, peetre_max)
 
 
 @pytest.fixture()
@@ -45,6 +47,11 @@ def test_calderon_build_rejects_bad_b(tmp_path):
 
 
 def test_maximal_ops_roundtrip(stored_field, tmp_path):
+    # each op at the CLI's defaults gives the bytes of its library call
+    f = read_field(stored_field)
+    library = {"peetre": lambda: peetre_max(f, PeetreParams(2, 1)),
+               "hl": lambda: hl_max(f),
+               "grand": lambda: grand_max(f, GrandMaxConfig(default_grand_scales(f.grid, 64)))}
     for op in ("peetre", "hl", "grand"):
         out = tmp_path / f"{op}.bin"
         csv = tmp_path / f"{op}.csv"
@@ -52,6 +59,7 @@ def test_maximal_ops_roundtrip(stored_field, tmp_path):
                      "--out", str(out), "--csv", str(csv)]) == 0
         result = read_field(out)
         assert np.all(np.isfinite(result.values.real))
+        assert result.values.tobytes() == library[op]().values.tobytes()
         assert csv.read_text().splitlines()[0] == "index,x,re,im"
 
 
@@ -140,6 +148,9 @@ BAD_INPUTS = {
                                        "--out", str(d / "o.bin")],
     "truncated_header": lambda d, f: ["transform", "g", "--in", _cut(f, 10),
                                       "--out", str(d / "o.bin")],
+    # the grand maximal mollifier is the unit Gaussian; there is no option for it
+    "maximal_mollifier": lambda d, f: ["maximal", "--op", "grand", "--mollifier", "gaussian",
+                                       "--in", str(f), "--out", str(d / "o.bin")],
     "missing_field": lambda d, f: ["maximal", "--op", "hl", "--in", str(d / "none.bin"),
                                    "--out", str(d / "o.bin")],
     "points_per_axis_1000": lambda d, f: [

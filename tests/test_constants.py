@@ -21,12 +21,13 @@ from lplab import (
     from_spectrum,
     peetre_max,
     power_tail_kernel,
-    scale_transform,
 )
 from lplab import IntegralEstimate, constants
 from lplab.constants import J_MAX
 from lplab.experiments import CONSTANTS_GRID
 from lplab.fields import SpectralField
+
+from kernel_helpers import scale_stack
 
 
 ZERO_KERNEL = KernelSpec("zero", lambda xi: np.zeros(np.asarray(xi).shape[1:], dtype=complex))
@@ -257,11 +258,11 @@ class TestScaleFieldBound:
             spec = spec + spec[::-1]
             f = from_spectrum(SpectralField(fg, spec))
             for t in (0.5, 1.0, 2.0):
-                e_psi = scale_transform(f, annulus, ScaleGrid.geometric(t, 0.5, 1)).slice(0)
+                e_psi = scale_stack(f, annulus, ScaleGrid.geometric(t, 0.5, 1)).slice(0)
                 rhs = np.zeros(grid.shape)
                 for j in js:
                     s = P.b**j * t
-                    e_phi = scale_transform(f, poissonq, ScaleGrid.geometric(s, 0.5, 1)).slice(0)
+                    e_phi = scale_stack(f, poissonq, ScaleGrid.geometric(s, 0.5, 1)).slice(0)
                     pj = peetre_max(e_phi, PeetreParams(N, 1.0 / s)).values.real
                     rhs += c_vals[j] * pj
                 ratio = np.abs(e_psi.values) / np.maximum(rhs, 1e-300)

@@ -61,9 +61,9 @@ from lplab.maximal import (
     _window_means,
     peetre_max,
 )
-from lplab.transforms import ScaleField, g_function, scale_transform
+from lplab.transforms import ScaleField, g_function
 
-from kernel_helpers import calderon_normalize, conjugate_kernel
+from kernel_helpers import calderon_normalize, conjugate_kernel, scale_stack
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -367,7 +367,7 @@ def test_computed_fields_are_read_only():
     grid = Grid(2, 8, 2.0)
     f = SampledField(grid, _random_complex(grid, 1))
     scales = ScaleGrid.log_spaced(0.1, 1.0, 3)
-    E = scale_transform(f, make_builtin("poissonQ"), scales)
+    E = scale_stack(f, make_builtin("poissonQ"), scales)
     spec = to_spectrum(f)
     xi = grid.frequency_grid().coords()
     for arr in (spec.values, from_spectrum(spec).values, E.values, E.slice(1).values,

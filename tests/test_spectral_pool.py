@@ -38,6 +38,8 @@ from lplab.kernels import KernelSpec, coordinate_multiplier, derived_kernel, dil
 from lplab.maximal import GrandMaxConfig, grand_max, spectral_gradient
 from lplab.transforms import g_function, scale_transform
 
+from kernel_helpers import scale_stack
+
 GRIDS = [Grid(1, 4096, 16.0), Grid(1, 32768, 16.0), Grid(2, 64, 8.0), Grid(2, 256, 8.0)]
 GRID_IDS = ["1d-4096", "1d-32768", "2d-64", "2d-256"]
 LARGE_GRIDS = [Grid(1, 32768, 16.0), Grid(2, 256, 8.0)]
@@ -84,9 +86,9 @@ def test_consumers_match_a_serial_loop(grid, workers):
 
         got = [g.values for g in filtered(f, dilates(psi, grid, SCALES.scales))]
         assert np.stack(got).tobytes() == stack.tobytes()
-        assert scale_transform(f, psi, SCALES).values.tobytes() == stack.tobytes()
+        assert scale_stack(f, psi, SCALES).values.tobytes() == stack.tobytes()
 
-        w = SCALES.log_weights().reshape((-1,) + (1,) * grid.dimension)
+        w = SCALES.log_width
         for q in (1.0, 2.0):
             expect = np.sum(np.abs(stack) ** q * w, axis=0) ** (1.0 / q)
             g_q = g_function(f, psi, SCALES, q).values
@@ -94,7 +96,7 @@ def test_consumers_match_a_serial_loop(grid, workers):
 
         mags = np.abs(np.stack(_serial(f, dilates(mollifier, grid, SCALES.scales))))
         expect = np.max(mags, axis=0).astype(complex)
-        assert grand_max(f, GrandMaxConfig(mollifier, SCALES)).values.tobytes() == expect.tobytes()
+        assert grand_max(f, GrandMaxConfig(SCALES)).values.tobytes() == expect.tobytes()
 
         xi = grid.frequency_grid().coords()
         expect = _serial(f, [coordinate_multiplier(k).symbol(xi) for k in range(grid.dimension)])
@@ -106,7 +108,7 @@ def test_streamed_g_function_has_the_bytes_of_the_collected_stack(grid, workers)
     # 40 scales: below the gate, two full 1 MiB blocks of 16 slices and a part block
     scales = ScaleGrid.log_spaced(0.02, 4.0, 40)
     for f, psi in _inputs(grid):
-        stack = scale_transform(f, psi, scales).values
+        stack = scale_stack(f, psi, scales).values
         assert stack.tobytes() == np.stack(_serial(f, dilates(psi, grid, scales.scales))).tobytes()
         for q in (0.5, 1.0, 2.0):
             expect = SampledField(grid, scale_integral(stack, scales, q)).values
@@ -116,9 +118,10 @@ def test_streamed_g_function_has_the_bytes_of_the_collected_stack(grid, workers)
 @pytest.mark.parametrize("grid", LARGE_GRIDS, ids=["1d-32768", "2d-256"])
 def test_kernels_keep_no_rows_at_or_above_the_gate(grid):
     f = _field(grid)
-    psi, phi = make_builtin("poissonQ"), make_builtin("gaussian")
+    psi, cfg = make_builtin("poissonQ"), GrandMaxConfig(SCALES)
+    phi = cfg.mollifier
     g_function(f, psi, SCALES)
-    grand_max(f, GrandMaxConfig(phi, SCALES))
+    grand_max(f, cfg)
     assert psi._rows == {} and phi._rows == {}
     ru, inv = np.unique(grid.frequency_grid().radii(), return_inverse=True)
     for k in (psi, phi):
@@ -135,8 +138,8 @@ def test_grand_max_holds_no_rows_at_256(workers):
     grid = Grid(2, 256, 8.0)
     f = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
     scales = ScaleGrid.log_spaced(0.0156, 16.0, 128)
-    grand_max(f, GrandMaxConfig(make_builtin("gaussian"), scales))  # fills the grid's caches
-    cfg = GrandMaxConfig(make_builtin("gaussian"), scales)
+    grand_max(f, GrandMaxConfig(scales))  # fills the grid's caches
+    cfg = GrandMaxConfig(scales)
     tracemalloc.start()
     try:
         grand_max(f, cfg)
@@ -385,8 +388,7 @@ def test_pool_keeps_the_transform_counts(workers, monkeypatch):
     f = SampledField(large, np.random.default_rng(0).standard_normal(large.shape))
     f_small = SampledField(small, np.random.default_rng(0).standard_normal(small.shape))
     cases = [
-        (lambda: grand_max(f, GrandMaxConfig(make_builtin("gaussian"),
-                                             ScaleGrid.log_spaced(0.0156, 16.0, 128))), 128),
+        (lambda: grand_max(f, GrandMaxConfig(ScaleGrid.log_spaced(0.0156, 16.0, 128))), 128),
         (lambda: g_function(f, make_builtin("poissonQ"), ScaleGrid.log_spaced(0.01, 8.0, 48)), 48),
         (lambda: g_function(f_small, make_builtin("poissonQ"),
                             ScaleGrid.log_spaced(0.01, 8.0, 48)), 0),
@@ -412,7 +414,7 @@ def _grand_max_bytes(f, cfg, out):
 def test_pool_works_in_a_forked_child(workers):
     grid = Grid(2, 256, 8.0)
     f = _field(grid)
-    cfg = GrandMaxConfig(make_builtin("gaussian"), ScaleGrid.log_spaced(0.0156, 16.0, 16))
+    cfg = GrandMaxConfig(ScaleGrid.log_spaced(0.0156, 16.0, 16))
     parent = grand_max(f, cfg).values.tobytes()  # fills the grid's caches before the fork
     ctx = multiprocessing.get_context("fork")
     out = ctx.Queue()
@@ -435,7 +437,7 @@ def test_concurrent_callers_share_the_pool(workers):
     # more callers than cores, as a member pool's threads call grand_max,
     # switching threads every microsecond
     grid = Grid(1, 32768, 16.0)
-    cfg = GrandMaxConfig(make_builtin("gaussian"), SCALES)
+    cfg = GrandMaxConfig(SCALES)
     fs = [_field(grid, seed) for seed in range(4)]
     expect = [np.max(np.abs(np.stack(_serial(f, dilates(cfg.mollifier, grid, SCALES.scales)))),
                      axis=0).astype(complex).tobytes() for f in fs]
