@@ -35,13 +35,13 @@ from .kernels import KernelSpec, _unit_directions, plateau
 
 @dataclass(frozen=True)
 class IntervalCover:
-    """Output of the scale-window search: compact t-intervals plus b0, and
-    the dimension whose rays were scanned."""
+    """Output of the scale-window search: compact t-intervals plus b0, the
+    measured infimum c whose half is the window threshold, and the
+    dimension whose rays were scanned."""
 
     intervals: tuple
     b0: float
     squared_infimum: float
-    threshold: float
     dimension: int
 
 
@@ -62,23 +62,14 @@ def find_intervals(phi: KernelSpec, dimension: int = 1) -> IntervalCover:
     c_sq = float(np.min(np.max(profiles, axis=1)))
     if c_sq <= 1e-30:
         raise ValueError("kernel is degenerate at this grid resolution: no scale window")
-    threshold = 0.5 * c_sq
     windows = []
     for vals in profiles:
-        above = vals >= threshold
-        best = None
-        start = None
-        for i, flag in enumerate(np.append(above, False)):
-            if flag and start is None:
-                start = i
-            elif not flag and start is not None:
-                if best is None or (i - 1 - start) > (best[1] - best[0]):
-                    best = (start, i - 1)
-                start = None
-        lo, hi = best
-        if hi == lo:
+        above = np.concatenate(([False], vals >= 0.5 * c_sq, [False]))
+        runs = np.flatnonzero(above[1:] != above[:-1]).reshape(-1, 2)  # [start, stop)
+        lo, stop = runs[np.argmax(runs[:, 1] - runs[:, 0])]  # the first widest
+        if stop - lo == 1:
             raise ValueError("scale grid too coarse: widest window is a single sample")
-        windows.append((float(ts[lo]), float(ts[hi])))
+        windows.append((float(ts[lo]), float(ts[stop - 1])))
     windows.sort()
     merged = [windows[0]]
     for a, b in windows[1:]:
@@ -88,7 +79,7 @@ def find_intervals(phi: KernelSpec, dimension: int = 1) -> IntervalCover:
         else:
             merged.append((a, b))
     b0 = max(a / b for a, b in merged)
-    return IntervalCover(tuple(merged), b0, c_sq, threshold, dimension)
+    return IntervalCover(tuple(merged), b0, c_sq, dimension)
 
 
 def _j_window(r_min: float, r_max: float, lo: float, hi: float, b: float) -> range:

@@ -116,29 +116,26 @@ def _cmd_constants_report(args) -> int:
     except ConfigError as exc:
         return _bad_input(exc)
     out = lpio.ensure_dir(args.out)
+    verdicts = report.condition_verdicts
     payload = {
         "phi": args.phi,
         "psi": args.psi,
         "N": args.N,
         "L": args.L,
         "A": A,
-        "tau_fit": report.tau_fit,
-        "d_value": report.d_value,
+        "tau_fit": verdicts["psi_scale_sum"].measured,
+        "d_value": verdicts["psi_multiplier_tail"].measured,
         "verdicts": {
             k: {"passed": v.passed, "measured": v.measured, "description": v.description}
-            for k, v in report.condition_verdicts.items()
+            for k, v in verdicts.items()
         },
     }
     lpio.write_json(out / "conditions.json", payload)
     with open(out / "c_values.csv", "w") as fh:
         fh.write("j,c\n")
-        for j in sorted(report.c_values):
-            # box-limited diagnostic values: keep the sweep going past
-            # sliver-support scales instead of raising on their tails
-            c = c_const(P, psi, j, args.L, CONSTANTS_GRID, tail_check=False).value \
-                if args.L != args.N else report.c_values[j]
-            fh.write(f"{j},{c!r}\n")
-    for k, v in report.condition_verdicts.items():
+        for j in sorted(report.c_values):  # the box's estimate, reliable or not
+            fh.write(f"{j},{c_const(P, psi, j, args.L, CONSTANTS_GRID).value!r}\n")
+    for k, v in verdicts.items():
         print(f"{'PASS' if v.passed else 'FAIL'} {k}: {v.measured:.6g}")
     return 0 if report.all_passed else 1
 

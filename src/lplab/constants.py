@@ -21,9 +21,10 @@ requirements on P.phi and psi into tail-decay verdicts over the probed j-range.
 
 Each integral carries a boundary-tail error bar (largest face value times
 box volume).  One gate, ``IntegralEstimate.reliable``, decides whether the
-box resolves it; ``c_const``/``d_const`` raise on an unreliable estimate
-unless ``tail_check=False``, the decay fits drop unreliable scales, and the
-``psi_multiplier_tail`` verdict fails on an unreliable D.
+box resolves it: the decay fits drop unreliable scales, the
+``psi_multiplier_tail`` verdict fails on an unreliable D, and
+``check_conditions`` raises on an unreliable D over the derivative
+multipliers.
 """
 
 from __future__ import annotations
@@ -98,38 +99,29 @@ class IntegralEstimate:
                                 self.boundary_tail + other.boundary_tail)
 
 
-def _integrate_profile(profile: SampledField, tail_check: bool) -> IntegralEstimate:
+def _integrate_profile(profile: SampledField) -> IntegralEstimate:
     g = profile.grid
     vals = np.abs(profile.values)
-    est = IntegralEstimate(float(vals.sum()) * g.cell_volume,
-                           box_face_max(vals) * (2.0 * g.half_extent) ** g.dimension)
-    if tail_check and not est.reliable:
-        raise ValueError(
-            f"boundary tail {est.boundary_tail:.3e} exceeds {BOX_TAIL_FRACTION:.0%} of the "
-            f"integral {est.value:.3e}; enlarge the box for this L"
-        )
-    return est
+    return IntegralEstimate(float(vals.sum()) * g.cell_volume,
+                            box_face_max(vals) * (2.0 * g.half_extent) ** g.dimension)
 
 
-def c_const(P: PartitionSystem, psi: KernelSpec, j: int, L: float, grid: Grid,
-            tail_check: bool = True) -> IntegralEstimate:
-    """C(psi, j, L): the x-integral of C0(psi, b^j, L, .).
-
-    With ``tail_check`` (default) an unreliable estimate raises; pass False
-    to obtain the box-limited estimate with its error bar.
-    """
-    return _integrate_profile(c0_profile(P, psi, P.b ** j, L, grid), tail_check)
+def c_const(P: PartitionSystem, psi: KernelSpec, j: int, L: float, grid: Grid) -> IntegralEstimate:
+    """C(psi, j, L): the x-integral of C0(psi, b^j, L, .), with its
+    boundary-tail error bar."""
+    return _integrate_profile(c0_profile(P, psi, P.b ** j, L, grid))
 
 
 def d_const(P: PartitionSystem, theta_mult: KernelSpec, J: float, L: float,
-            grid: Grid, tail_check: bool = True) -> IntegralEstimate:
-    """D(Theta, J, L): x-integral of the weighted modulus of zeta_J * Theta."""
+            grid: Grid) -> IntegralEstimate:
+    """D(Theta, J, L): x-integral of the weighted modulus of zeta_J * Theta,
+    with its boundary-tail error bar."""
     zeta = build_zeta(P, J)
 
     def integrand(xi):
         return np.asarray(zeta(xi)) * np.asarray(theta_mult.symbol(xi))
 
-    return _integrate_profile(_weighted_modulus(P, grid, integrand, L), tail_check)
+    return _integrate_profile(_weighted_modulus(P, grid, integrand, L))
 
 
 def fit_decay_exponent(ts, values, reliable=None) -> float:
@@ -183,11 +175,11 @@ class ConditionVerdict:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Constants, their decay fit, and the scale-calculus condition verdicts."""
+    """The C(psi, j, N) profile and the scale-calculus condition verdicts;
+    the decay fit tau and D(Theta, A, N) are the ``measured`` of the
+    ``psi_scale_sum`` and ``psi_multiplier_tail`` verdicts."""
 
     c_values: dict
-    d_value: float
-    tau_fit: float
     condition_verdicts: dict
 
     @property
@@ -216,8 +208,8 @@ def check_conditions(
     psi_multiplier_tail      D(Theta, A, N) is finite and reliable
 
     Divergence within the probed range, and a D(Theta, A, N) the box cannot
-    resolve, yield a failed verdict, never an exception; the derivative
-    multipliers' D still raises when unreliable (box too small).
+    resolve, yield a failed verdict, never an exception; a D over the
+    derivative multipliers that the box cannot resolve raises ValueError.
     """
     check_exponent("N", N)
     n = grid.dimension
@@ -233,7 +225,7 @@ def check_conditions(
     ts = b ** js.astype(float)
 
     grads = [derived_kernel(f"d{k}_{phi.name}", phi, coordinate_multiplier(k)) for k in range(n)]
-    grad_c = [sum((c_const(P, gk, int(j), N, grid, tail_check=False) for gk in grads),
+    grad_c = [sum((c_const(P, gk, int(j), N, grid) for gk in grads),
                   IntegralEstimate(0.0, 0.0)) for j in js]
     rho_grad = fit_decay_exponent(ts, [e.value for e in grad_c],
                                   reliable=[e.reliable for e in grad_c])
@@ -243,7 +235,15 @@ def check_conditions(
         "tail decay margin of C(grad phi, j, N) over b^(jN)",
     )
 
-    d_grad = sum(d_const(P, coordinate_multiplier(k), 1.0, N, grid).value for k in range(n))
+    d_grad = 0.0
+    for k in range(n):
+        est = d_const(P, coordinate_multiplier(k), 1.0, N, grid)
+        if not est.reliable:
+            raise ValueError(
+                f"boundary tail {est.boundary_tail:.3e} exceeds {BOX_TAIL_FRACTION:.0%} of the "
+                f"integral {est.value:.3e}; enlarge the box for this L"
+            )
+        d_grad += est.value
     verdicts["gradient_multiplier_tail"] = ConditionVerdict(
         math.isfinite(d_grad), d_grad, "D over derivative multipliers at J=1"
     )
@@ -251,7 +251,7 @@ def check_conditions(
     j_start = P.first_j(A)
     js_psi = np.arange(j_start, j_start + J_MAX + 1)
     ts_psi = b ** js_psi.astype(float)
-    psi_c = {int(j): c_const(P, psi, int(j), N, grid, tail_check=False) for j in js_psi}
+    psi_c = {int(j): c_const(P, psi, int(j), N, grid) for j in js_psi}
     rho_psi = fit_decay_exponent(ts_psi, [e.value for e in psi_c.values()],
                                  reliable=[e.reliable for e in psi_c.values()])
     verdicts["psi_scale_sum"] = ConditionVerdict(
@@ -259,14 +259,9 @@ def check_conditions(
     )
 
     # a box-limited D is reported with a failed verdict instead of raising
-    d_est = d_const(P, theta_mult, A, N, grid, tail_check=False)
+    d_est = d_const(P, theta_mult, A, N, grid)
     verdicts["psi_multiplier_tail"] = ConditionVerdict(
         bool(math.isfinite(d_est.value) and d_est.reliable), d_est.value, f"D(Theta, {A}, N)",
     )
 
-    return ConstantsReport(
-        c_values={j: e.value for j, e in psi_c.items()},
-        d_value=d_est.value,
-        tau_fit=min(rho_psi, 99.0),
-        condition_verdicts=verdicts,
-    )
+    return ConstantsReport({j: e.value for j, e in psi_c.items()}, verdicts)

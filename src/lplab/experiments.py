@@ -345,16 +345,17 @@ def _measured(fn, members: list, grid: Grid) -> list:
         return list(pool.map(fn, members))
 
 
-def _family_rows(family, measure, diagnostics: dict, grid: Grid, columns=None,
+def _family_rows(family, measure, diagnostics: dict, grid: Grid, oracle=None,
                  translate=False) -> list:
     """A row per member from ``measure(member) -> (sampled f, lhs, rhs)``, plus
-    ``columns[key](f)`` under each key; records the largest boundary leakage
-    and, if ``translate``, the first member's translation gap."""
+    ``oracle(f)`` under the key "oracle" if given; records the largest
+    boundary leakage and, if ``translate``, the first member's translation gap."""
     def row(tf):
         f, lhs, rhs = measure(tf)
-        return (_row(tf.name, tf.lam, lhs, rhs)
-                | {key: column(f) for key, column in (columns or {}).items()},
-                families.boundary_leakage(f))
+        r = _row(tf.name, tf.lam, lhs, rhs)
+        if oracle:
+            r["oracle"] = oracle(f)
+        return r, families.boundary_leakage(f)
 
     measured = _measured(row, family, grid)
     diagnostics["boundary_leakage"] = max([0.0] + [leak for _, leak in measured])
@@ -510,12 +511,12 @@ def _run_ladder(cfg: ExperimentConfig, diagnostics: dict, vanishing: bool) -> tu
 
     unit_weight = weight.kind == "constant"
     use_oracle = vanishing and unit_weight and cfg.q == 2.0
-    oracle = _SpectralRatioOracle(psi, phi, grid, scales) if use_oracle else None
+    oracle = _SpectralRatioOracle(psi, phi, grid, scales).ratio if use_oracle else None
     if vanishing and not use_oracle:
         log.info("thm210: no spectral-multiplier oracle (weight %s, q = %g); "
                  "the verdict rests on family stability only", weight.kind, cfg.q)
     rows = _family_rows(cfg.make_family(), measure, diagnostics, grid,
-                        {"oracle": oracle.ratio} if oracle else None, translate=unit_weight)
+                        oracle, translate=unit_weight)
     family_ratio, spread = _stable(rows, diagnostics)
     checks = [Check("family_max_over_min", family_ratio, 3 if vanishing else 5,
                     "family ratio max/min <= {}"), spread]
@@ -610,7 +611,9 @@ def _run_synthesis_atoms(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
 
 def _run_constants_audit(cfg: ExperimentConfig, diagnostics: dict) -> tuple:
     audit = constants_audit(cfg).audit
-    diagnostics.update(tau_fit=audit.tau_fit, d_value=audit.d_value,
+    verdicts = audit.condition_verdicts
+    diagnostics.update(tau_fit=verdicts["psi_scale_sum"].measured,
+                       d_value=verdicts["psi_multiplier_tail"].measured,
                        c_values={str(k): v for k, v in audit.c_values.items()})
     rows = [
         {"fname": k, "lambda": 0.0, "lhs": v.measured, "rhs": math.nan,

@@ -366,11 +366,12 @@ def box_face_max(vals: np.ndarray) -> float:
     return float(max(np.take(vals, i, axis=a).max() for a in range(vals.ndim) for i in (0, -1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaleGrid:
     """Strictly decreasing positive scales t_k = t_max * ratio^k, ratio in
     (0, 1), each owning a log-cell of width log(1/ratio), so that
-    integral u(t)^q dt/t ~= sum u(t_k)^q * log(1/ratio).
+    integral u(t)^q dt/t ~= sum u(t_k)^q * log(1/ratio).  Two grids are
+    equal, and hash alike, only when they are the same object.
     """
 
     scales: np.ndarray

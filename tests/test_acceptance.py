@@ -184,6 +184,21 @@ def test_criterion_9_synthesis_uniformity():
            time.time() - start, 120)
 
 
+def test_lemma33_cutoffs_that_the_grid_resolves_give_distinct_sizes():
+    # criterion 9's grid: its dual grid holds 1/32 <= |xi| <= 32 and psi_hat
+    # lives on 1 <= |t xi| <= 2, so the scales between eps = 1e-2 and 1e-3
+    # add nothing; between these three cutoffs each adds frequencies
+    rep = run_experiment(ExperimentConfig.from_dict({
+        "scenario": "lemma33", "p": 1.0, "atom_count": 4,
+        "epsilons": [1e-1, 3e-2, 1e-2],
+        "grid": {"dimension": 1, "points_per_axis": 2048, "half_extent": 16.0},
+    }))
+    sizes: dict = {}
+    for r in rep.rows:
+        sizes.setdefault(r["fname"], set()).add(r["lhs"])
+    assert len(sizes) == 4 and all(len(s) == 3 for s in sizes.values()), sizes
+
+
 def test_criterion_10_operator_property_suite(poissonq, annulus):
     start = time.time()
     grid = Grid(1, 1024, 16.0)

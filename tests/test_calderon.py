@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lplab import (
     Grid,
     KernelSpec,
+    ScaleGrid,
     build_partition,
     build_zeta,
     constant_multiplier,
@@ -35,7 +38,7 @@ class TestFindIntervals:
         a, b = q_cover.intervals[0]
         s = np.linspace(a, b, 10001)
         profile = (2 * np.pi * s * np.exp(-2 * np.pi * s)) ** 2
-        assert profile.min() >= q_cover.threshold * (1 - 1e-6)
+        assert profile.min() >= 0.5 * q_cover.squared_infimum * (1 - 1e-6)
 
     def test_measured_infimum_matches_scan(self, q_cover):
         # grid-resolution estimate of sup (2 pi s e^{-2 pi s})^2 = e^-2
@@ -51,6 +54,29 @@ class TestFindIntervals:
         null = KernelSpec("null", radial_symbol(lambda r: np.zeros_like(r)))
         with pytest.raises(ValueError):
             find_intervals(null)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2048), st.integers(1, 4)), min_size=1, max_size=6))
+    def test_first_widest_window_matches_a_per_sample_scan(self, runs):
+        ts = ScaleGrid.log_spaced(1e-4, 1e4, 2049).scales[::-1]  # find_intervals' scan
+        above = np.zeros(ts.size, dtype=bool)
+        for start, length in runs:
+            above[start : start + length] = True
+        table = np.where(above, 1.0, 0.5)  # squared: 1 above, 1/4 below the threshold 1/2
+        step = KernelSpec("step", lambda xi: table[np.searchsorted(ts, np.abs(xi[0]))])
+        best, start = None, None  # the first widest run, by a scan of every sample
+        for i, flag in enumerate(np.append(above, False)):
+            if flag and start is None:
+                start = i
+            elif not flag and start is not None:
+                if best is None or (i - 1 - start) > (best[1] - best[0]):
+                    best = (start, i - 1)
+                start = None
+        if best[0] == best[1]:
+            with pytest.raises(ValueError, match="single sample"):
+                find_intervals(step)
+        else:
+            assert find_intervals(step).intervals == ((ts[best[0]], ts[best[1]]),)
 
 
 class TestPartition:

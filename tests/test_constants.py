@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 
@@ -94,16 +95,21 @@ class TestBoxLimitGate:
         (2.0, 0, True), (2.0, 4, False), (2.0, 10, True), (0.0, 4, True), (3.0, 6, False),
     ])
     def test_raises_exactly_when_unreliable(self, q_partition, annulus, constants_grid,
-                                            L, j, reliable):
-        est = c_const(q_partition, annulus, j, L, constants_grid, tail_check=False)
+                                            monkeypatch, L, j, reliable):
+        est = c_const(q_partition, annulus, j, L, constants_grid)
         assert est.reliable == reliable
         if j == 10:
             assert est.value == 0.0  # the scaled annulus misses eta's support
+        # the audit raises on an unreliable D over the derivative multipliers
+        monkeypatch.setattr(constants, "d_const", lambda *args: est)
+        audit = functools.partial(check_conditions, q_partition, annulus,
+                                  constant_multiplier(0.0), 2.4 * q_partition.r2, 2.0,
+                                  constants_grid)
         if reliable:
-            assert c_const(q_partition, annulus, j, L, constants_grid) == est
+            assert audit().condition_verdicts["gradient_multiplier_tail"].measured == est.value
         else:
             with pytest.raises(ValueError, match="enlarge the box"):
-                c_const(q_partition, annulus, j, L, constants_grid)
+                audit()
 
 
 class TestNonFiniteExponents:
@@ -111,10 +117,9 @@ class TestNonFiniteExponents:
     def test_c_and_d_reject_a_weight_power_outside_the_half_line(self, q_partition, annulus,
                                                                  constants_grid, L):
         with pytest.raises(ValueError, match="L must be nonnegative and finite"):
-            c_const(q_partition, annulus, 0, L, constants_grid, tail_check=False)
+            c_const(q_partition, annulus, 0, L, constants_grid)
         with pytest.raises(ValueError, match="L must be nonnegative and finite"):
-            d_const(q_partition, constant_multiplier(1.0), 1.0, L, constants_grid,
-                    tail_check=False)
+            d_const(q_partition, constant_multiplier(1.0), 1.0, L, constants_grid)
 
     @pytest.mark.parametrize("N", [math.nan, math.inf, 0.0, -2.0])
     def test_check_conditions_rejects_N_outside_the_open_half_line(self, q_partition, annulus,
@@ -177,7 +182,7 @@ class TestConditionAudit:
         rep = check_conditions(q_partition, annulus,
                                constant_multiplier(0.0), A, 2.0, constants_grid)
         assert rep.all_passed
-        assert rep.d_value == 0.0  # Theta identically zero
+        assert rep.condition_verdicts["psi_multiplier_tail"].measured == 0.0  # Theta = 0
         assert rep.condition_verdicts["low_freq_growth"].measured == pytest.approx(1.0, abs=0.05)
 
     def test_gaussian_fails_low_frequency_growth(self, gaussian, annulus, constants_grid):
@@ -226,7 +231,6 @@ class TestConditionAudit:
         assert calls.count(audit_shape) == 2 * (J_MAX + 1)  # C(grad phi, j) and C(psi, j)
         # repr round-trips every float, so equal reprs are equal bytes
         assert repr(rep.c_values) == repr(ref.c_values)
-        assert repr(rep.d_value) == repr(ref.d_value)
         assert repr(rep.condition_verdicts) == repr(ref.condition_verdicts)
 
 
@@ -247,7 +251,7 @@ class TestScaleFieldBound:
         A = 2.4 * P.r2
         N = 2.0
         js = range(0, 8)
-        c_vals = {j: c_const(P, annulus, j, N, constants_grid, tail_check=False).value
+        c_vals = {j: c_const(P, annulus, j, N, constants_grid).value
                   for j in js}
         fg = grid.frequency_grid()
         xi_ax = fg.axis_coords()

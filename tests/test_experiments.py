@@ -3,6 +3,8 @@ import logging
 import math
 import os
 import platform
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import scipy
 
 import lplab
 from lplab import ConfigError, ExperimentConfig, Report, emit_report, fields, run_experiment
-from lplab.experiments import _stable, constants_audit
+from lplab.experiments import SCENARIOS, _stable, constants_audit
 
 
 FAST_GRID = {"dimension": 1, "points_per_axis": 2048, "half_extent": 16.0}
@@ -266,6 +268,28 @@ class TestChecks:
         assert [c["name"] for c in restored.checks] == [c["name"] for c in rep.checks]
         assert all(math.isnan(c["measured"]) and math.isnan(c["margin"])
                    for c in restored.checks)
+
+
+def _readme_scenario_table() -> dict:
+    """{scenario: the backticked names in its diagnostics column} of
+    README's scenario table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("\n| scenario | checks")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = re.split(r"(?<!\\)\|", line)  # an escaped \| stays in its cell
+        rows[re.search(r"`(\w+)`", cells[1]).group(1)] = set(re.findall(r"`(\w+)`", cells[3]))
+    return rows
+
+
+def test_readme_scenario_table_lists_exactly_the_scenarios():
+    assert sorted(_readme_scenario_table()) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_readme_names_exactly_the_diagnostics_a_run_writes(scenario):
+    rep = run_experiment(fast_config(scenario, **TINY[scenario]))
+    assert set(rep.diagnostics) == _readme_scenario_table()[scenario]
 
 
 class TestReports:

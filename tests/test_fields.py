@@ -19,6 +19,7 @@ from lplab import (
     weighted_lp_norm,
 )
 from lplab.kernels import make_builtin
+from lplab.maximal import GrandMaxConfig
 from lplab.transforms import ScaleField, g_function, synthesize
 
 from kernel_helpers import sample_kernel
@@ -282,6 +283,13 @@ class TestScaleGrid:
                                                      (1e-150, 1e150, 7)])
     def test_log_spaced_passes_the_ratio_check(self, t_min, t_max, count):
         assert 0 < ScaleGrid.log_spaced(t_min, t_max, count).ratio < 1
+
+    @pytest.mark.parametrize("wrap", [lambda sg: sg, GrandMaxConfig], ids=["grid", "grand"])
+    def test_equality_and_hash_go_by_identity(self, wrap):
+        sg = ScaleGrid.log_spaced(0.1, 1.0, 4)
+        a, b = wrap(sg), wrap(ScaleGrid.log_spaced(0.1, 1.0, 4))
+        assert (a == a, a == b, a != b) == (True, False, True)
+        assert hash(a) == hash(wrap(sg)) and len({a, b}) == 2
 
 
 class TestScaleIntegral:
