@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, ScaleGrid
-from .kernels import KernelSpec, _unit_directions, plateau
+from .kernels import KernelSpec, _norm, _unit_directions, plateau
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _annulus_sum(xi, out: np.ndarray, term, r1: float, r2: float, b: float, j_mi
     given), where s = b^j and sub holds the points of stacked coords ``xi``
     with r1 < s|xi| < r2.  Returns ``out``."""
     xi = np.asarray(xi, dtype=float)
-    r = np.sqrt(np.sum(xi * xi, axis=0))
+    r = _norm(xi)
     pos = r[r > 0]
     if pos.size == 0:
         return out
@@ -196,7 +196,7 @@ def build_partition(phi: KernelSpec, b: float, cover: IntervalCover) -> Partitio
 
     def eta_symbol(xi):
         xi = np.asarray(xi, dtype=float)
-        r = np.sqrt(np.sum(xi * xi, axis=0))
+        r = _norm(xi)
         th = theta(r)
         out = np.zeros(r.shape, dtype=complex)
         mask = th > 0
@@ -296,7 +296,7 @@ def decompose_psi(
         raise ValueError("truncation must be nonnegative")
     fg = grid.frequency_grid()
     xi = fg.coords()
-    r = np.sqrt(np.sum(xi * xi, axis=0))
+    r = _norm(xi)
 
     ball = r < P.r2 / A
     if np.any(ball):

@@ -8,7 +8,10 @@
     lplab transform g --kernel NAME --q Q    apply a square function to a field
 
 Exit status: 0 on pass, 1 when a scenario's acceptance bound fails, 2 on
-bad input (invalid configs or options, missing or malformed field files).
+bad input (invalid configs or options, missing or malformed field files,
+an input or output path that cannot be read or written).  Each command
+raises ``ConfigError`` for bad input; ``main`` alone turns it, or an
+``OSError``, into ``config error: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .experiments import (
     run_experiment,
 )
 from .fields import ScaleGrid
-from .kernels import BUILTIN_KERNELS
+from .kernels import CATALOG
 from .maximal import (
     GrandMaxConfig,
     PeetreParams,
@@ -45,16 +48,8 @@ from .maximal import (
 from .transforms import g_function
 
 
-def _bad_input(reason) -> int:
-    print(f"config error: {reason}", file=sys.stderr)
-    return 2
-
-
 def _cmd_run(args) -> int:
-    try:
-        report = run_experiment(ExperimentConfig.from_json(args.config))
-    except (ConfigError, OSError) as exc:
-        return _bad_input(exc)
+    report = run_experiment(ExperimentConfig.from_json(args.config))
     emit_report(report, args.out)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {report.scenario}: {report.criterion}")
@@ -64,26 +59,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_kernels_list(args) -> int:
-    descriptions = {
-        "poissonQ": "-2 pi |xi| exp(-2 pi |xi|), mean-zero Poisson derivative",
-        "gaussian": "exp(-pi |xi|^2), unit-mass mollifier",
-        "mexican_hat": "4 pi^2 |xi|^2 exp(-pi |xi|^2), second-order cancellation",
-        "annulus_bump": "smooth plateau on {1<=|xi|<=2}, supported {1/2<=|xi|<=4}",
-    }
-    for name in BUILTIN_KERNELS:
-        print(f"{name:14s} {descriptions[name]}")
-    print(f"{'power_tail':14s} 2 pi |xi| (1+|xi|^2)^(-(tau+1)/2), params [tau]")
+    for name, entry in CATALOG.items():
+        print(f"{name:14s} {entry.description}")
     return 0
 
 
 def _cmd_calderon_build(args) -> int:
+    phi = resolve_kernel(args.kernel, args.params)
     try:
-        phi = resolve_kernel(args.kernel, args.params)
         cover = find_intervals(phi)
         b = args.b if args.b is not None else max(0.5, cover.b0)
         P = build_partition(phi, b, cover)
-    except ValueError as exc:  # a bad kernel, or b outside [b0, 1)
-        return _bad_input(exc)
+    except ValueError as exc:  # a kernel without a cover, or b outside [b0, 1)
+        raise ConfigError(str(exc)) from exc
     residual = reproduction_residual(P)
     out = lpio.ensure_dir(args.out)
     report = {
@@ -107,14 +95,11 @@ def _cmd_calderon_build(args) -> int:
 
 
 def _cmd_constants_report(args) -> int:
-    try:
-        if not 0 <= args.L < math.inf:
-            raise ConfigError(f"L must be nonnegative and finite, got {args.L}")
-        cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
-                                          "phi": {"name": args.phi}, "psi": {"name": args.psi}})
-        _, psi, P, A, _, report = constants_audit(cfg)
-    except ConfigError as exc:
-        return _bad_input(exc)
+    if not 0 <= args.L < math.inf:
+        raise ConfigError(f"L must be nonnegative and finite, got {args.L}")
+    cfg = ExperimentConfig.from_dict({"scenario": "constants_audit", "N": args.N,
+                                      "phi": {"name": args.phi}, "psi": {"name": args.psi}})
+    _, psi, P, A, _, report = constants_audit(cfg)
     out = lpio.ensure_dir(args.out)
     verdicts = report.condition_verdicts
     payload = {
@@ -155,8 +140,8 @@ def _cmd_maximal(args) -> int:
         params = PeetreParams(args.N, args.R)
         scales = default_grand_scales(f.grid, args.scale_count)
         gm_cfg = GrandMaxConfig(scales)
-    except (OSError, ValueError) as exc:
-        return _bad_input(exc)
+    except ValueError as exc:  # a malformed field file, or a bad option
+        raise ConfigError(str(exc)) from exc
     if args.op == "peetre":
         result = peetre_max(f, params)
     elif args.op == "hl":
@@ -167,16 +152,16 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_transform_g(args) -> int:
+    psi = resolve_kernel(args.kernel, args.params)
+    if not 0 < args.q < math.inf:
+        raise ConfigError(f"q must be positive and finite, got {args.q}")
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise ConfigError(f"t-min and t-max must be finite, got {args.t_min}, {args.t_max}")
     try:
-        psi = resolve_kernel(args.kernel, args.params)
-        if not 0 < args.q < math.inf:
-            raise ConfigError(f"q must be positive and finite, got {args.q}")
-        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
-            raise ConfigError(f"t-min and t-max must be finite, got {args.t_min}, {args.t_max}")
         f = lpio.read_field(args.infile)
         scales = ScaleGrid.log_spaced(args.t_min, args.t_max, args.scale_count)
-    except (OSError, ValueError) as exc:
-        return _bad_input(exc)
+    except ValueError as exc:  # a malformed field file, or a bad scale option
+        raise ConfigError(str(exc)) from exc
     return _write_result(args, g_function(f, psi, scales, args.q), f"g[{args.kernel}, q={args.q}]")
 
 
@@ -249,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        return _bad_input(exc)
-    return args.func(args)
+        return args.func(args)
+    except (ConfigError, OSError) as exc:  # bad input, or a path that cannot be read or written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -107,11 +107,9 @@ def resolve_kernel(name: str, params=None) -> KernelSpec:
 
 
 def resolve_weight(spec) -> Weight:
-    if spec is None:
-        return Weight.const(1.0)
-    kind = spec.get("kind", "constant")
+    kind = "constant" if spec is None else spec.get("kind", "constant")
     if kind == "constant":
-        return Weight.const(float(_number("weight.c", spec.get("c", 1.0))))
+        return Weight.const()
     if kind == "power":
         return Weight.power(float(_number("weight.a", spec["a"])))
     raise ConfigError(f"unknown weight kind {kind!r}")
@@ -124,8 +122,8 @@ _ENTRY_KEYS = {
     "grid": ("dimension", "points_per_axis", "half_extent"),
     "scales": ("t_min", "t_max", "count"),
     "grand_scales": ("t_min", "t_max", "count"),
-    "test_family": ("shapes", "dilations", "shifts", "seed"),
-    "weight": {"constant": ("kind", "c"), "power": ("kind", "a")},  # by kind
+    "test_family": ("shapes", "dilations", "seed"),
+    "weight": {"constant": ("kind",), "power": ("kind", "a")},  # by kind
 }
 
 
@@ -154,6 +152,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """The config of a JSON document, each key checked for its type and
         range; the rules of its scenario are ``validate``'s."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {d!r}")
         d = dict(d)
         cfg = cls(scenario=d.pop("scenario", None))
         for k, v in d.items():
@@ -184,7 +184,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must lie in (0, 1), got {getattr(self, key)}")
         if self.A is not None and not _number("A", self.A) >= 1:
             raise ConfigError(f"A must be >= 1, got {self.A}")
-        _number("seed", self.seed, int)
+        if not _number("seed", self.seed, int) >= 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not _number("atom_count", self.atom_count, int) >= 0:
             raise ConfigError(f"atom_count must be nonnegative, got {self.atom_count}")
         eps = _numbers("epsilons", self.epsilons)
@@ -212,8 +213,8 @@ class ExperimentConfig:
         dilations = _numbers("test_family.dilations", fam.get("dilations", []))
         if not all(lam > 0 for lam in dilations):
             raise ConfigError(f"test_family.dilations must be positive, got {dilations}")
-        _numbers("test_family.shifts", fam.get("shifts", []))
-        _number("test_family.seed", fam.get("seed", 0), int)
+        if not _number("test_family.seed", fam.get("seed", 0), int) >= 0:
+            raise ConfigError(f"test_family.seed must be nonnegative, got {fam['seed']}")
         shapes = fam.get("shapes", families.SHAPES)
         if not isinstance(shapes, (list, tuple)) or any(s not in families.SHAPES for s in shapes):
             raise ConfigError(f"test_family.shapes must be a list drawn from "

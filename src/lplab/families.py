@@ -103,19 +103,9 @@ class FamilyMember:
 DEFAULT_DILATIONS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def default_family(
-    dilations=DEFAULT_DILATIONS,
-    shifts=(0.0,),
-    seed: int = 1234,
-    shapes=SHAPES,
-) -> list:
-    """The standard 15-member family: 3 shapes x 5 dilations (x translates)."""
-    members = []
-    for shape in shapes:
-        for lam in dilations:
-            for shift in shifts:
-                members.append(FamilyMember(shape, float(lam), float(shift), seed))
-    return members
+def default_family(dilations=DEFAULT_DILATIONS, seed: int = 1234, shapes=SHAPES) -> list:
+    """The standard 15-member family: 3 shapes x 5 dilations, untranslated."""
+    return [FamilyMember(shape, float(lam), 0.0, seed) for shape in shapes for lam in dilations]
 
 
 def boundary_leakage(f: SampledField) -> float:

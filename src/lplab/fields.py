@@ -133,10 +133,7 @@ class Grid:
 
     def coords(self) -> np.ndarray:
         """Stacked coordinates, shape (dimension,) + shape."""
-        ax = self.axis_coords()
-        if self.dimension == 1:
-            return ax[np.newaxis, :]
-        return np.stack(np.meshgrid(ax, ax, indexing="ij"))
+        return np.stack(np.meshgrid(*[self.axis_coords()] * self.dimension, indexing="ij"))
 
     def radii(self) -> np.ndarray:
         """Euclidean distance from the origin at every sample."""

@@ -55,23 +55,17 @@ def read_field(path) -> SampledField:
 
 
 def field_to_csv(path, f: SampledField) -> None:
+    """One row per sample: index, its coordinates (x in 1-d, x0, x1 in
+    2-d), and the real and imaginary parts."""
     g = f.grid
-    coords = g.coords()
+    coords = [c.reshape(-1) for c in g.coords()]
+    names = ["x"] if g.dimension == 1 else [f"x{k}" for k in range(g.dimension)]
     flat = f.values.reshape(-1)
     with open(path, "w") as fh:
-        if g.dimension == 1:
-            fh.write("index,x,re,im\n")
-            xs = coords[0]
-            for i in range(flat.size):
-                fh.write(f"{i},{float(xs[i])!r},{float(flat[i].real)!r},"
-                         f"{float(flat[i].imag)!r}\n")
-        else:
-            fh.write("index,x0,x1,re,im\n")
-            x0 = coords[0].reshape(-1)
-            x1 = coords[1].reshape(-1)
-            for i in range(flat.size):
-                fh.write(f"{i},{float(x0[i])!r},{float(x1[i])!r},"
-                         f"{float(flat[i].real)!r},{float(flat[i].imag)!r}\n")
+        fh.write(",".join(["index", *names, "re", "im"]) + "\n")
+        for i in range(flat.size):
+            xs = "".join(f"{float(c[i])!r}," for c in coords)
+            fh.write(f"{i},{xs}{float(flat[i].real)!r},{float(flat[i].imag)!r}\n")
 
 
 def ensure_dir(path) -> Path:

@@ -9,14 +9,8 @@ profile(|xi|), so its dilates on a grid are evaluated on the grid's distinct
 |xi|; on a grid below the large-grid gate (``fields._PARALLEL_MIN_POINTS``
 points) the kernel keeps them.
 
-Builtins:
-
-    poissonQ      -2*pi*|xi| * exp(-2*pi*|xi|)   (mean-zero, radial)
-    gaussian      exp(-pi*|xi|^2)                 (unit mass, no cancellation)
-    mexican_hat   4*pi^2*|xi|^2 * exp(-pi*|xi|^2)
-    annulus_bump  C-infinity plateau equal to 1 on {b<=|xi|<=c},
-                  supported in {a<=|xi|<=d}; default (a,b,c,d)=(1/2,1,2,4)
-    power_tail    2*pi*|xi| * (1+|xi|^2)^(-(tau+1)/2), tau required
+The builtin kernels are the entries of ``CATALOG``: each name with the
+parameter counts it accepts, a one-line description and its constructor.
 
 The checks in this module are Fourier-side: cancellation (symbol(0) = 0),
 non-degeneracy (inf over directions of the sup over scales of the symbol
@@ -30,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,15 +78,14 @@ def radial_symbol(profile):
 @dataclass(frozen=True)
 class DecaySpec:
     """Symbol decay class: |d^gamma psi_hat| <= C |xi|^(-tau-|gamma|) for |gamma| <= l,
-    outside the ball of the given radius."""
+    outside the unit ball."""
 
     l: int
     tau: float
-    neighborhood_radius: float = 1.0
 
     def __post_init__(self):
-        if self.l < 0 or self.tau < 0 or self.neighborhood_radius <= 0:
-            raise ValueError("need l >= 0, tau >= 0, neighborhood_radius > 0")
+        if self.l < 0 or self.tau < 0:
+            raise ValueError("need l >= 0 and tau >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,43 +148,71 @@ def dilates(k: KernelSpec, grid: Grid, ts):
             yield k.symbol(t * coords)
 
 
-BUILTIN_KERNELS = ("poissonQ", "gaussian", "mexican_hat", "annulus_bump")
 ANNULUS_RADII = (0.5, 1.0, 2.0, 4.0)  # annulus_bump's default (a, b, c, d)
 
 
-def make_builtin(name: str, params=None) -> KernelSpec:
-    """Construct a named kernel, optionally overriding its parameters.
+def _annulus_bump(*radii) -> KernelSpec:
+    a, b, c, d = radii or ANNULUS_RADII
+    if not 0 < a < b < c < d:
+        raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
+    return radial_kernel("annulus_bump", lambda r: plateau(r, a, b, c, d))
 
-    ``gaussian`` takes an optional width w (symbol exp(-pi*w^2*|xi|^2)),
-    ``annulus_bump`` optional radii (a, b, c, d) for its support and plateau,
-    and ``power_tail`` its decay exponent tau; the other kernels take none.
-    Every parameter is a positive finite number.
+
+def power_tail_kernel(tau: float) -> KernelSpec:
+    """Mean-zero radial kernel with symbol 2*pi*r (1+r^2)^(-(tau+1)/2).
+
+    Rises like |xi| at the origin (same cancellation rate as poissonQ) and
+    decays like 2*pi*|xi|^(-tau) at infinity, with every symbol derivative
+    gaining one power of |xi|; a sharp member of the decay class with
+    exponent tau, used to exercise the constant-decay law at a known rate.
     """
-    counts = {"poissonQ": (0,), "gaussian": (0, 1), "mexican_hat": (0,),
-              "annulus_bump": (0, 4), "power_tail": (1,)}
-    if name not in counts:
-        raise ValueError(f"unknown builtin kernel {name!r} (choose from {tuple(counts)})")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+    def profile(r):
+        return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
+
+    return radial_kernel(f"power_tail({tau})", profile)
+
+
+#: a builtin kernel: the parameter counts it accepts, a one-line
+#: description and its constructor, called with the parameters
+Builtin = namedtuple("Builtin", "counts description make")
+
+#: the builtin kernels by name, in the order ``lplab kernels list`` prints them
+CATALOG = {
+    "poissonQ": Builtin(
+        (0,), "-2 pi |xi| exp(-2 pi |xi|), mean-zero Poisson derivative",
+        lambda: radial_kernel("poissonQ", lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))),
+    "gaussian": Builtin(
+        (0,), "exp(-pi |xi|^2), unit-mass mollifier",
+        lambda: radial_kernel("gaussian", lambda r: np.exp(-np.pi * r**2))),
+    "mexican_hat": Builtin(
+        (0,), "4 pi^2 |xi|^2 exp(-pi |xi|^2), second-order cancellation",
+        lambda: radial_kernel("mexican_hat",
+                              lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))),
+    "annulus_bump": Builtin(
+        (0, 4), "smooth plateau on {1<=|xi|<=2}, supported {1/2<=|xi|<=4}", _annulus_bump),
+    "power_tail": Builtin(
+        (1,), "2 pi |xi| (1+|xi|^2)^(-(tau+1)/2), params [tau]", power_tail_kernel),
+}
+
+
+def make_builtin(name: str, params=None) -> KernelSpec:
+    """The ``CATALOG`` kernel ``name`` made from ``params``: as many as its
+    entry accepts, each a positive finite number.  ``annulus_bump`` takes
+    none or the radii (a, b, c, d) of its support and plateau, ``power_tail``
+    its decay exponent tau; the others take none."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown builtin kernel {name!r} (choose from {tuple(CATALOG)})")
+    entry = CATALOG[name]
     params = [float(p) for p in params] if params else []
-    if len(params) not in counts[name]:
-        raise ValueError(f"{name} takes {' or '.join(map(str, counts[name]))} params, "
+    if len(params) not in entry.counts:
+        raise ValueError(f"{name} takes {' or '.join(map(str, entry.counts))} params, "
                          f"got {len(params)}")
     if not all(0 < p < math.inf for p in params):
         raise ValueError(f"{name} params must be positive and finite, got {params}")
-    if name == "power_tail":
-        return power_tail_kernel(params[0])
-    if name == "poissonQ":
-        return radial_kernel("poissonQ", lambda r: -2.0 * np.pi * r * np.exp(-2.0 * np.pi * r))
-    if name == "gaussian":
-        w = params[0] if params else 1.0
-        return radial_kernel("gaussian", lambda r: np.exp(-np.pi * (w * r) ** 2))
-    if name == "mexican_hat":
-        return radial_kernel("mexican_hat",
-                             lambda r: 4.0 * np.pi**2 * r**2 * np.exp(-np.pi * r**2))
-    if name == "annulus_bump":
-        a, b, c, d = params if params else ANNULUS_RADII
-        if not 0 < a < b < c < d:
-            raise ValueError("annulus_bump radii must satisfy 0 < a < b < c < d")
-        return radial_kernel("annulus_bump", lambda r: plateau(r, a, b, c, d))
+    return entry.make(*params)
 
 
 def constant_multiplier(value: complex) -> KernelSpec:
@@ -220,23 +242,6 @@ def derived_kernel(name: str, base: KernelSpec, multiplier: KernelSpec) -> Kerne
         return np.asarray(multiplier.symbol(xi)) * np.asarray(base.symbol(xi))
 
     return KernelSpec(name, symbol)
-
-
-def power_tail_kernel(tau: float) -> KernelSpec:
-    """Mean-zero radial kernel with symbol 2*pi*r (1+r^2)^(-(tau+1)/2).
-
-    Rises like |xi| at the origin (same cancellation rate as poissonQ) and
-    decays like 2*pi*|xi|^(-tau) at infinity, with every symbol derivative
-    gaining one power of |xi|; a sharp member of the decay class with
-    exponent tau, used to exercise the constant-decay law at a known rate.
-    """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-
-    def profile(r):
-        return 2.0 * np.pi * r * (1.0 + r * r) ** (-(tau + 1.0) / 2.0)
-
-    return radial_kernel(f"power_tail({tau})", profile)
 
 
 @dataclass(frozen=True)
@@ -355,8 +360,8 @@ def check_decay_class(k: KernelSpec, d: DecaySpec, probe_radii, dimension: int =
     symbols beat every polynomial rate).
     """
     radii = np.asarray(probe_radii, dtype=float)
-    if np.any(radii <= d.neighborhood_radius):
-        raise ValueError("probe radii must exceed the neighborhood radius")
+    if np.any(radii <= 1.0):
+        raise ValueError("probe radii must lie outside the unit ball")
     dirs = _unit_directions(dimension)
     slopes: dict = {}
     passed = True

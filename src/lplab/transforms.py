@@ -21,6 +21,7 @@ noise so every report is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from contextlib import closing
@@ -127,10 +128,8 @@ def _cube_mask(grid: Grid, center, side: float) -> np.ndarray:
 
 def _cube_monomials(grid: Grid, mask: np.ndarray, coords, order: int) -> list:
     """The monomials prod_k coords[k]^e_k of degree <= ``order``, zero off the mask."""
-    if grid.dimension == 1:
-        powers = [(a,) for a in range(order + 1)]
-    else:
-        powers = [(a, b) for a in range(order + 1) for b in range(order + 1 - a)]
+    powers = [pw for pw in itertools.product(range(order + 1), repeat=grid.dimension)
+              if sum(pw) <= order]
     monomials = []
     for pw in powers:
         m = np.ones(grid.shape)

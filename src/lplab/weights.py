@@ -1,4 +1,4 @@
-"""Muckenhoupt weights: power and constant weights, and characteristic estimation.
+"""Muckenhoupt weights: power weights and the unit weight, and characteristic estimation.
 
 The characteristic
 
@@ -26,31 +26,29 @@ from .maximal import _disc_means, _window_means, hl_max
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight: power |x|^a (a finite) or a constant in (0, inf)."""
+    """A positive weight: power |x|^a (a finite) or the constant 1.  A
+    constant c would cancel from every ratio, and [c]_{A_p} = 1."""
 
     kind: str  # "power" | "constant"
     exponent: float = 0.0
-    constant: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("power", "constant"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if not math.isfinite(self.exponent):
             raise ValueError(f"power weight exponent must be finite, got {self.exponent}")
-        if not 0 < self.constant < math.inf:
-            raise ValueError(f"constant weight must be positive and finite, got {self.constant}")
 
     @classmethod
     def power(cls, a: float) -> "Weight":
         return cls("power", exponent=a)
 
     @classmethod
-    def const(cls, c: float = 1.0) -> "Weight":
-        return cls("constant", constant=c)
+    def const(cls) -> "Weight":
+        return cls("constant")
 
     def materialize(self, grid: Grid) -> SampledField:
         if self.kind == "constant":
-            return SampledField(grid, np.full(grid.shape, self.constant, dtype=float))
+            return SampledField(grid, np.ones(grid.shape))
         a = self.exponent
         r = grid.radii()
         with np.errstate(divide="ignore"):

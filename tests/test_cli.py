@@ -7,7 +7,7 @@ import pytest
 from lplab import Grid, SampledField
 from lplab.cli import main
 from lplab.io import read_field, write_field
-from lplab.kernels import BUILTIN_KERNELS
+from lplab.kernels import CATALOG
 from lplab.maximal import (GrandMaxConfig, PeetreParams, default_grand_scales, grand_max,
                            hl_max, peetre_max)
 
@@ -22,11 +22,26 @@ def stored_field(tmp_path):
     return path
 
 
+# the catalog's kernels that take no parameters
+PARAMETER_FREE = [name for name, entry in CATALOG.items() if 0 in entry.counts]
+
+
 def test_kernels_list(capsys):
+    # one line per catalog entry, in catalog order
     assert main(["kernels", "list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("poissonQ", "gaussian", "mexican_hat", "annulus_bump"):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(CATALOG)
+    for line, entry in zip(lines, CATALOG.values()):
+        assert line.endswith(" " + entry.description)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_calderon_build_rejects_a_parameter_count_the_catalog_does_not_list(name, tmp_path,
+                                                                           capsys):
+    argv = ["calderon", "build", "--kernel", name, "--out", str(tmp_path / "cal")]
+    for count in set(range(6)) - set(CATALOG[name].counts):
+        assert main(argv + ["--params", *["1.5"] * count]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name} takes ")
 
 
 def test_calderon_build_emits_report(tmp_path, capsys):
@@ -129,6 +144,12 @@ def _write_config(directory, **overrides):
     cfg.update(overrides)
     path = directory / "cfg.json"
     path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _write_document(directory, document):
+    path = directory / "doc.json"
+    path.write_text(json.dumps(document))
     return str(path)
 
 
@@ -263,6 +284,7 @@ BAD_INPUTS = {
     "phi_param_not_taken": lambda d, f: ["run", _write_config(d, phi={"name": "poissonQ",
                                                                        "params": [7]}),
                                          "--out", str(d / "run")],
+    # the Gaussian takes no width: any parameter is a count the catalog does not list
     "g_gaussian_width_nan": lambda d, f: ["transform", "g", "--kernel", "gaussian",
                                           "--params", "nan", "--in", str(f),
                                           "--out", str(d / "o.bin")],
@@ -283,6 +305,22 @@ BAD_INPUTS = {
     "audit_N_50": lambda d, f: ["run", _write_config(d, N=50), "--out", str(d / "run")],
     "thm210_N_50": lambda d, f: ["run", _write_config(d, scenario="thm210", N=50),
                                  "--out", str(d / "run")],
+    "config_a_list": lambda d, f: ["run", _write_document(d, [1, 2]), "--out", str(d / "run")],
+    "config_a_string": lambda d, f: ["run", _write_document(d, "x"), "--out", str(d / "run")],
+    "seed_negative": lambda d, f: ["run", _write_config(d, scenario="prop36", seed=-1),
+                                   "--out", str(d / "run")],
+    "test_family_seed_negative": lambda d, f: [
+        "run", _write_config(d, scenario="prop36", test_family={"seed": -3}),
+        "--out", str(d / "run")],
+    # output paths that cannot be written: an existing file, or a missing directory
+    "run_out_is_a_file": lambda d, f: ["run", _write_config(d), "--out", str(f)],
+    "calderon_out_is_a_file": lambda d, f: ["calderon", "build", "--out", str(f)],
+    "constants_out_is_a_file": lambda d, f: ["constants", "report", "--out", str(f)],
+    "maximal_out_in_a_missing_directory": lambda d, f: [
+        "maximal", "--op", "hl", "--in", str(f), "--out", str(d / "none" / "o.bin")],
+    "g_csv_in_a_missing_directory": lambda d, f: [
+        "transform", "g", "--scale-count", "8", "--in", str(f), "--out", str(d / "o.bin"),
+        "--csv", str(d / "none" / "o.csv")],
 }
 
 
@@ -292,7 +330,7 @@ def test_bad_input_exits_2(case, stored_field, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("argv", [["--phi", name] for name in BUILTIN_KERNELS] + [["--N", "50"]],
+@pytest.mark.parametrize("argv", [["--phi", name] for name in PARAMETER_FREE] + [["--N", "50"]],
                          ids=lambda argv: "=".join(argv).lstrip("-"))
 def test_constants_report_raises_nothing(argv, tmp_path):
     # 0 pass, 1 a condition failed, 2 bad input: never an escaped exception

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lplab
 from lplab import ConfigError, ExperimentConfig, Report, emit_report, fields, run_experiment
@@ -220,6 +222,47 @@ CHECKS = {
     "constants_audit": ("constants_audit", TINY["constants_audit"], [("failed_conditions", 0)],
                         "all admissibility condition verdicts pass"),
 }
+
+
+def _tiny_document(scenario) -> dict:
+    return {"scenario": scenario, "grid": dict(FAST_GRID), "scales": dict(FAST_SCALES),
+            "test_family": dict(ONE_SHAPE), **TINY[scenario]}
+
+
+# a valid entry for each key that takes a JSON object
+_ENTRIES = {"grid": FAST_GRID, "scales": FAST_SCALES, "test_family": ONE_SHAPE,
+            "phi": {"name": "poissonQ"}, "psi": {"name": "annulus_bump"},
+            "weight": POWER_WEIGHT, "grand_scales": {"t_min": 0.01, "t_max": 8.0, "count": 16}}
+# each config key, and each key of an entry, as the path to replace
+_PATHS = [(k,) for k in ExperimentConfig.__dataclass_fields__] + [
+    (k, sub) for k, entry in _ENTRIES.items() for sub in entry]
+_KEYS = sorted({key for path in _PATHS for key in path} | {"kind", "a", "params", "seed"})
+# malformed JSON values; no large integer, since a count of 10^12 would make
+# ScaleGrid.log_spaced allocate terabytes
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.sampled_from([1.5, -1.5, 0.0, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3), st.sampled_from(["constant", "power", "poissonQ", "band_noise"]))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.sampled_from(_KEYS), _SCALARS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=st.sampled_from(sorted(TINY)), path=st.none() | st.sampled_from(_PATHS),
+       value=_VALUES)
+def test_a_malformed_value_raises_config_error_and_nothing_else(scenario, path, value):
+    # path None replaces the whole document
+    doc = _tiny_document(scenario)
+    if path is None:
+        doc = value
+    elif len(path) == 1:
+        doc[path[0]] = value
+    else:
+        doc[path[0]] = {**doc.get(path[0], _ENTRIES[path[0]]), path[1]: value}
+    try:
+        ExperimentConfig.from_dict(doc).validate()
+    except ConfigError:
+        pass
 
 
 class TestChecks:

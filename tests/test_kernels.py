@@ -16,7 +16,7 @@ from lplab import (
     power_tail_kernel,
     to_spectrum,
 )
-from lplab.kernels import _unit_directions, radial_symbol
+from lplab.kernels import CATALOG, _unit_directions, radial_symbol
 
 from kernel_helpers import sample_kernel
 
@@ -47,9 +47,15 @@ class TestBuiltins:
         assert k.symbol(ray([0.99]))[0] == 0.0
         assert k.symbol(ray([2.01]))[0] == 0.0
 
-    def test_gaussian_width_override(self):
-        k = make_builtin("gaussian", [2.0])
-        assert k.symbol(ray([0.5]))[0] == pytest.approx(math.exp(-math.pi), rel=1e-14)
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_accepts_exactly_the_catalog_parameter_counts(self, name):
+        for count in range(6):
+            params = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0][:count]
+            if count in CATALOG[name].counts:
+                assert make_builtin(name, params).profile is not None
+            else:
+                with pytest.raises(ValueError, match=f"{name} takes "):
+                    make_builtin(name, params)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -192,7 +198,7 @@ class TestDecayClass:
 
     def test_rejects_radii_inside_neighborhood(self, poissonq):
         with pytest.raises(ValueError):
-            check_decay_class(poissonq, DecaySpec(0, 1.0, neighborhood_radius=2.0), [1.5, 4])
+            check_decay_class(poissonq, DecaySpec(0, 1.0), [0.5, 4])
 
 
 class TestLowFrequencyGrowth:

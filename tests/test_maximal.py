@@ -307,7 +307,7 @@ class TestVectorValuedMaximal:
         scales = ScaleGrid.log_spaced(0.05, 20.0, 24)
         for exponent in (0.0, -0.5):
             wf = Weight.power(exponent).materialize(grid) if exponent else \
-                Weight.const(1.0).materialize(grid)
+                Weight.const().materialize(grid)
             cs = []
             for seed in range(4):
                 f = band_noise(grid, seed)

@@ -7,6 +7,8 @@ Unlike a byte-level oracle, a relation holds on any arithmetic path:
 
 - ``g_function``, ``grand_max`` and the 2-d ``hl_max`` round along another
   path on the moved input; they agree within 1e-15 of the output's max.
+  ``filtered`` does too, within 1e-15 of the input's max: its output for
+  one multiplier can be far smaller than the input it transforms.
 - ``peetre_max`` takes an exact max over the same products, so its bytes
   agree under every move.
 - The 1-d ``hl_max`` differences prefix sums of |f|, so a move shifts the
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lplab import (GrandMaxConfig, Grid, SampledField, ScaleGrid, default_grand_scales,
-                   g_function, grand_max, hl_max, make_builtin, peetre_max)
+                   filtered, g_function, grand_max, hl_max, make_builtin, peetre_max)
+from lplab.kernels import dilates
 from lplab.maximal import PeetreParams
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -67,6 +70,19 @@ def test_g_function_commutes_with_the_grid_symmetries(grid, kernel, q, seed, shi
     sg = ScaleGrid.log_spaced(grid.spacing / 2.0, 2.0 * grid.half_extent, 16)
     psi = make_builtin(kernel)
     _assert_commutes(lambda f: g_function(f, psi, sg, q), grid, seed, shift, _of_max)
+
+
+@SETTINGS
+@given(grids, st.sampled_from(["poissonQ", "annulus_bump", "gaussian"]), seeds, shifts)
+def test_filtered_commutes_with_the_grid_symmetries(grid, kernel, seed, shift):
+    # one output per multiplier, so a wide Gaussian's output is about the
+    # input's mean while the round-off stays that of the input's transform
+    def of_input_max(f, out):
+        return 1e-15 * np.max(np.abs(f))
+
+    ts = ScaleGrid.log_spaced(grid.spacing / 2.0, 2.0 * grid.half_extent, 4).scales
+    for m in dilates(make_builtin(kernel), grid, ts):
+        _assert_commutes(lambda f: next(filtered(f, [m])), grid, seed, shift, of_input_max)
 
 
 @SETTINGS

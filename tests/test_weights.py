@@ -12,8 +12,8 @@ RADII = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 15.0)
 
 class TestMaterialize:
     def test_constant(self, grid1d_small):
-        w = Weight.const(2.5).materialize(grid1d_small)
-        assert np.all(w.values.real == 2.5)
+        w = Weight.const().materialize(grid1d_small)
+        assert np.all(w.values == 1.0)
 
     def test_power_regularizes_singular_cell(self, grid1d_small):
         w = Weight.power(-0.5).materialize(grid1d_small)
@@ -36,7 +36,7 @@ class TestMaterialize:
 
 class TestApCharacteristic:
     def test_unit_weight_is_exactly_one(self, grid1d_small):
-        assert ap_characteristic(Weight.const(1.0), 2.0, RADII, grid1d_small) == 1.0
+        assert ap_characteristic(Weight.const(), 2.0, RADII, grid1d_small) == 1.0
 
     def test_admissible_power_is_stable(self, grid1d_small):
         # |x|^(1/2) lies in A_2 (exponent in (-1, 1)): estimate stabilizes in radius
@@ -69,7 +69,7 @@ class TestApCharacteristic:
 
     def test_rejects_p_at_most_one(self, grid1d_small):
         with pytest.raises(ValueError):
-            ap_characteristic(Weight.const(1.0), 1.0, RADII, grid1d_small)
+            ap_characteristic(Weight.const(), 1.0, RADII, grid1d_small)
 
     @pytest.mark.parametrize("p", [math.inf, math.nan])
     def test_rejects_p_that_is_not_finite(self, grid1d_small, p):
@@ -79,7 +79,7 @@ class TestApCharacteristic:
     @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
     def test_rejects_an_empty_radius_list(self, grid):
         with pytest.raises(ValueError, match="at least one ball radius"):
-            ap_characteristic(Weight.const(1.0), 2.0, (), grid)
+            ap_characteristic(Weight.const(), 2.0, (), grid)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64, 4.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
     @pytest.mark.parametrize("bad", [-5.0, -2.0, 0.0, math.nan, math.inf, -math.inf])
@@ -98,13 +98,13 @@ class TestApCharacteristic:
 
     def test_2d_unit_weight(self):
         grid = Grid(2, 32, 4.0)
-        assert ap_characteristic(Weight.const(1.0), 2.0, (0.5, 1.0, 2.0), grid) \
+        assert ap_characteristic(Weight.const(), 2.0, (0.5, 1.0, 2.0), grid) \
             == pytest.approx(1.0, abs=1e-12)
 
 
 class TestA1:
     def test_constant_weight(self, grid1d_small):
-        assert a1_check(Weight.const(3.0), grid1d_small) == 1.0
+        assert a1_check(Weight.const(), grid1d_small) == 1.0
 
     def test_decreasing_power_is_a1(self, grid1d_small):
         big_box = Grid(1, 4096, 64.0)
@@ -123,11 +123,6 @@ class TestWeightValidation:
     def test_rejects_a_non_finite_exponent(self, a):
         with pytest.raises(ValueError, match="exponent must be finite"):
             Weight.power(a)
-
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_a_constant_outside_the_open_half_line(self, c):
-        with pytest.raises(ValueError, match="positive and finite"):
-            Weight.const(c)
 
     def test_rejects_an_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown weight kind"):
