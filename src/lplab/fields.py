@@ -23,19 +23,34 @@ passes on the same C++ pocketfft, so the bits are scipy.fft's.  The inverse
 scales each pass by 1/P where scipy.fft scales the first by 1/P^n; both are
 powers of two, and scaling by a power of two is exact.
 
+A real field's spectrum is Hermitian: its value at the point reflection
+k -> (P - k) mod P (on every axis at once) is its conjugate.
+``to_spectrum`` records that its input was real (every imaginary part
+exactly 0), and ``from_spectrum(F, m)`` inverts such a spectrum through its
+half when ``m`` is a real array equal to its point reflection, as the
+dilates of every radial kernel with a real profile are: the signed half
+(c * F * m)[..., :P/2 + 1], a complex ifft along each axis but the last
+(first axis first), then ``numpy.fft.irfft`` along the last, then c times
+the scaling.  That is half the transform work.  The result is real, its
+imaginary part exactly 0, and to round-off the full path's.  Every other
+inverse (complex input, a spectrum a caller built, no multiplier, a
+complex or non-symmetric multiplier) keeps the full path and its bytes.
+
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier (an array on the frequency
 grid), yielded in multiplier order as each is asked for.  Each inverse is
-``from_spectrum`` with the multiplier, which writes the product straight
-into its output array.  ``filtered_slices`` yields the same results as
-arrays, the slices of a (multipliers x grid) stack that is never built;
+``from_spectrum`` with the multiplier, which on the full path writes the
+product straight into its output array.  ``filtered_slices`` yields the
+same results as arrays, the slices of a (multipliers x grid) stack that is never built;
 below ``_PARALLEL_MIN_POINTS`` points it inverts them in blocks of at most
 ``_BLOCK_BYTES``, one batched pass per spatial axis per block, since the
 leading axis batches and every row gets the same 1-d transform.  Every
 result is an independent transform computed by the same code on either
-path, so no output depends on the block or the path.  A field's transforms
-run on the calling thread; a run on a large grid measures its family
-members side by side instead (``experiments``).
+path, so no output depends on the block or the gate's side: a block of
+half products goes through the same ``_half_inverse`` as a single
+``from_spectrum``.  A field's transforms run on the calling thread; a run
+on a large grid measures its family members side by side instead
+(``experiments``).
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing geometric
 set of positive scales t_k = t_max * ratio^k.  Integrals against the
@@ -48,6 +63,7 @@ needs no stack.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -191,9 +207,23 @@ class SpectralField:
 
     grid: Grid
     values: np.ndarray
+    # set by to_spectrum when its input field was real, so that values are
+    # Hermitian; a caller-built spectrum never is
+    _real: bool = field(default=False, init=False, repr=False, compare=False)
+    # the signed half (c * values)[..., :P/2 + 1], made by the first half
+    # inverse and kept
+    _half: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values))
+
+    def _signed_half(self) -> np.ndarray:
+        if self._half is None:
+            h = self.grid.points_per_axis // 2 + 1
+            half = self.values[..., :h] * _signs(self.grid.shape, 1.0)[..., :h]
+            half.setflags(write=False)
+            object.__setattr__(self, "_half", half)
+        return self._half
 
 
 def field_from_function(grid: Grid, fn) -> SampledField:
@@ -229,29 +259,94 @@ def _centred(values: np.ndarray, transform, shape: tuple, scale: float, out=None
 def to_spectrum(f: SampledField) -> SpectralField:
     """Forward transform: Riemann-sum approximation of the continuous integral.
 
-    Returns the spectrum on the dual grid, frequencies centered at 0.
+    Returns the spectrum on the dual grid, frequencies centered at 0,
+    marked as the spectrum of a real field when every imaginary part of
+    ``f`` is exactly 0, so that ``from_spectrum`` may invert it through its
+    half.
     """
     g = f.grid
     spec = _centred(f.values, np.fft.fft, g.shape, g.cell_volume)
-    return _adopt(SpectralField, spec, grid=g.frequency_grid())
+    real = not f.values.imag.any()
+    return _adopt(SpectralField, spec, grid=g.frequency_grid(), _real=real)
 
 
 def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off).
 
     With ``multiplier`` (an array on F's grid) this is the inverse of F
-    times it, with the bytes of ``from_spectrum(SpectralField(F.grid,
-    F.values * multiplier))``: the product is written straight into the
+    times it.  When F is ``to_spectrum`` of a real field and the multiplier
+    a real array equal to its point reflection (``_takes_half``), as the
+    dilates of a radial kernel with a real profile are, F times it is
+    Hermitian and the inverse runs on the half spectrum
+    (``_half_inverse``): the result is real, to round-off that of the full
+    path, and its imaginary part is exactly 0.  Otherwise it has the bytes
+    of ``from_spectrum(SpectralField(F.grid, F.values * multiplier))``: the
+    product is written straight into the
     output array, and the sign and transform passes run on it in place, so
     no product temporary is made."""
     spatial = F.grid.frequency_grid()
     scale = 1.0 / spatial.cell_volume
-    if multiplier is None:
+    if _takes_half(F, multiplier):
+        vals = _half_inverse(_half_product(F, multiplier), spatial.shape, scale)
+    elif multiplier is None:
         vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
     else:
         vals = _multiplied(F.values, multiplier, np.empty_like(F.values))
         _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
+
+
+# (index, the index it reflects to) on one axis: 0 to itself, 1..P-1 to P-1..1
+_REFLECTED = ((0, 0), (slice(1, None), slice(None, 0, -1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection_pairs(ndim: int, p: int) -> tuple:
+    """Index pairs (a, b) such that an array on (p,) * ndim equals its point
+    reflection k -> (p - k) mod p on every axis at once exactly when
+    m[a] == m[b] for every pair, each pair of points compared once: the
+    upper half of the last axis against its lower half, reflected on every
+    axis, then the same on the leading axes of the slices at 0 and p/2 of
+    the last axis, which reflect to themselves."""
+    if ndim == 0:
+        return ()
+    h = p // 2
+    pairs = [(tuple(a for a, _ in lead) + (slice(h + 1, None),),
+              tuple(b for _, b in lead) + (slice(h - 1, 0, -1),))
+             for lead in itertools.product(_REFLECTED, repeat=ndim - 1)]
+    for j in (0, h):
+        pairs += [(a + (j,), b + (j,)) for a, b in _reflection_pairs(ndim - 1, p)]
+    return tuple(pairs)
+
+
+def _takes_half(F: SpectralField, m) -> bool:
+    """Whether F times ``m`` inverts through its half: F is ``to_spectrum``
+    of a real field and ``m`` a real array of F's shape equal to its point
+    reflection, so that the product is Hermitian."""
+    return (F._real and isinstance(m, np.ndarray) and m.dtype.kind == "f"
+            and m.shape == F.values.shape
+            and all((m[a] == m[b]).all() for a, b in _reflection_pairs(m.ndim, m.shape[-1])))
+
+
+def _half_product(F: SpectralField, m: np.ndarray, out=None) -> np.ndarray:
+    """(c * F * m)[..., :P/2 + 1], c the centring checkerboard, in ``out``."""
+    half = F._signed_half()
+    return np.multiply(half, m[..., :half.shape[-1]], out=out)
+
+
+def _half_inverse(half: np.ndarray, shape: tuple, scale: float) -> np.ndarray:
+    """c * ifft(c * v) * scale, a complex array with imaginary part exactly 0,
+    for a v on ``shape`` (the last len(shape) axes) whose point reflection
+    is its conjugate and whose signed half (c * v)[..., :P/2 + 1] is
+    ``half``.  A complex ifft runs in place on ``half`` along each spatial
+    axis but the last, first of them first, and leaves every row of the
+    last axis Hermitian, so np.fft.irfft inverts that axis; leading axes
+    batch."""
+    for axis in range(half.ndim - len(shape), half.ndim - 1):
+        np.fft.ifft(half, axis=axis, out=half)
+    real = np.fft.irfft(half, n=shape[-1], axis=-1)
+    real *= _signs(shape, scale)
+    return real.astype(complex)
 
 
 def _multiplied(values: np.ndarray, multiplier, out: np.ndarray) -> np.ndarray:
@@ -291,8 +386,7 @@ def filtered(f: SampledField, multipliers):
     frequency grid.  One forward transform serves all of them, and the
     results are yielded in multiplier order, each multiplier drawn only when
     its result is asked for, so callers reduce as they stream.  Each result
-    is ``from_spectrum(f_hat, m)``, which writes the product straight into
-    the result's own array."""
+    is ``from_spectrum(f_hat, m)``."""
     spec = to_spectrum(f)
     for m in multipliers:
         yield from_spectrum(spec, m)
@@ -303,33 +397,54 @@ def filtered_slices(f: SampledField, multipliers):
     multiplier order: the slices of a scale stack, which is never built.
 
     Below ``_PARALLEL_MIN_POINTS`` the products are written straight into
-    blocks of at most ``_BLOCK_BYTES``, each inverted in place in one batched
-    pass per spatial axis, which gives each slice the bytes of its own
-    ``from_spectrum``; the slices are views of their block.  At and above it
-    the results stream through ``filtered``, one ``from_spectrum(f_hat, m)``
-    per multiplier, each product written into its own output array.  A
-    wrong-shape multiplier raises ``from_spectrum``'s message on both paths."""
+    blocks of at most ``_BLOCK_BYTES``, each inverted in one batched pass
+    per spatial axis, which gives each slice the bytes of its own
+    ``from_spectrum``; the slices are views of their block.  Products that
+    ``from_spectrum`` inverts through the half spectrum are written as
+    signed halves into one block of halves, reused block to block, and
+    inverted by the same ``_half_inverse`` into a new block of results; the
+    others are inverted in place.  A block holds products of one path
+    only: when the path changes, the block so far is inverted first.  At
+    and above the gate the results stream through ``filtered``, one
+    ``from_spectrum(f_hat, m)`` per multiplier.  A wrong-shape multiplier
+    raises ``from_spectrum``'s message on both sides of the gate."""
     g = f.grid
     if g.cell_count >= _PARALLEL_MIN_POINTS:
         for conv in filtered(f, multipliers):
             yield conv.values
         return
-    def inverted(block):
-        return _centred(block, np.fft.ifft, g.shape, 1.0 / g.cell_volume, out=block)
+    scale = 1.0 / g.cell_volume
+    spec = to_spectrum(f)
+    rows = _BLOCK_BYTES // spec.values.nbytes  # at least 4 below the gate
+    halves = None  # a block of half products, inverted into a new array
 
-    spec = to_spectrum(f).values
-    rows = _BLOCK_BYTES // spec.nbytes  # at least 4 below the gate
+    def inverted(n):
+        if half_block:
+            return _half_inverse(halves[:n], g.shape, scale)
+        return _centred(block[:n], np.fft.ifft, g.shape, scale, out=block[:n])
+
     n = 0
     for m in multipliers:
+        half = _takes_half(spec, m)
+        if n and half != half_block:  # one path per block
+            yield from inverted(n)
+            n = 0
         if n == 0:  # a new block: the slices yielded so far keep theirs
-            block = np.empty((rows,) + g.shape, dtype=complex)
-        _multiplied(spec, m, block[n])
+            half_block = half
+            if not half:
+                block = np.empty((rows,) + g.shape, dtype=complex)
+            elif halves is None:
+                halves = np.empty((rows,) + spec._signed_half().shape, dtype=complex)
+        if half:
+            _half_product(spec, m, halves[n])
+        else:
+            _multiplied(spec.values, m, block[n])
         n += 1
         if n == rows:
-            yield from inverted(block)
+            yield from inverted(n)
             n = 0
     if n:
-        yield from inverted(block[:n])
+        yield from inverted(n)
 
 
 def check_exponent(name: str, x: float) -> None:
@@ -346,12 +461,14 @@ def lp_norm(f: SampledField, p: float) -> float:
 
 
 def weighted_lp_norm(f: SampledField, w: SampledField, p: float) -> float:
-    """(integral |f|^p w)^(1/p) by grid quadrature.  Requires w >= 0 on a matching grid."""
+    """(integral |f|^p w)^(1/p) by grid quadrature.  Requires w >= 0 on a
+    matching grid: every sample's imaginary part exactly 0 and its real part
+    >= 0, which a NaN in either part fails."""
     check_exponent("p", p)
     if f.grid != w.grid:
         raise ValueError("field and weight grids do not match")
     wv = w.values.real
-    if np.any(wv < 0) or np.any(np.abs(w.values.imag) > 0):
+    if not np.all((w.values.imag == 0) & (wv >= 0)):
         raise ValueError("weight must be nonnegative real")
     amp = np.abs(f.values)
     return float(np.sum(amp**p * wv) * f.grid.cell_volume) ** (1.0 / p)

@@ -236,11 +236,11 @@ def validate_atom(a: Atom) -> AtomValidation:
     bound = (a.cube_side**n) ** (-1.0 / a.p)
     size_ratio = sup / bound
     vol = grid.cell_volume
+    slice_norms = [math.sqrt(float(np.sum(np.abs(v) ** 2)) * vol) for v in vals]
     worst = 0.0
     for mono in _cube_monomials(grid, mask, grid.coords(), a.moment_order):
         mono_norm = math.sqrt(float(np.sum(mono**2)) * vol)
-        for k in range(vals.shape[0]):
-            slice_norm = math.sqrt(float(np.sum(np.abs(vals[k]) ** 2)) * vol)
+        for k, slice_norm in enumerate(slice_norms):
             if slice_norm == 0 or mono_norm == 0:
                 continue
             moment = abs(np.sum(vals[k] * mono) * vol)

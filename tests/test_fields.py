@@ -236,6 +236,17 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             weighted_lp_norm(f, w, 2.0)
 
+    @pytest.mark.parametrize("bad", [complex(1.0, math.nan), math.nan, complex(math.nan, 0.0),
+                                     complex(1.0, 1e-300), -1e-300],
+                             ids=["nan-imag", "nan", "nan-real", "tiny-imag", "tiny-negative"])
+    def test_weight_sample_not_nonnegative_real_rejected(self, bad):
+        # a NaN fails both checks: it neither equals 0 nor is >= 0
+        grid = Grid(1, 8, 1.0)
+        w = np.ones(8, dtype=complex)
+        w[2] = bad
+        with pytest.raises(ValueError, match="weight must be nonnegative real"):
+            weighted_lp_norm(SampledField(grid, np.ones(8)), SampledField(grid, w), 2.0)
+
 
 class TestScaleGrid:
     def test_scales_strictly_decreasing(self):

@@ -3,10 +3,13 @@
 ``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
 against explicit DFT sums in the continuous Fourier convention, and the
 two transforms against the scipy.fft chain they replace, bit for bit, and
-an inverse with a multiplier against the inverse of the product; radial
-profiles and their dilates against the symbols they stand for, and the
-ramp-only plateau and in-place scale integral against the expressions they
-replace; ``g_function`` on a ratio-b scale grid against a per-scale loop
+an inverse with a multiplier against the inverse of the product; a real
+field's inverse under a radial dilate, which runs on the half spectrum,
+against the full one, every other inverse against the full path's bytes,
+and ``filtered_slices`` against ``from_spectrum`` as its blocks switch
+paths; radial profiles and their dilates against the symbols they stand
+for, and the ramp-only plateau and in-place scale integral against the
+expressions they replace; ``g_function`` on a ratio-b scale grid against a per-scale loop
 over the ladder t = b^j, weighted log(1/b); the ladder oracle's per-radius multipliers against the symbol at every frequency; the
 periodic window and disc means behind the maximal operators and the A_p
 characteristic against direct averages over the cells of each window or
@@ -37,6 +40,7 @@ from lplab.fields import (
     ScaleGrid,
     SpectralField,
     filtered,
+    filtered_slices,
     from_spectrum,
     scale_integral,
     to_spectrum,
@@ -106,6 +110,13 @@ def _dft_inverse(grid: Grid, spec: np.ndarray) -> np.ndarray:
 def _dft_filter(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """inverse(F(f) * m) by explicit sums."""
     return _dft_inverse(grid, _dft_forward(grid, values) * mult)
+
+
+def _asymmetric(grid: Grid, rng) -> np.ndarray:
+    """A real array on ``grid`` unequal to its point reflection."""
+    m = rng.standard_normal(grid.shape)
+    m[(1,) * grid.dimension] = m[(-1,) * grid.dimension] + 1.0  # (1, ...) reflects to (-1, ...)
+    return m
 
 
 def _random_complex(grid: Grid, seed: int) -> np.ndarray:
@@ -197,6 +208,90 @@ def test_a_multiplied_inverse_has_the_bytes_of_the_inverse_of_the_product(
     expect = from_spectrum(SpectralField(fg, F.values * m))
     assert got.grid == expect.grid == grid
     assert got.values.tobytes() == expect.values.tobytes()
+
+
+@SETTINGS
+@given(grid=st.one_of(transform_grids, st.just(Grid(2, 256, 8.0))),
+       seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(["gaussian", "poissonQ", "annulus_bump"]), t=st.floats(1e-3, 1e4))
+def test_a_real_field_under_a_radial_dilate_inverts_through_the_half_spectrum(
+        grid, seed, name, t):
+    """to_spectrum of a real field times a radial dilate is Hermitian, so
+    the inverse runs on its half.  The result is exactly real.  Its
+    distance from the full path (a caller-built spectrum of the product)
+    is at most 1e-15 of the output's max plus the full path's own
+    imaginary part, which the exact result does not have: when one mode of
+    small amplitude dominates the output, the forward transform's
+    round-off in that mode is a larger share of it.  Below the smallest
+    normal number binary64 keeps no relative precision.  A dilate that
+    underflows to zeros everywhere gives exact zeros.  filtered and
+    filtered_slices give the result's bytes."""
+    f = SampledField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+    spec = to_spectrum(f)
+    (m,) = dilates(make_builtin(name), grid, [t])
+    got = from_spectrum(spec, m).values
+    full = from_spectrum(SpectralField(spec.grid, spec.values * m)).values
+    assert not np.any(got.imag)
+    bound = 1e-15 * np.max(np.abs(full)) + np.max(np.abs(full.imag)) + np.finfo(float).tiny
+    assert np.max(np.abs(got.real - full.real)) <= bound
+    if not np.any(m):
+        assert not np.any(got)
+    (conv,) = filtered(f, [m])
+    (values,) = filtered_slices(f, [m])
+    assert conv.values.tobytes() == values.tobytes() == got.tobytes()
+
+
+@SETTINGS
+@given(grid=transform_grids, seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["complex", "caller-built", "derivative", "asymmetric"]),
+       t=st.floats(1e-3, 1e2), axis=st.integers(0, 1))
+def test_other_inverses_keep_the_full_path_bytes(grid, seed, kind, t, axis):
+    """Complex input, a caller-built spectrum, the complex derivative symbol
+    and a real multiplier unequal to its point reflection all invert
+    through the full spectrum: the bytes of the inverse of the product."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.shape)
+    if kind == "complex":
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    spec = to_spectrum(SampledField(grid, vals))
+    if kind == "caller-built":
+        spec = SpectralField(spec.grid, spec.values)
+    if kind == "derivative":
+        m = coordinate_multiplier(axis % grid.dimension).symbol(spec.grid.coords())
+    elif kind == "asymmetric":
+        m = _asymmetric(grid, rng)
+    else:
+        (m,) = dilates(make_builtin("gaussian"), grid, [t])
+    got = from_spectrum(spec, m).values
+    expect = from_spectrum(SpectralField(spec.grid, spec.values * m)).values
+    assert got.tobytes() == expect.tobytes()
+
+
+@SETTINGS
+@given(grid=small_grids, seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+       paths=st.lists(st.sampled_from(["half", "asymmetric", "derivative"]), max_size=12))
+def test_filtered_slices_keeps_multiplier_order_across_paths(grid, seed, rows, paths):
+    """Below the large-grid gate a block holds products of one path: when
+    the path changes, or the block of ``rows`` slices fills, what it holds
+    is inverted first, and every slice has the bytes of its from_spectrum."""
+    rng = np.random.default_rng(seed)
+    f = SampledField(grid, rng.standard_normal(grid.shape))
+    spec = to_spectrum(f)
+    mults = []
+    for path in paths:
+        if path == "half":
+            mults += dilates(make_builtin("gaussian"), grid, [rng.uniform(0.01, 10.0)])
+        elif path == "asymmetric":
+            mults.append(_asymmetric(grid, rng))
+        else:
+            mults.append(coordinate_multiplier(0).symbol(spec.grid.coords()))
+    with mock.patch("lplab.fields._BLOCK_BYTES", rows * spec.values.nbytes):
+        got = [values.copy() for values in filtered_slices(f, mults)]
+    assert len(got) == len(mults)
+    for values, m, path in zip(got, mults, paths):
+        assert values.tobytes() == from_spectrum(spec, m).values.tobytes()
+        if path == "half":
+            assert not np.any(values.imag)
 
 
 def _kernels():

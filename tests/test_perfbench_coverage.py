@@ -5,11 +5,16 @@ counts of every part against the part's ``expected_counts`` and fails its
 ops on a mismatch.  This runs one traced op of each part at one input seed
 with the benchmark's own workloads, recorder and counting rule, so a change
 that moves a pinned count (a transform more or less per scale, a call that
-no longer goes through a traced entry point) fails here too.
+no longer goes through a traced entry point) fails here too.  The op's
+rows and verdict must also match the stored reference at that seed, by the
+benchmark's own ``load_reference`` and ``row_problems`` (relative tolerance
+``REL_TOL``), so a change that moves rows past the benchmark's gate fails
+here as well.
 """
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -45,3 +50,6 @@ def test_traced_op_has_the_counts_its_config_implies(name, tmp_path):
     stats = tracing.op_stats(recorder.spans)
     assert {key: bench.counted(stats, key) for key in expected} == expected
     assert result.passed
+    ref_passed, ref_rows = bench.load_reference(types.SimpleNamespace(parts=(part,)), INPUT_SEED)
+    assert (result.passed,) == ref_passed
+    assert bench.row_problems(result.rows, ref_rows) == []

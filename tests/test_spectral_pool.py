@@ -3,9 +3,11 @@
 ``fields.filtered`` and ``filtered_slices`` run on the calling thread.
 Every consumer must give the bytes of an explicit serial loop of
 ``from_spectrum(to_spectrum(f) * m)`` whatever ``fields._spectral_workers``
-says; keep the transform counts; draw each multiplier only when its result
-is asked for; start no thread; raise a wrong-shape multiplier at its
-position with one message; serve concurrent callers and work in a forked
+says, or, for a real field under a real multiplier equal to its point
+reflection, the bytes of a numpy.fft.irfft chain written out here; keep
+the transform counts; draw each multiplier only when its result is asked
+for; start no thread; raise a wrong-shape multiplier at its position with
+one message; serve concurrent callers and work in a forked
 child.  The grids sit on both sides of the large-grid gate: 1-d 4096 and
 2-d 64^2 below it, where ``scale_transform`` inverts its slices in batched
 blocks, and 1-d 32768 and 2-d 256^2 above.  A fold over the streamed slices
@@ -57,11 +59,39 @@ def _field(grid, seed=0):
     return SampledField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
 
 
+def _checkerboard(shape) -> np.ndarray:
+    return np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+
+
+def _half_chain(spec, m):
+    """The inverse of spec * m through the half spectrum: the signed half
+    (c * spec * m)[..., :P/2 + 1], numpy.fft.ifft along the first axis in
+    2-d, numpy.fft.irfft along the last, then c / cell volume."""
+    grid = spec.grid.frequency_grid()
+    p = grid.points_per_axis
+    c = _checkerboard(grid.shape)
+    half = (spec.values[..., :p // 2 + 1] * c[..., :p // 2 + 1]) * m[..., :p // 2 + 1]
+    if grid.dimension == 2:
+        half = np.fft.ifft(half, axis=0)
+    return (np.fft.irfft(half, n=p, axis=-1) * (c * (1.0 / grid.cell_volume))).astype(complex)
+
+
 def _serial(f, multipliers):
-    """from_spectrum(to_spectrum(f) * m) per multiplier, one after another."""
+    """The inverse of to_spectrum(f) * m per multiplier, one after another:
+    the half chain for a real field under a real multiplier equal to its
+    point reflection k -> (P - k) mod P, from_spectrum of the product as a
+    spectrum of its own otherwise."""
     spec = fields.to_spectrum(f)
-    return [fields.from_spectrum(SpectralField(spec.grid, spec.values * m)).values
-            for m in multipliers]
+    real = not np.any(f.values.imag)
+    axes = tuple(range(f.grid.dimension))
+    out = []
+    for m in multipliers:
+        m = np.asarray(m)
+        if real and m.dtype.kind == "f" and np.array_equal(m, np.roll(np.flip(m), 1, axes)):
+            out.append(_half_chain(spec, m))
+        else:
+            out.append(fields.from_spectrum(SpectralField(spec.grid, spec.values * m)).values)
+    return out
 
 
 def test_gate_splits_the_grids():
@@ -83,6 +113,8 @@ def test_consumers_match_a_serial_loop(grid, workers):
     mollifier = make_builtin("gaussian")
     for f, psi in _inputs(grid):
         stack = np.stack(_serial(f, dilates(psi, grid, SCALES.scales)))
+        # the real member's slices come from the half chain, exactly real
+        assert np.any(stack.imag) == np.any(f.values.imag)
 
         got = [g.values for g in filtered(f, dilates(psi, grid, SCALES.scales))]
         assert np.stack(got).tobytes() == stack.tobytes()
