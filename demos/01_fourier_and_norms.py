@@ -24,8 +24,8 @@ grid = Grid(1, 1024, 16.0)
 print(f"grid: {grid.points_per_axis} points, spacing {grid.spacing}")
 
 f = field_from_function(grid, lambda x: np.exp(-np.pi * x[0] ** 2))
-F = to_spectrum(f)
-xi = F.grid.axis_coords()
+F = to_spectrum(f)  # f is real, so F is its half: the frequencies -P/2 ... 0
+xi = F.grid.axis_coords()[: F.values.size]
 print("transform error vs exp(-pi xi^2):", np.max(np.abs(F.values - np.exp(-np.pi * xi**2))))
 
 back = from_spectrum(F)

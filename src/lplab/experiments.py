@@ -485,7 +485,8 @@ class _SpectralRatioOracle:
         self._m_phi = multiplier(phi)
 
     def ratio(self, f: SampledField) -> float:
-        power = np.abs(to_spectrum(f).values) ** 2
+        # the sum runs over the full grid, so it takes the full spectrum
+        power = np.abs(to_spectrum(SampledField(f.grid, f.values.astype(complex))).values) ** 2
         num = float(np.sum(power * self._m_psi))
         den = float(np.sum(power * self._m_phi))
         return math.sqrt(num / den)

@@ -15,42 +15,43 @@ once and keeps it, and the dual keeps the grid.
 Centring needs no rolled copies: every axis length P is a power of two
 >= 4, so P/2 is even, and moving index P/2 to 0 on both sides of a DFT is
 the same as modulating by the checkerboard c = (-1)^(sum of indices) on
-both sides, c * fftn(c * v), and likewise for the inverse.  Each transform
-(``_centred``) is one sign modulation, one in-place numpy.fft pass per axis
-and one in-place scaling by the signs times the cell volume (or its
-reciprocal).  The axes run first to last, the order of scipy.fft.fftn's
-passes on the same C++ pocketfft, so the bits are scipy.fft's.  The inverse
-scales each pass by 1/P where scipy.fft scales the first by 1/P^n; both are
-powers of two, and scaling by a power of two is exact.
+both sides, c * fftn(c * v), and likewise for the inverse.  Each complex
+transform (``_centred``) is one sign modulation, one in-place numpy.fft
+pass per axis and one in-place scaling by the signs times the cell volume
+(or its reciprocal).  The axes run first to last, the order of
+scipy.fft.fftn's passes on the same C++ pocketfft, so the bits are
+scipy.fft's.  The inverse scales each pass by 1/P where scipy.fft scales
+the first by 1/P^n; both are powers of two, and scaling by a power of two
+is exact.
 
-A real field's spectrum is Hermitian: its value at the point reflection
-k -> (P - k) mod P (on every axis at once) is its conjugate.
-``to_spectrum`` records that its input was real (every imaginary part
-exactly 0), and ``from_spectrum(F, m)`` inverts such a spectrum through its
-half when ``m`` is a real array equal to its point reflection, as the
-dilates of every radial kernel with a real profile are: the signed half
-(c * F * m)[..., :P/2 + 1], a complex ifft along each axis but the last
-(first axis first), then ``numpy.fft.irfft`` along the last, then c times
-the scaling.  That is half the transform work.  The result is real, its
-imaginary part exactly 0, and to round-off the full path's.  Every other
-inverse (complex input, a spectrum a caller built, no multiplier, a
-complex or non-symmetric multiplier) keeps the full path and its bytes.
+A field is real exactly when its dtype is (float64; complex128 otherwise),
+and keeps the kind of the values it is given.  A real field's spectrum is
+Hermitian (its value at the point reflection k -> (P - k) mod P of every
+axis is the conjugate of its value at k), so ``to_spectrum`` keeps its half
+[..., :P/2 + 1], the frequencies -P/2 ... 0 of the last axis: c * x,
+``numpy.fft.rfft`` along the last axis, fft along the others, the signs.
+``from_spectrum`` reads the format from the spectrum's shape.  A half
+spectrum under no multiplier or a real one inverts through the half into
+a real field (``_half_inverse``).  A real multiplier must be even, as every
+one the library builds is (radial dilates, ``make_atom``'s low-pass), and
+only its half is read, as numpy.fft.irfft reads its input.  Under a complex
+multiplier, such as 2 pi i xi_k, which is not Hermitian on the Nyquist
+line, a half spectrum is expanded (``_full``) and takes the complex path.
+A complex field's spectrum, and one a caller builds, is full.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier (an array on the frequency
 grid), yielded in multiplier order as each is asked for.  Each inverse is
-``from_spectrum`` with the multiplier, which on the full path writes the
-product straight into its output array.  ``filtered_slices`` yields the
-same results as arrays, the slices of a (multipliers x grid) stack that is never built;
-below ``_PARALLEL_MIN_POINTS`` points it inverts them in blocks of at most
-``_BLOCK_BYTES``, one batched pass per spatial axis per block, since the
-leading axis batches and every row gets the same 1-d transform.  Every
-result is an independent transform computed by the same code on either
-path, so no output depends on the block or the gate's side: a block of
-half products goes through the same ``_half_inverse`` as a single
-``from_spectrum``.  A field's transforms run on the calling thread; a run
-on a large grid measures its family members side by side instead
-(``experiments``).
+``from_spectrum`` with the multiplier, which writes the product straight
+into one buffer.  ``filtered_slices`` yields the same results as arrays,
+the slices of a (multipliers x grid) stack that is never built; below
+``_PARALLEL_MIN_POINTS`` points it inverts a real field's half products in
+blocks of at most ``_BLOCK_BYTES``, one batched pass per spatial axis per
+block, since the leading axis batches and every row gets the same 1-d
+transform.  Every result is an independent transform computed by the same
+code on either path, so no output depends on the block or the gate's
+side.  A field's transforms run on the calling thread; a run on a large
+grid measures its family members side by side instead (``experiments``).
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing geometric
 set of positive scales t_k = t_max * ratio^k.  Integrals against the
@@ -63,7 +64,6 @@ needs no stack.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -167,8 +167,14 @@ class Grid:
         return self._dual
 
 
-def _check_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    arr = np.array(values, dtype=complex)  # always a copy, and only one
+def _kind(values) -> type:
+    """The dtype a field keeps for ``values``: complex for complex input,
+    float for any other."""
+    return complex if np.iscomplexobj(values) else float
+
+
+def _check_values(grid: Grid, values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)  # always a copy, and only one
     if arr.shape != grid.shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {grid.shape}")
     arr.setflags(write=False)
@@ -192,43 +198,35 @@ def _adopt(cls, values: np.ndarray, **fields):
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples of a function on a Grid.  Immutable after construction."""
+    """Samples of a function on a Grid: float64 for a real field, complex128
+    for a complex one, by the kind of the values given.  Immutable after
+    construction."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
+        object.__setattr__(self, "values", _check_values(self.grid, self.values,
+                                                         _kind(self.values)))
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex samples of a Fourier transform on a centered frequency grid."""
+    """Complex samples of a Fourier transform on a centered frequency grid.
+    One a caller builds is the full spectrum; ``to_spectrum`` of a real
+    field gives its half [..., :P/2 + 1] on the last axis."""
 
     grid: Grid
     values: np.ndarray
-    # set by to_spectrum when its input field was real, so that values are
-    # Hermitian; a caller-built spectrum never is
-    _real: bool = field(default=False, init=False, repr=False, compare=False)
-    # the signed half (c * values)[..., :P/2 + 1], made by the first half
-    # inverse and kept
-    _half: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
-
-    def _signed_half(self) -> np.ndarray:
-        if self._half is None:
-            h = self.grid.points_per_axis // 2 + 1
-            half = self.values[..., :h] * _signs(self.grid.shape, 1.0)[..., :h]
-            half.setflags(write=False)
-            object.__setattr__(self, "_half", half)
-        return self._half
+        object.__setattr__(self, "values", _check_values(self.grid, self.values, complex))
 
 
 def field_from_function(grid: Grid, fn) -> SampledField:
-    """Sample a callable of stacked coordinates (shape (dim, ...)) on the grid."""
-    return SampledField(grid, np.asarray(fn(grid.coords()), dtype=complex))
+    """Sample a callable of stacked coordinates (shape (dim, ...)) on the
+    grid; a real callable gives a real field."""
+    return SampledField(grid, fn(grid.coords()))
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,108 +254,94 @@ def _centred(values: np.ndarray, transform, shape: tuple, scale: float, out=None
     return out
 
 
+def _half_inverse(half: np.ndarray, shape: tuple, scale: float) -> np.ndarray:
+    """c * ifft(c * v) * scale, a new real array, for a v on ``shape`` (the
+    last len(shape) axes) whose point reflection is its conjugate and whose
+    half v[..., :P/2 + 1] is ``half``, which is overwritten: c times it, a
+    complex ifft in place along each spatial axis but the last, first of
+    them first, which leaves every row of the last axis Hermitian, then
+    np.fft.irfft along that axis.  Leading axes batch."""
+    half *= _signs(shape, 1.0)[..., :half.shape[-1]]
+    for axis in range(half.ndim - len(shape), half.ndim - 1):
+        np.fft.ifft(half, axis=axis, out=half)
+    out = np.fft.irfft(half, n=shape[-1], axis=-1)
+    out *= _signs(shape, scale)
+    return out
+
+
+def _full(F: SpectralField) -> np.ndarray:
+    """The full spectrum of which F is the half: its value at the point
+    reflection k -> (P - k) mod P of every axis is the conjugate of its
+    value at k."""
+    p = F.grid.points_per_axis
+    full = np.empty(F.grid.shape, dtype=complex)
+    full[..., :p // 2 + 1] = F.values
+    upper = F.values[..., p // 2 - 1:0:-1]
+    for axis in range(F.values.ndim - 1):
+        upper = upper.take(-np.arange(p) % p, axis=axis)
+    np.conjugate(upper, out=full[..., p // 2 + 1:])
+    return full
+
+
+def _product(F: SpectralField, multiplier, out=None) -> np.ndarray:
+    """F's values times ``multiplier``, an array on F's grid, in ``out`` (a
+    new array if None).  Of a half spectrum a real multiplier's half
+    [..., :P/2 + 1] is read, and under a complex one the half is expanded to
+    its full spectrum first.  A multiplier of another shape raises the one
+    message of every inverse."""
+    m = np.asarray(multiplier)
+    if m.shape != F.grid.shape:
+        raise ValueError(f"multiplier shape {m.shape} does not match {F.grid.shape}")
+    values = _full(F) if np.iscomplexobj(m) and F.values.shape != m.shape else F.values
+    return np.multiply(values, m[..., :values.shape[-1]], out=out)
+
+
+def _is_half(F: SpectralField, multiplier) -> bool:
+    """Whether F times ``multiplier`` inverts through the half: F is a real
+    field's half spectrum and the multiplier None or real."""
+    return F.values.shape != F.grid.shape and not np.iscomplexobj(multiplier)
+
+
 def to_spectrum(f: SampledField) -> SpectralField:
     """Forward transform: Riemann-sum approximation of the continuous integral.
 
-    Returns the spectrum on the dual grid, frequencies centered at 0,
-    marked as the spectrum of a real field when every imaginary part of
-    ``f`` is exactly 0, so that ``from_spectrum`` may invert it through its
-    half.
+    Returns the spectrum on the dual grid, frequencies centered at 0: for a
+    complex field the full complex spectrum, for a real field its half
+    [..., :P/2 + 1] on the last axis.
     """
     g = f.grid
-    spec = _centred(f.values, np.fft.fft, g.shape, g.cell_volume)
-    real = not f.values.imag.any()
-    return _adopt(SpectralField, spec, grid=g.frequency_grid(), _real=real)
+    if np.iscomplexobj(f.values):
+        spec = _centred(f.values, np.fft.fft, g.shape, g.cell_volume)
+    else:
+        spec = np.fft.rfft(f.values * _signs(g.shape, 1.0), axis=-1)
+        for axis in range(spec.ndim - 1):
+            np.fft.fft(spec, axis=axis, out=spec)
+        spec *= _signs(g.shape, g.cell_volume)[..., :spec.shape[-1]]
+    return _adopt(SpectralField, spec, grid=g.frequency_grid())
 
 
 def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off).
 
     With ``multiplier`` (an array on F's grid) this is the inverse of F
-    times it.  When F is ``to_spectrum`` of a real field and the multiplier
-    a real array equal to its point reflection (``_takes_half``), as the
-    dilates of a radial kernel with a real profile are, F times it is
-    Hermitian and the inverse runs on the half spectrum
-    (``_half_inverse``): the result is real, to round-off that of the full
-    path, and its imaginary part is exactly 0.  Otherwise it has the bytes
-    of ``from_spectrum(SpectralField(F.grid, F.values * multiplier))``: the
-    product is written straight into the
-    output array, and the sign and transform passes run on it in place, so
-    no product temporary is made."""
+    times it, the product written straight into one buffer on which the
+    transform passes run in place.  A real field's half spectrum under no
+    multiplier or a real one (which must be even; only its half is read)
+    gives a real field; under a complex multiplier it is inverted on its
+    full Hermitian expansion.  A full spectrum gives a complex field with
+    the bytes of ``from_spectrum(SpectralField(F.grid, F.values *
+    multiplier))``."""
     spatial = F.grid.frequency_grid()
     scale = 1.0 / spatial.cell_volume
-    if _takes_half(F, multiplier):
-        vals = _half_inverse(_half_product(F, multiplier), spatial.shape, scale)
+    if _is_half(F, multiplier):
+        half = F.values.copy() if multiplier is None else _product(F, multiplier)
+        vals = _half_inverse(half, spatial.shape, scale)
     elif multiplier is None:
         vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
     else:
-        vals = _multiplied(F.values, multiplier, np.empty_like(F.values))
+        vals = _product(F, multiplier)
         _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
-
-
-# (index, the index it reflects to) on one axis: 0 to itself, 1..P-1 to P-1..1
-_REFLECTED = ((0, 0), (slice(1, None), slice(None, 0, -1)))
-
-
-@functools.lru_cache(maxsize=None)
-def _reflection_pairs(ndim: int, p: int) -> tuple:
-    """Index pairs (a, b) such that an array on (p,) * ndim equals its point
-    reflection k -> (p - k) mod p on every axis at once exactly when
-    m[a] == m[b] for every pair, each pair of points compared once: the
-    upper half of the last axis against its lower half, reflected on every
-    axis, then the same on the leading axes of the slices at 0 and p/2 of
-    the last axis, which reflect to themselves."""
-    if ndim == 0:
-        return ()
-    h = p // 2
-    pairs = [(tuple(a for a, _ in lead) + (slice(h + 1, None),),
-              tuple(b for _, b in lead) + (slice(h - 1, 0, -1),))
-             for lead in itertools.product(_REFLECTED, repeat=ndim - 1)]
-    for j in (0, h):
-        pairs += [(a + (j,), b + (j,)) for a, b in _reflection_pairs(ndim - 1, p)]
-    return tuple(pairs)
-
-
-def _takes_half(F: SpectralField, m) -> bool:
-    """Whether F times ``m`` inverts through its half: F is ``to_spectrum``
-    of a real field and ``m`` a real array of F's shape equal to its point
-    reflection, so that the product is Hermitian."""
-    return (F._real and isinstance(m, np.ndarray) and m.dtype.kind == "f"
-            and m.shape == F.values.shape
-            and all((m[a] == m[b]).all() for a, b in _reflection_pairs(m.ndim, m.shape[-1])))
-
-
-def _half_product(F: SpectralField, m: np.ndarray, out=None) -> np.ndarray:
-    """(c * F * m)[..., :P/2 + 1], c the centring checkerboard, in ``out``."""
-    half = F._signed_half()
-    return np.multiply(half, m[..., :half.shape[-1]], out=out)
-
-
-def _half_inverse(half: np.ndarray, shape: tuple, scale: float) -> np.ndarray:
-    """c * ifft(c * v) * scale, a complex array with imaginary part exactly 0,
-    for a v on ``shape`` (the last len(shape) axes) whose point reflection
-    is its conjugate and whose signed half (c * v)[..., :P/2 + 1] is
-    ``half``.  A complex ifft runs in place on ``half`` along each spatial
-    axis but the last, first of them first, and leaves every row of the
-    last axis Hermitian, so np.fft.irfft inverts that axis; leading axes
-    batch."""
-    for axis in range(half.ndim - len(shape), half.ndim - 1):
-        np.fft.ifft(half, axis=axis, out=half)
-    real = np.fft.irfft(half, n=shape[-1], axis=-1)
-    real *= _signs(shape, scale)
-    return real.astype(complex)
-
-
-def _multiplied(values: np.ndarray, multiplier, out: np.ndarray) -> np.ndarray:
-    """values * multiplier, written into ``out`` of values' shape; a
-    multiplier whose product would have another shape, or none, raises the
-    one message of every inverse."""
-    try:
-        return np.multiply(values, multiplier, out=out)
-    except ValueError:
-        raise ValueError(f"multiplier shape {np.shape(multiplier)} does not match "
-                         f"{values.shape}") from None
 
 
 # The large-grid gate: a run on a grid this large measures its family members
@@ -396,18 +380,16 @@ def filtered_slices(f: SampledField, multipliers):
     """Yield the values of inverse(f_hat * m) per multiplier m, in
     multiplier order: the slices of a scale stack, which is never built.
 
-    Below ``_PARALLEL_MIN_POINTS`` the products are written straight into
-    blocks of at most ``_BLOCK_BYTES``, each inverted in one batched pass
-    per spatial axis, which gives each slice the bytes of its own
-    ``from_spectrum``; the slices are views of their block.  Products that
-    ``from_spectrum`` inverts through the half spectrum are written as
-    signed halves into one block of halves, reused block to block, and
-    inverted by the same ``_half_inverse`` into a new block of results; the
-    others are inverted in place.  A block holds products of one path
-    only: when the path changes, the block so far is inverted first.  At
-    and above the gate the results stream through ``filtered``, one
-    ``from_spectrum(f_hat, m)`` per multiplier.  A wrong-shape multiplier
-    raises ``from_spectrum``'s message on both sides of the gate."""
+    Below ``_PARALLEL_MIN_POINTS`` the half products of a real field under
+    real multipliers are written straight into one block of at most
+    ``_BLOCK_BYTES``, reused block to block, and each block is inverted by
+    ``_half_inverse`` in one batched pass per spatial axis into a new block
+    of results, which gives each slice the bytes of its own
+    ``from_spectrum``; the slices are views of their block.  Any other
+    product is one ``from_spectrum``, issued after the block so far has
+    been inverted.  At and above the gate the results stream through
+    ``filtered``.  A wrong-shape multiplier raises ``from_spectrum``'s
+    message on both sides of the gate."""
     g = f.grid
     if g.cell_count >= _PARALLEL_MIN_POINTS:
         for conv in filtered(f, multipliers):
@@ -415,36 +397,24 @@ def filtered_slices(f: SampledField, multipliers):
         return
     scale = 1.0 / g.cell_volume
     spec = to_spectrum(f)
-    rows = _BLOCK_BYTES // spec.values.nbytes  # at least 4 below the gate
-    halves = None  # a block of half products, inverted into a new array
-
-    def inverted(n):
-        if half_block:
-            return _half_inverse(halves[:n], g.shape, scale)
-        return _centred(block[:n], np.fft.ifft, g.shape, scale, out=block[:n])
-
-    n = 0
+    rows = _BLOCK_BYTES // spec.values.nbytes  # at least 15 below the gate
+    halves, n = None, 0
     for m in multipliers:
-        half = _takes_half(spec, m)
-        if n and half != half_block:  # one path per block
-            yield from inverted(n)
-            n = 0
-        if n == 0:  # a new block: the slices yielded so far keep theirs
-            half_block = half
-            if not half:
-                block = np.empty((rows,) + g.shape, dtype=complex)
-            elif halves is None:
-                halves = np.empty((rows,) + spec._signed_half().shape, dtype=complex)
-        if half:
-            _half_product(spec, m, halves[n])
-        else:
-            _multiplied(spec.values, m, block[n])
+        if not _is_half(spec, m):
+            if n:
+                yield from _half_inverse(halves[:n], g.shape, scale)
+                n = 0
+            yield from_spectrum(spec, m).values
+            continue
+        if halves is None:
+            halves = np.empty((rows,) + spec.values.shape, dtype=complex)
+        _product(spec, m, halves[n])
         n += 1
         if n == rows:
-            yield from inverted(n)
+            yield from _half_inverse(halves, g.shape, scale)
             n = 0
     if n:
-        yield from inverted(n)
+        yield from _half_inverse(halves[:n], g.shape, scale)
 
 
 def check_exponent(name: str, x: float) -> None:

@@ -2,7 +2,9 @@
 
 Field container (magic ``LPF1``): little-endian header of dimension
 (uint32), points_per_axis (uint32), half_extent (float64), followed by the
-row-major complex128 payload.
+row-major complex128 payload.  A real field is written with imaginary
+parts of 0, and a payload whose imaginary parts are all 0 is read as a
+real field.
 
 CSV dumps carry one sample per row: index, coordinates, real and imaginary
 parts, ready for plotting.
@@ -51,7 +53,9 @@ def read_field(path) -> SampledField:
         if size != nbytes:
             raise ValueError(f"{path}: payload holds {size} bytes, the header implies {nbytes}")
         payload = fh.read(nbytes)
-    return SampledField(grid, np.frombuffer(payload, dtype="<c16").reshape(grid.shape))
+    values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
+    # the format has no dtype: a field with no nonzero imaginary part is real
+    return SampledField(grid, values if values.imag.any() else values.real)
 
 
 def field_to_csv(path, f: SampledField) -> None:

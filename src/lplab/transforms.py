@@ -36,6 +36,8 @@ from .fields import (
     ScaleSum,
     SpectralField,
     _adopt,
+    _kind,
+    _product,
     filtered_slices,
     from_spectrum,
     scale_integral,
@@ -48,14 +50,15 @@ log = logging.getLogger("lplab")
 
 @dataclass(frozen=True)
 class ScaleField:
-    """Complex values indexed (scale, space); each slice is a SampledField."""
+    """Values indexed (scale, space), float64 for real input and complex128
+    for complex, as a SampledField keeps them; each slice is a SampledField."""
 
     grid: Grid
     scales: ScaleGrid
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)  # always a copy, and only one
+        arr = np.array(self.values, dtype=_kind(self.values))  # always a copy, and only one
         expect = (self.scales.count,) + self.grid.shape
         if arr.shape != expect:
             raise ValueError(f"values shape {arr.shape}, expected {expect}")
@@ -96,15 +99,16 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
             f"scale grid [{sg.t_min:.3g}, {sg.t_max:.3g}] does not cover "
             f"({epsilon:.3g}, {1/epsilon:.3g})"
         )
-    fg = h.grid.frequency_grid()
-    acc = np.zeros(fg.shape, dtype=complex)
     inside = np.flatnonzero((sg.scales > epsilon) & (sg.scales < 1.0 / epsilon))
     if inside.size < sg.count:
         log.debug("synthesize: cutoff %g skips %d of %d scales",
                   epsilon, sg.count - inside.size, sg.count)
+    if inside.size == 0:
+        return SampledField(h.grid, np.zeros(h.grid.shape, dtype=h.values.dtype))
+    acc = 0.0  # 0.0 + the first term, as a zero array plus it
     for k, sym in zip(inside, dilates(psi, h.grid, sg.scales[inside])):
-        acc += sg.log_width * np.asarray(sym) * to_spectrum(h.slice(k)).values
-    return from_spectrum(_adopt(SpectralField, acc, grid=fg))
+        acc += _product(to_spectrum(h.slice(k)), sg.log_width * np.asarray(sym))
+    return from_spectrum(_adopt(SpectralField, acc, grid=h.grid.frequency_grid()))
 
 
 @dataclass(frozen=True)
@@ -191,14 +195,14 @@ def make_atom(
     rng = np.random.default_rng(seed)
     basis = _moment_basis(grid, mask, center, cube_side, order)
     vol = grid.cell_volume
-    vals = np.empty((scales.count,) + grid.shape, dtype=complex)
+    vals = np.empty((scales.count,) + grid.shape)
     kcut = 6.0 / cube_side  # band-limit of the raw noise, a few modes per cube
     fg = grid.frequency_grid()
     lowpass = np.exp(-((fg.radii() / kcut) ** 2))
     for k in range(scales.count):
         noise = SampledField(grid, rng.standard_normal(grid.shape))
         smooth = from_spectrum(to_spectrum(noise), lowpass)
-        slice_k = smooth.values.real * window
+        slice_k = smooth.values * window
         for b in basis:
             slice_k = slice_k - np.sum(slice_k * b) * vol * b
         vals[k] = slice_k

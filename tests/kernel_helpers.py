@@ -22,9 +22,9 @@ def sample_kernel(k: KernelSpec, g: Grid, t: float) -> SampledField:
 def scale_stack(f: SampledField, psi: KernelSpec, scales: ScaleGrid) -> ScaleField:
     """The scale field E(x, t_k) = (f * psi_{t_k})(x), every slice of
     ``scale_transform``'s stream collected in scale order."""
-    stack = np.empty((scales.count,) + f.grid.shape, dtype=complex)
-    scale_transform(f, psi, scales, stack.__setitem__)
-    return ScaleField(f.grid, scales, stack)
+    slices = []
+    scale_transform(f, psi, scales, lambda k, values: slices.append(values))
+    return ScaleField(f.grid, scales, np.stack(slices))
 
 
 def conjugate_kernel(psi: KernelSpec) -> KernelSpec:

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from lplab import Grid, SampledField
+from lplab import Grid, SampledField, ScaleGrid
 from lplab.cli import main
-from lplab.io import read_field, write_field
-from lplab.kernels import CATALOG
+from lplab.io import field_to_csv, read_field, write_field
+from lplab.kernels import CATALOG, make_builtin
 from lplab.maximal import (GrandMaxConfig, PeetreParams, default_grand_scales, grand_max,
                            hl_max, peetre_max)
+from lplab.transforms import g_function
 
 
 @pytest.fixture()
@@ -84,6 +85,34 @@ def test_transform_g(stored_field, tmp_path):
                  "--in", str(stored_field), "--out", str(out)]) == 0
     g = read_field(out)
     assert np.max(g.values.real) > 0
+
+
+def test_a_real_field_file_keeps_the_real_path(tmp_path):
+    # the container stores complex128; a payload with no nonzero imaginary
+    # part is read back as the real field it was, so the CLI's transform and
+    # grand maximal function give the bytes of the in-memory calls on it
+    grid = Grid(1, 1024, 16.0)
+    f = SampledField(grid, np.random.default_rng(4).standard_normal(grid.shape))
+    path = tmp_path / "f.bin"
+    write_field(path, f)
+    assert path.read_bytes()[20:] == f.values.astype(complex).tobytes()  # after the header
+    back = read_field(path)
+    assert back.values.dtype == np.float64 and back.values.tobytes() == f.values.tobytes()
+    cases = {
+        "g": (["transform", "g"], g_function(f, make_builtin("poissonQ"),
+                                             ScaleGrid.log_spaced(1e-4, 1e2, 128))),
+        "grand": (["maximal", "--op", "grand"],
+                  grand_max(f, GrandMaxConfig(default_grand_scales(grid, 64)))),
+    }
+    for name, (argv, expect) in cases.items():
+        out, csv = tmp_path / f"{name}.bin", tmp_path / f"{name}.csv"
+        assert main(argv + ["--in", str(path), "--out", str(out), "--csv", str(csv)]) == 0
+        assert read_field(out).values.tobytes() == expect.values.tobytes()
+        field_to_csv(tmp_path / "complex.csv", SampledField(grid, expect.values.astype(complex)))
+        assert csv.read_bytes() == (tmp_path / "complex.csv").read_bytes()
+    # one nonzero imaginary part keeps the whole field complex
+    write_field(path, SampledField(grid, f.values + 1j * (np.arange(1024) == 7)))
+    assert read_field(path).values.dtype == np.complex128
 
 
 def test_constants_report(tmp_path):

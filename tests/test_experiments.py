@@ -197,6 +197,53 @@ TINY = {
 }
 
 
+@pytest.mark.parametrize("scenario", ["thm210", "cor31", "lemma33"])
+def test_scenario_fields_stay_on_the_real_path(scenario, monkeypatch):
+    """Every field a scenario measures is real, so none reaches the complex
+    inverse or the Hermitian expansion of a half spectrum: with both made
+    to raise, the TINY configs run.  Only the constants audit inverts
+    caller-built kernel symbols on the complex path, as it should."""
+    from lplab import experiments
+
+    centred, auditing = fields._centred, []
+
+    def real_path_only(*args, **kwargs):
+        raise AssertionError("a scenario field left the real path")
+
+    def guarded(values, transform, *args, **kwargs):
+        if transform is np.fft.ifft and not auditing:
+            real_path_only()
+        return centred(values, transform, *args, **kwargs)
+
+    def audit(*args, **kwargs):
+        auditing.append(True)
+        try:
+            return check_conditions(*args, **kwargs)
+        finally:
+            auditing.pop()
+
+    check_conditions = experiments.check_conditions
+    monkeypatch.setattr(fields, "_full", real_path_only)
+    monkeypatch.setattr(fields, "_centred", guarded)
+    monkeypatch.setattr(experiments, "check_conditions", audit)
+    rep = run_experiment(fast_config(scenario, **TINY[scenario]))
+    assert rep.rows and rep.passed
+
+
+def test_synthesized_atoms_are_real():
+    from lplab import ScaleGrid, make_atom, make_builtin, synthesize
+
+    grid = fields.Grid(1, 1024, 16.0)
+    atom = make_atom(grid, ScaleGrid.log_spaced(5e-3, 200.0, 64), (0.5,), 2.0, 1.0, seed=3)
+    assert atom.values.values.dtype == np.float64
+    for eps in (0.1, 0.01):
+        assert synthesize(atom.values, make_builtin("annulus_bump"), eps).values.dtype == np.float64
+    # a window with no scale strictly inside it sums nothing: a real zero field
+    empty = make_atom(grid, ScaleGrid.geometric(8.0, 1 / 64, 2), (0.5,), 2.0, 1.0, seed=3)
+    zero = synthesize(empty.values, make_builtin("annulus_bump"), 0.125).values
+    assert zero.dtype == np.float64 and not zero.any()
+
+
 POWER_WEIGHT = {"kind": "power", "a": -0.5}
 SPREAD = ("dilation_spread", 0.02)
 

@@ -1,14 +1,16 @@
 """Fast paths against brute-force oracles on tiny hypothesis-drawn grids.
 
 ``fields.to_spectrum``, ``from_spectrum`` and ``filtered`` are checked
-against explicit DFT sums in the continuous Fourier convention, and the
-two transforms against the scipy.fft chain they replace, bit for bit, and
-an inverse with a multiplier against the inverse of the product; a real
-field's inverse under a radial dilate, which runs on the half spectrum,
-against the full one, every other inverse against the full path's bytes,
-and ``filtered_slices`` against ``from_spectrum`` as its blocks switch
-paths; radial profiles and their dilates against the symbols they stand
-for, and the ramp-only plateau and in-place scale integral against the
+against explicit DFT sums in the continuous Fourier convention, a real
+field's half spectrum included, and the two transforms against the
+scipy.fft chains of their complex and real paths, bit for bit, and an
+inverse with a multiplier against the inverse of the product; a real
+field's inverse under a radial dilate or a complex multiplier against the
+full path on its complex cast, a complex multiplier's against the full
+path's bytes on the Hermitian expansion, and ``filtered_slices`` against
+``from_spectrum`` as complex products interrupt its blocks; every even
+multiplier the library builds against its point reflection; radial
+profiles and their dilates against the symbols they stand for, and the ramp-only plateau and in-place scale integral against the
 expressions they replace; ``g_function`` on a ratio-b scale grid against a per-scale loop
 over the ladder t = b^j, weighted log(1/b); the ladder oracle's per-radius multipliers against the symbol at every frequency; the
 periodic window and disc means behind the maximal operators and the A_p
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 from scipy import fft as scipy_fft
 from scipy import ndimage
 
-from lplab import maximal
+from lplab import fields, maximal
 from lplab.experiments import _SpectralRatioOracle
 from lplab.fields import (
     Grid,
@@ -65,7 +67,7 @@ from lplab.maximal import (
     _window_means,
     peetre_max,
 )
-from lplab.transforms import ScaleField, g_function
+from lplab.transforms import ScaleField, g_function, make_atom
 
 from kernel_helpers import calderon_normalize, conjugate_kernel, scale_stack
 
@@ -112,13 +114,6 @@ def _dft_filter(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return _dft_inverse(grid, _dft_forward(grid, values) * mult)
 
 
-def _asymmetric(grid: Grid, rng) -> np.ndarray:
-    """A real array on ``grid`` unequal to its point reflection."""
-    m = rng.standard_normal(grid.shape)
-    m[(1,) * grid.dimension] = m[(-1,) * grid.dimension] + 1.0  # (1, ...) reflects to (-1, ...)
-    return m
-
-
 def _random_complex(grid: Grid, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -135,6 +130,18 @@ def test_to_spectrum_matches_dft_sums(grid, seed):
     spec = to_spectrum(SampledField(grid, vals))
     assert spec.grid == grid.frequency_grid()
     assert _close(spec.values, _dft_forward(grid, vals))
+
+
+@SETTINGS
+@given(grid=small_grids, seed=st.integers(0, 2**32 - 1))
+def test_real_to_spectrum_is_the_half_of_the_dft_sums(grid, seed):
+    """A real field's spectrum is the DFT sums on [..., :P/2 + 1] of the
+    last axis, frequencies -P/2 ... 0 there."""
+    vals = np.random.default_rng(seed).standard_normal(grid.shape)
+    spec = to_spectrum(SampledField(grid, vals))
+    assert spec.grid == grid.frequency_grid()
+    assert spec.values.shape == grid.shape[:-1] + (grid.points_per_axis // 2 + 1,)
+    assert _close(spec.values, _dft_forward(grid, vals)[..., :spec.values.shape[-1]])
 
 
 @SETTINGS
@@ -162,20 +169,28 @@ def _checkerboard(shape) -> np.ndarray:
 @SETTINGS
 @given(grid=transform_grids, seed=st.integers(0, 2**32 - 1), is_complex=st.booleans())
 def test_transforms_match_the_scipy_fft_chain(grid, seed, is_complex):
-    """numpy.fft one axis at a time gives scipy.fft.fftn's bits: the chain
-    the transforms ran on before, c * fftn(c * v) scaled by the cell volume
-    and likewise for the inverse."""
+    """numpy.fft one axis at a time gives scipy.fft's bits: for a complex
+    field c * fftn(c * v) scaled by the cell volume and likewise for the
+    inverse; for a real field the half [..., :P/2 + 1] of that chain on
+    rfftn, and irfftn of the signed half back."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape)
     if is_complex:
         vals = vals + 1j * rng.standard_normal(grid.shape)
     c = _checkerboard(grid.shape)
     f = SampledField(grid, vals)
-    expect = scipy_fft.fftn(f.values * c, overwrite_x=True) * (c * grid.cell_volume)
     spec = to_spectrum(f)
+    back = from_spectrum(spec).values
+    assert back.dtype == vals.dtype
+    if is_complex:
+        expect = scipy_fft.fftn(f.values * c, overwrite_x=True) * (c * grid.cell_volume)
+        inverse = scipy_fft.ifftn(spec.values * c, overwrite_x=True)
+    else:
+        h = grid.points_per_axis // 2 + 1
+        expect = scipy_fft.rfftn(f.values * c) * (c * grid.cell_volume)[..., :h]
+        inverse = scipy_fft.irfftn(spec.values * c[..., :h], s=grid.shape)
     assert spec.values.tobytes() == expect.tobytes()
-    back = scipy_fft.ifftn(spec.values * c, overwrite_x=True) * (c * (1.0 / grid.cell_volume))
-    assert from_spectrum(spec).values.tobytes() == back.tobytes()
+    assert back.tobytes() == (inverse * (c * (1.0 / grid.cell_volume))).tobytes()
 
 
 @SETTINGS
@@ -217,21 +232,19 @@ def test_a_multiplied_inverse_has_the_bytes_of_the_inverse_of_the_product(
 def test_a_real_field_under_a_radial_dilate_inverts_through_the_half_spectrum(
         grid, seed, name, t):
     """to_spectrum of a real field times a radial dilate is Hermitian, so
-    the inverse runs on its half.  The result is exactly real.  Its
-    distance from the full path (a caller-built spectrum of the product)
-    is at most 1e-15 of the output's max plus the full path's own
-    imaginary part, which the exact result does not have: when one mode of
-    small amplitude dominates the output, the forward transform's
-    round-off in that mode is a larger share of it.  Below the smallest
-    normal number binary64 keeps no relative precision.  A dilate that
-    underflows to zeros everywhere gives exact zeros.  filtered and
-    filtered_slices give the result's bytes."""
+    the inverse runs on its half, and the result is a float64 field.  Its
+    distance from the full path (a caller-built spectrum of the product on
+    the Hermitian expansion) is at most 1e-15 of the output's max plus the
+    full path's own imaginary part, which the exact result does not have.
+    Below the smallest normal number binary64 keeps no relative precision.
+    A dilate that underflows to zeros everywhere gives exact zeros.
+    filtered and filtered_slices give the result's bytes."""
     f = SampledField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
     spec = to_spectrum(f)
     (m,) = dilates(make_builtin(name), grid, [t])
     got = from_spectrum(spec, m).values
-    full = from_spectrum(SpectralField(spec.grid, spec.values * m)).values
-    assert not np.any(got.imag)
+    full = from_spectrum(SpectralField(spec.grid, fields._full(spec) * m)).values
+    assert got.dtype == np.float64
     bound = 1e-15 * np.max(np.abs(full)) + np.max(np.abs(full.imag)) + np.finfo(float).tiny
     assert np.max(np.abs(got.real - full.real)) <= bound
     if not np.any(m):
@@ -243,37 +256,52 @@ def test_a_real_field_under_a_radial_dilate_inverts_through_the_half_spectrum(
 
 @SETTINGS
 @given(grid=transform_grids, seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["complex", "caller-built", "derivative", "asymmetric"]),
+       kind=st.sampled_from(["complex", "caller-built", "derivative"]),
        t=st.floats(1e-3, 1e2), axis=st.integers(0, 1))
 def test_other_inverses_keep_the_full_path_bytes(grid, seed, kind, t, axis):
-    """Complex input, a caller-built spectrum, the complex derivative symbol
-    and a real multiplier unequal to its point reflection all invert
-    through the full spectrum: the bytes of the inverse of the product."""
+    """Complex input, a caller-built spectrum (here the Hermitian expansion
+    of a real field's half) and a real field's half under the complex
+    derivative symbol all invert through the full spectrum: the bytes of
+    the inverse of the full spectrum times the multiplier."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape)
     if kind == "complex":
         vals = vals + 1j * rng.standard_normal(grid.shape)
     spec = to_spectrum(SampledField(grid, vals))
+    full = spec.values if kind == "complex" else fields._full(spec)
     if kind == "caller-built":
-        spec = SpectralField(spec.grid, spec.values)
+        spec = SpectralField(spec.grid, full)
     if kind == "derivative":
         m = coordinate_multiplier(axis % grid.dimension).symbol(spec.grid.coords())
-    elif kind == "asymmetric":
-        m = _asymmetric(grid, rng)
     else:
         (m,) = dilates(make_builtin("gaussian"), grid, [t])
     got = from_spectrum(spec, m).values
-    expect = from_spectrum(SpectralField(spec.grid, spec.values * m)).values
+    expect = from_spectrum(SpectralField(spec.grid, full * m)).values
     assert got.tobytes() == expect.tobytes()
 
 
 @SETTINGS
+@given(grid=transform_grids, seed=st.integers(0, 2**32 - 1), axis=st.integers(0, 1))
+def test_a_half_spectrum_under_a_complex_multiplier_matches_the_complex_cast(grid, seed, axis):
+    """A real field's half spectrum under the complex derivative symbol
+    inverts on its Hermitian expansion: within 1e-15 of the output's max of
+    the same field cast to complex, on the full path throughout."""
+    vals = np.random.default_rng(seed).standard_normal(grid.shape)
+    m = coordinate_multiplier(axis % grid.dimension).symbol(grid.frequency_grid().coords())
+    got = from_spectrum(to_spectrum(SampledField(grid, vals)), m).values
+    full = from_spectrum(to_spectrum(SampledField(grid, vals.astype(complex))), m).values
+    assert got.dtype == full.dtype == np.complex128
+    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full)) + np.finfo(float).tiny
+
+
+@SETTINGS
 @given(grid=small_grids, seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
-       paths=st.lists(st.sampled_from(["half", "asymmetric", "derivative"]), max_size=12))
+       paths=st.lists(st.sampled_from(["half", "derivative"]), max_size=12))
 def test_filtered_slices_keeps_multiplier_order_across_paths(grid, seed, rows, paths):
-    """Below the large-grid gate a block holds products of one path: when
-    the path changes, or the block of ``rows`` slices fills, what it holds
-    is inverted first, and every slice has the bytes of its from_spectrum."""
+    """Below the large-grid gate a block holds a real field's half products:
+    before a complex product, which is one from_spectrum, or when the block
+    of ``rows`` slices fills, what it holds is inverted first, and every
+    slice has the bytes of its from_spectrum."""
     rng = np.random.default_rng(seed)
     f = SampledField(grid, rng.standard_normal(grid.shape))
     spec = to_spectrum(f)
@@ -281,8 +309,6 @@ def test_filtered_slices_keeps_multiplier_order_across_paths(grid, seed, rows, p
     for path in paths:
         if path == "half":
             mults += dilates(make_builtin("gaussian"), grid, [rng.uniform(0.01, 10.0)])
-        elif path == "asymmetric":
-            mults.append(_asymmetric(grid, rng))
         else:
             mults.append(coordinate_multiplier(0).symbol(spec.grid.coords()))
     with mock.patch("lplab.fields._BLOCK_BYTES", rows * spec.values.nbytes):
@@ -290,8 +316,7 @@ def test_filtered_slices_keeps_multiplier_order_across_paths(grid, seed, rows, p
     assert len(got) == len(mults)
     for values, m, path in zip(got, mults, paths):
         assert values.tobytes() == from_spectrum(spec, m).values.tobytes()
-        if path == "half":
-            assert not np.any(values.imag)
+        assert values.dtype == (np.float64 if path == "half" else np.complex128)
 
 
 def _kernels():
@@ -304,6 +329,42 @@ def _kernels():
 
 
 KERNELS = _kernels()
+
+
+#: every catalog kernel, annulus_bump and power_tail with parameters too
+CATALOG_KERNELS = [make_builtin(name) for name, entry in CATALOG.items() if 0 in entry.counts] + [
+    make_builtin("annulus_bump", [0.3, 0.6, 1.5, 3.0]), make_builtin("power_tail", [1.5])]
+
+
+def _reflected(m: np.ndarray) -> np.ndarray:
+    """m at the point reflection k -> (P - k) mod P of every axis."""
+    axes = tuple(range(m.ndim))
+    return np.roll(np.flip(m, axes), 1, axes)
+
+
+@SETTINGS
+@given(dimension=st.sampled_from([1, 2]), index=st.integers(0, len(CATALOG_KERNELS) - 1),
+       large=st.booleans(), t=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_every_even_multiplier_the_library_builds_is_its_point_reflection(
+        dimension, index, large, t, seed):
+    """A half spectrum reads only a real multiplier's half, so each real
+    multiplier the library builds must equal its point reflection exactly:
+    every catalog kernel's dilate rows, on both sides of the large-grid
+    gate, and make_atom's low-pass, whose inverse is the atom's noise."""
+    p = (256 if large else 64) if dimension == 2 else (32768 if large else 4096)
+    grid = Grid(dimension, p, 8.0)
+    assert (grid.cell_count >= fields._PARALLEL_MIN_POINTS) == large
+    (row,) = dilates(CATALOG_KERNELS[index], grid, [t])
+    assert row.dtype == np.float64
+    assert np.array_equal(row, _reflected(row))
+    lowpass = []
+    small = Grid(dimension, 64 if dimension == 2 else 4096, 8.0)
+    with mock.patch("lplab.transforms.from_spectrum",
+                    lambda F, m=None: lowpass.append(m) or from_spectrum(F, m)):
+        make_atom(small, ScaleGrid.log_spaced(0.5, 2.0, 2), (0.0,) * dimension, 2.0, 1.0, seed)
+    assert len(lowpass) == 2
+    for m in lowpass:
+        assert m.dtype == np.float64 and np.array_equal(m, _reflected(m))
 
 
 @SETTINGS
@@ -459,29 +520,36 @@ def test_ladder_oracle_matches_symbol_at_every_frequency(grid):
 
 
 def test_computed_fields_are_read_only():
-    grid = Grid(2, 8, 2.0)
-    f = SampledField(grid, _random_complex(grid, 1))
+    """Complex and real fields, full and half spectra, and the inverses of
+    a half spectrum on either path, in 1-d and 2-d."""
     scales = ScaleGrid.log_spaced(0.1, 1.0, 3)
-    E = scale_stack(f, make_builtin("poissonQ"), scales)
-    spec = to_spectrum(f)
-    xi = grid.frequency_grid().coords()
-    for arr in (spec.values, from_spectrum(spec).values, E.values, E.slice(1).values,
-                *(g.values for g in filtered(f, [xi[0], np.ones(grid.shape)]))):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1.0
+    for grid in (Grid(1, 8, 2.0), Grid(2, 8, 2.0)):
+        vals = _random_complex(grid, 1)
+        xi = grid.frequency_grid().coords()
+        for f in (SampledField(grid, vals), SampledField(grid, vals.real)):
+            E = scale_stack(f, make_builtin("poissonQ"), scales)
+            spec = to_spectrum(f)
+            for arr in (spec.values, from_spectrum(spec).values, E.values, E.slice(1).values,
+                        *(g.values for g in filtered(f, [1j * xi[0], np.ones(grid.shape)]))):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1.0
 
 
 def test_fields_copy_what_callers_pass():
+    """Each field keeps the kind of what it is given, complex or real, a
+    spectrum is always complex, and none shares memory with the caller's
+    array."""
     grid = Grid(1, 8, 2.0)
-    arr = _random_complex(grid, 2)
-    stack = np.stack([arr, arr])
-    fields = (SampledField(grid, arr), SpectralField(grid, arr),
-              ScaleField(grid, ScaleGrid.log_spaced(0.1, 1.0, 2), stack))
-    before = [fl.values.copy() for fl in fields]
-    arr[:] = 99.0
-    stack[:] = 99.0
-    for fl, b in zip(fields, before):
-        assert np.array_equal(fl.values, b)
+    for arr in (_random_complex(grid, 2), _random_complex(grid, 2).real.copy()):
+        stack = np.stack([arr, arr])
+        made = (SampledField(grid, arr), SpectralField(grid, arr),
+                ScaleField(grid, ScaleGrid.log_spaced(0.1, 1.0, 2), stack))
+        assert [fl.values.dtype for fl in made] == [arr.dtype, np.complex128, arr.dtype]
+        before = [fl.values.copy() for fl in made]
+        arr[:] = 99.0
+        stack[:] = 99.0
+        for fl, b in zip(made, before):
+            assert np.array_equal(fl.values, b)
 
 
 @SETTINGS
@@ -609,4 +677,4 @@ def test_peetre_max_matches_per_offset_loop(grid, seed, N, R, shifts_per_block):
     block = shifts_per_block * grid.cell_count
     with mock.patch.object(maximal, "_PEETRE_BLOCK_VALUES", block):
         got = peetre_max(SampledField(grid, vals), params).values
-    assert got.tobytes() == _peetre_per_offset(grid, vals, params).astype(complex).tobytes()
+    assert got.tobytes() == _peetre_per_offset(grid, vals, params).tobytes()

@@ -3,8 +3,10 @@
 ``fields.filtered`` and ``filtered_slices`` run on the calling thread.
 Every consumer must give the bytes of an explicit serial loop of
 ``from_spectrum(to_spectrum(f) * m)`` whatever ``fields._spectral_workers``
-says, or, for a real field under a real multiplier equal to its point
-reflection, the bytes of a numpy.fft.irfft chain written out here; keep
+says: for a real field under a real multiplier the bytes of a
+numpy.fft.irfft chain on its half spectrum written out here, under a
+complex multiplier those of the full path on the spectrum's Hermitian
+expansion, also written out here; keep
 the transform counts; draw each multiplier only when its result is asked
 for; start no thread; raise a wrong-shape multiplier at its position with
 one message; serve concurrent callers and work in a forked
@@ -59,38 +61,54 @@ def _field(grid, seed=0):
     return SampledField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
 
 
+def _real_field(grid, seed=0):
+    return SampledField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+
+
 def _checkerboard(shape) -> np.ndarray:
     return np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
 
 
 def _half_chain(spec, m):
-    """The inverse of spec * m through the half spectrum: the signed half
-    (c * spec * m)[..., :P/2 + 1], numpy.fft.ifft along the first axis in
-    2-d, numpy.fft.irfft along the last, then c / cell volume."""
+    """The inverse of a real field's half spectrum times m: the signed half
+    product (spec * m[..., :P/2 + 1]) * c, numpy.fft.ifft along the first
+    axis in 2-d, numpy.fft.irfft along the last, then c / cell volume."""
     grid = spec.grid.frequency_grid()
     p = grid.points_per_axis
     c = _checkerboard(grid.shape)
-    half = (spec.values[..., :p // 2 + 1] * c[..., :p // 2 + 1]) * m[..., :p // 2 + 1]
+    half = (spec.values * m[..., :p // 2 + 1]) * c[..., :p // 2 + 1]
     if grid.dimension == 2:
         half = np.fft.ifft(half, axis=0)
-    return (np.fft.irfft(half, n=p, axis=-1) * (c * (1.0 / grid.cell_volume))).astype(complex)
+    return np.fft.irfft(half, n=p, axis=-1) * (c * (1.0 / grid.cell_volume))
+
+
+def _hermitian(spec):
+    """The full spectrum whose half is a real field's half spectrum: at
+    every index past the half, the conjugate of the value at its point
+    reflection k -> (P - k) mod P."""
+    p = spec.grid.points_per_axis
+    full = np.zeros(spec.grid.shape, dtype=complex)
+    full[..., :p // 2 + 1] = spec.values
+    reflected = full[tuple((-k) % p for k in np.indices(spec.grid.shape))]
+    full[..., p // 2 + 1:] = np.conj(reflected[..., p // 2 + 1:])
+    return full
 
 
 def _serial(f, multipliers):
     """The inverse of to_spectrum(f) * m per multiplier, one after another:
-    the half chain for a real field under a real multiplier equal to its
-    point reflection k -> (P - k) mod P, from_spectrum of the product as a
-    spectrum of its own otherwise."""
+    the half chain for a real field under a real multiplier, from_spectrum
+    of the product with the full spectrum as a spectrum of its own
+    otherwise."""
     spec = fields.to_spectrum(f)
-    real = not np.any(f.values.imag)
-    axes = tuple(range(f.grid.dimension))
+    real = f.values.dtype == np.float64
     out = []
     for m in multipliers:
         m = np.asarray(m)
-        if real and m.dtype.kind == "f" and np.array_equal(m, np.roll(np.flip(m), 1, axes)):
+        if real and m.dtype.kind == "f":
             out.append(_half_chain(spec, m))
         else:
-            out.append(fields.from_spectrum(SpectralField(spec.grid, spec.values * m)).values)
+            full = _hermitian(spec) if real else spec.values
+            out.append(fields.from_spectrum(SpectralField(spec.grid, full * m)).values)
     return out
 
 
@@ -101,11 +119,12 @@ def test_gate_splits_the_grids():
 def _inputs(grid):
     """(field, kernel) pairs: complex noise under a radial kernel, which
     dilates through its profile rows; the same noise under d/dx of it,
-    which dilates through its symbol; and a real-valued family member."""
+    which dilates through its symbol; and a real-valued family member under
+    both."""
     poissonq = make_builtin("poissonQ")
     d0 = derived_kernel("d0_poissonQ", poissonq, coordinate_multiplier(0))
     member = FamilyMember("band_noise", 2.0, 0.0, 7).sample(grid)
-    return [(_field(grid), poissonq), (_field(grid), d0), (member, poissonq)]
+    return [(_field(grid), poissonq), (_field(grid), d0), (member, poissonq), (member, d0)]
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -113,8 +132,9 @@ def test_consumers_match_a_serial_loop(grid, workers):
     mollifier = make_builtin("gaussian")
     for f, psi in _inputs(grid):
         stack = np.stack(_serial(f, dilates(psi, grid, SCALES.scales)))
-        # the real member's slices come from the half chain, exactly real
-        assert np.any(stack.imag) == np.any(f.values.imag)
+        # the real member's slices under the radial kernel come from the half chain
+        half_chain = f.values.dtype == np.float64 and psi.profile is not None
+        assert stack.dtype == (np.float64 if half_chain else np.complex128)
 
         got = [g.values for g in filtered(f, dilates(psi, grid, SCALES.scales))]
         assert np.stack(got).tobytes() == stack.tobytes()
@@ -124,10 +144,10 @@ def test_consumers_match_a_serial_loop(grid, workers):
         for q in (1.0, 2.0):
             expect = np.sum(np.abs(stack) ** q * w, axis=0) ** (1.0 / q)
             g_q = g_function(f, psi, SCALES, q).values
-            assert g_q.tobytes() == expect.astype(complex).tobytes()
+            assert g_q.tobytes() == expect.tobytes()
 
         mags = np.abs(np.stack(_serial(f, dilates(mollifier, grid, SCALES.scales))))
-        expect = np.max(mags, axis=0).astype(complex)
+        expect = np.max(mags, axis=0)
         assert grand_max(f, GrandMaxConfig(SCALES)).values.tobytes() == expect.tobytes()
 
         xi = grid.frequency_grid().coords()
@@ -362,7 +382,7 @@ def test_no_pool_thread_outlives_the_call(grid, workers, end):
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 @pytest.mark.parametrize("bad", ["broadcasts", "mismatched"])
 def test_wrong_shape_multiplier_raises_at_its_position(grid, bad, workers):
-    f = _field(grid)
+    f = _real_field(grid)
     mults = list(dilates(make_builtin("gaussian"), grid, SCALES.scales))
     mults[5] = np.ones((2,) + grid.shape) if bad == "broadcasts" else np.ones(3)
     message = f"multiplier shape {mults[5].shape} does not match {grid.shape}"
@@ -375,11 +395,12 @@ def test_wrong_shape_multiplier_raises_at_its_position(grid, bad, workers):
     assert str(err.value) == message
 
     # the same multipliers from a kernel's dilates, through scale_transform:
-    # below the gate the first five slices wait in a block that is never
-    # inverted, so none is folded
+    # below the gate the real field's first five slices wait in a block
+    # that is never inverted, so none is folded
     gaussian, calls = make_builtin("gaussian"), itertools.count()
+    real_symbol = lambda xi: gaussian.symbol(xi).real  # noqa: E731
     bad_kernel = KernelSpec("bad_at_5", lambda xi: mults[5] if next(calls) == 5
-                            else gaussian.symbol(xi))
+                            else real_symbol(xi))
     got = []
     with pytest.raises(ValueError) as err:
         scale_transform(f, bad_kernel, SCALES, lambda k, values: got.append(values.copy()))
@@ -387,7 +408,7 @@ def test_wrong_shape_multiplier_raises_at_its_position(grid, bad, workers):
     if grid.cell_count < fields._PARALLEL_MIN_POINTS:
         assert got == []
     else:
-        expect = _serial(f, dilates(KernelSpec("gaussian", gaussian.symbol), grid, SCALES.scales[:5]))
+        expect = _serial(f, dilates(KernelSpec("gaussian", real_symbol), grid, SCALES.scales[:5]))
         assert np.stack(got).tobytes() == np.stack(expect).tobytes()
 
 
@@ -472,7 +493,7 @@ def test_concurrent_callers_share_the_pool(workers):
     cfg = GrandMaxConfig(SCALES)
     fs = [_field(grid, seed) for seed in range(4)]
     expect = [np.max(np.abs(np.stack(_serial(f, dilates(cfg.mollifier, grid, SCALES.scales)))),
-                     axis=0).astype(complex).tobytes() for f in fs]
+                     axis=0).tobytes() for f in fs]
     got = [None] * len(fs)
 
     def run(i):

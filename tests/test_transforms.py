@@ -51,8 +51,9 @@ class TestScaleTransform:
         f = gaussian_field(grid)
         E = scale_stack(f, poissonq, ScaleGrid.geometric(1.0, 0.5, 1))
         spec = to_spectrum(E.slice(0))
-        xi = spec.grid.axis_coords()
-        i = int(np.argmin(np.abs(xi - 1.0)))
+        # the half spectrum holds xi <= 0; the transform is even in xi
+        xi = spec.grid.axis_coords()[: spec.values.size]
+        i = int(np.argmin(np.abs(xi + 1.0)))
         expect = -2 * math.pi * math.exp(-2 * math.pi) * math.exp(-math.pi)
         assert spec.values[i].real == pytest.approx(expect, rel=1e-10)
         assert abs(spec.values[i].imag) <= 1e-12
@@ -112,7 +113,7 @@ class TestGFunction:
         grid = Grid(1, 4096, 16.0)
         sg = ScaleGrid.log_spaced(1e-4, 1e2, 128)
         f = band_member(grid, seed=11)
-        spec = to_spectrum(f)
+        spec = to_spectrum(SampledField(grid, f.values.astype(complex)))  # the full grid
         xi = spec.grid.coords()
         r = np.sqrt(np.sum(xi**2, axis=0))
         u = np.exp(np.linspace(math.log(1e-5), math.log(1e3), 1 << 14))
