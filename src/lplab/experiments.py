@@ -40,7 +40,6 @@ import math
 import os
 import platform
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -333,17 +332,11 @@ def _by_shape(rows) -> dict:
 
 
 def _measured(fn, members: list, grid: Grid) -> list:
-    """[fn(member) for member in members], in member order.  On a grid of
-    at least ``fields._PARALLEL_MIN_POINTS`` points, with two or more
-    workers, the members run on a pool of ``fields._spectral_workers()``
-    threads that lives as long as the call.  A member that raises cancels
-    those not yet started, and the pool's threads are joined before the
-    error propagates."""
-    workers = fields._spectral_workers()
-    if workers < 2 or len(members) < 2 or grid.cell_count < fields._PARALLEL_MIN_POINTS:
-        return [fn(m) for m in members]
-    with ThreadPoolExecutor(workers, thread_name_prefix="lplab-member") as pool:
-        return list(pool.map(fn, members))
+    """[fn(member) for member in members], in member order, on a pool of
+    ``fields._spectral_workers()`` threads (``fields._ordered_map``) on a
+    grid of at least ``fields._PARALLEL_MIN_POINTS`` points."""
+    return fields._ordered_map(fn, members, grid.cell_count >= fields._PARALLEL_MIN_POINTS,
+                               "member")
 
 
 def _family_rows(family, measure, diagnostics: dict, grid: Grid, oracle=None,
@@ -470,14 +463,17 @@ class _SpectralRatioOracle:
             # ru[0] is the origin's radius 0, where the multiplier is 0.
             along_ray = k.profile if k.profile is not None else (
                 lambda s: k.symbol(s[np.newaxis]))
-            # in (T, 256) tiles of (nodes, radii): each radius's axis-0 sum
+            # in (T, 64) tiles of (nodes, radii): each radius's axis-0 sum
             # over a node block is the same row-by-row sum at any tile width,
-            # and a tile stays in cache
+            # and a tile stays in cache.  Tiles 256 radii wide made 512 KiB
+            # temporaries, which cost each build about 86,000 minor page
+            # faults (5,000-7,000 at 64 wide) and 213 against 128 ms of a
+            # 1-d 4096 build on a 2-core VM
             vals = np.zeros(ru.shape)
             for block in np.array_split(u, max(1, u.size // 256)):
-                for lo in range(1, ru.size, 256):
-                    pts = block[:, np.newaxis] * ru[np.newaxis, lo : lo + 256]  # (T, <=256)
-                    vals[lo : lo + 256] += (
+                for lo in range(1, ru.size, 64):
+                    pts = block[:, np.newaxis] * ru[np.newaxis, lo : lo + 64]  # (T, <=64)
+                    vals[lo : lo + 64] += (
                         np.sum(np.abs(np.asarray(along_ray(pts))) ** 2, axis=0) * du)
             return vals[inv]
 

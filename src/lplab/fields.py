@@ -32,12 +32,17 @@ axis is the conjugate of its value at k), so ``to_spectrum`` keeps its half
 ``numpy.fft.rfft`` along the last axis, fft along the others, the signs.
 ``from_spectrum`` reads the format from the spectrum's shape.  A half
 spectrum under no multiplier or a real one inverts through the half into
-a real field (``_half_inverse``).  A real multiplier must be even, as every
-one the library builds is (radial dilates, ``make_atom``'s low-pass), and
-only its half is read, as numpy.fft.irfft reads its input.  Under a complex
+a real field (``_half_inverse``): one product, the FFT passes and one
+scaling, since the product starts from the half times c, which the
+spectrum makes on first use and keeps (c * (c * v) = v, and a product with
++-1 is exact).  A real multiplier must be even, as every one the library
+builds is (radial dilates, ``make_atom``'s low-pass), and only its half
+is read, as numpy.fft.irfft reads its input; it may be given on the half
+grid, as ``kernels.dilates`` gives a real field's.  Under a complex
 multiplier, such as 2 pi i xi_k, which is not Hermitian on the Nyquist
-line, a half spectrum is expanded (``_full``) and takes the complex path.
-A complex field's spectrum, and one a caller builds, is full.
+line, a half spectrum takes the complex path on its expansion
+(``_full``), which the spectrum also makes once and keeps.  A complex
+field's spectrum, and one a caller builds, is full.
 
 ``filtered`` is the one spectral-multiplier pipeline: one forward transform
 per field, then one inverse per multiplier (an array on the frequency
@@ -51,7 +56,9 @@ block, since the leading axis batches and every row gets the same 1-d
 transform.  Every result is an independent transform computed by the same
 code on either path, so no output depends on the block or the gate's
 side.  A field's transforms run on the calling thread; a run on a large
-grid measures its family members side by side instead (``experiments``).
+grid measures its family members side by side instead (``experiments``),
+and ``maximal.peetre_max`` splits a large sweep across the cores, both
+through ``_ordered_map``.
 
 Scale ("t") axes are handled by ScaleGrid, a strictly decreasing geometric
 set of positive scales t_k = t_max * ratio^k.  Integrals against the
@@ -66,6 +73,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,9 +226,35 @@ class SpectralField:
 
     grid: Grid
     values: np.ndarray
+    # a half spectrum's values times the centring checkerboard and its full
+    # Hermitian expansion, each set by the first call that needs it
+    _signed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _expansion: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, complex))
+
+    def _signed_half(self) -> np.ndarray:
+        """The half times the centring checkerboard c, read-only, made once:
+        c * (c * v) = v and a product with +-1 is exact, so a half inverse
+        that starts from it needs no sign pass of its own."""
+        if self._signed is None:
+            signed = self.values * _signs(self.grid.shape, 1.0)[..., :self.values.shape[-1]]
+            signed.setflags(write=False)
+            object.__setattr__(self, "_signed", signed)
+        return self._signed
+
+    def _full_values(self) -> np.ndarray:
+        """The full spectrum: the values, or a half's Hermitian expansion
+        (``_full``), made once and read-only, however many complex
+        multipliers it meets."""
+        if self.values.shape == self.grid.shape:
+            return self.values
+        if self._expansion is None:
+            full = _full(self)
+            full.setflags(write=False)
+            object.__setattr__(self, "_expansion", full)
+        return self._expansion
 
 
 def field_from_function(grid: Grid, fn) -> SampledField:
@@ -255,13 +289,12 @@ def _centred(values: np.ndarray, transform, shape: tuple, scale: float, out=None
 
 
 def _half_inverse(half: np.ndarray, shape: tuple, scale: float) -> np.ndarray:
-    """c * ifft(c * v) * scale, a new real array, for a v on ``shape`` (the
+    """c * ifft(v) * scale, a new real array, for a v on ``shape`` (the
     last len(shape) axes) whose point reflection is its conjugate and whose
-    half v[..., :P/2 + 1] is ``half``, which is overwritten: c times it, a
-    complex ifft in place along each spatial axis but the last, first of
-    them first, which leaves every row of the last axis Hermitian, then
-    np.fft.irfft along that axis.  Leading axes batch."""
-    half *= _signs(shape, 1.0)[..., :half.shape[-1]]
+    half v[..., :P/2 + 1] is ``half`` (already signed by c), which is
+    overwritten: a complex ifft in place along each spatial axis but the
+    last, first of them first, which leaves every row of the last axis
+    Hermitian, then np.fft.irfft along that axis.  Leading axes batch."""
     for axis in range(half.ndim - len(shape), half.ndim - 1):
         np.fft.ifft(half, axis=axis, out=half)
     out = np.fft.irfft(half, n=shape[-1], axis=-1)
@@ -283,17 +316,18 @@ def _full(F: SpectralField) -> np.ndarray:
     return full
 
 
-def _product(F: SpectralField, multiplier, out=None) -> np.ndarray:
-    """F's values times ``multiplier``, an array on F's grid, in ``out`` (a
-    new array if None).  Of a half spectrum a real multiplier's half
-    [..., :P/2 + 1] is read, and under a complex one the half is expanded to
-    its full spectrum first.  A multiplier of another shape raises the one
-    message of every inverse."""
+def _product(values: np.ndarray, multiplier, shape: tuple, out=None) -> np.ndarray:
+    """``values`` (a spectrum on a grid of ``shape``, or its half) times
+    ``multiplier``, in ``out`` (a new array if None).  A multiplier of the
+    values' shape is multiplied as it is; of a full one on a half its half
+    [..., :P/2 + 1] is read.  A multiplier of any other shape raises the
+    one message of every inverse."""
     m = np.asarray(multiplier)
-    if m.shape != F.grid.shape:
-        raise ValueError(f"multiplier shape {m.shape} does not match {F.grid.shape}")
-    values = _full(F) if np.iscomplexobj(m) and F.values.shape != m.shape else F.values
-    return np.multiply(values, m[..., :values.shape[-1]], out=out)
+    if m.shape != values.shape:
+        if m.shape != shape:
+            raise ValueError(f"multiplier shape {m.shape} does not match {shape}")
+        m = m[..., :values.shape[-1]]
+    return np.multiply(values, m, out=out)
 
 
 def _is_half(F: SpectralField, multiplier) -> bool:
@@ -323,23 +357,26 @@ def to_spectrum(f: SampledField) -> SpectralField:
 def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
     """Exact inverse of to_spectrum (up to floating round-off).
 
-    With ``multiplier`` (an array on F's grid) this is the inverse of F
-    times it, the product written straight into one buffer on which the
-    transform passes run in place.  A real field's half spectrum under no
-    multiplier or a real one (which must be even; only its half is read)
-    gives a real field; under a complex multiplier it is inverted on its
-    full Hermitian expansion.  A full spectrum gives a complex field with
-    the bytes of ``from_spectrum(SpectralField(F.grid, F.values *
-    multiplier))``."""
+    With ``multiplier`` (an array on F's grid, or on its half grid for a
+    half spectrum) this is the inverse of F times it, the product written
+    straight into one buffer on which the transform passes run in place.
+    A real field's half spectrum under no multiplier or a real one (which
+    must be even; only its half is read) gives a real field; under a
+    complex multiplier it is inverted on its full Hermitian expansion.  A
+    full spectrum gives a complex field with the bytes of
+    ``from_spectrum(SpectralField(F.grid, F.values * multiplier))``."""
     spatial = F.grid.frequency_grid()
     scale = 1.0 / spatial.cell_volume
     if _is_half(F, multiplier):
-        half = F.values.copy() if multiplier is None else _product(F, multiplier)
+        if multiplier is None:
+            half = F.values * _signs(spatial.shape, 1.0)[..., :F.values.shape[-1]]
+        else:
+            half = _product(F._signed_half(), multiplier, spatial.shape)
         vals = _half_inverse(half, spatial.shape, scale)
     elif multiplier is None:
         vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
     else:
-        vals = _product(F, multiplier)
+        vals = _product(F._full_values(), multiplier, spatial.shape)
         _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
 
@@ -358,19 +395,33 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _spectral_workers() -> int:
-    """The cores this process may run on: the size of a run's member pool."""
+    """The cores this process may run on: the size of a thread pool."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
+def _ordered_map(fn, items: list, pooled: bool, name: str) -> list:
+    """[fn(x) for x in items], in item order.  If ``pooled``, with two or
+    more items and workers, the items run on a pool of
+    ``_spectral_workers()`` threads named ``lplab-<name>`` that lives as
+    long as the call.  An item that raises cancels those not yet started,
+    and the pool's threads are joined before the error propagates."""
+    workers = _spectral_workers()
+    if not pooled or workers < 2 or len(items) < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(workers, thread_name_prefix=f"lplab-{name}") as pool:
+        return list(pool.map(fn, items))
+
+
 def filtered(f: SampledField, multipliers):
     """Yield inverse(f_hat * m) per multiplier m, an array of values on the
-    frequency grid.  One forward transform serves all of them, and the
-    results are yielded in multiplier order, each multiplier drawn only when
-    its result is asked for, so callers reduce as they stream.  Each result
-    is ``from_spectrum(f_hat, m)``."""
+    frequency grid (for a real f, or on its half grid).  One forward
+    transform serves all of them, and the results are yielded in multiplier
+    order, each multiplier drawn only when its result is asked for, so
+    callers reduce as they stream.  Each result is
+    ``from_spectrum(f_hat, m)``."""
     spec = to_spectrum(f)
     for m in multipliers:
         yield from_spectrum(spec, m)
@@ -380,8 +431,8 @@ def filtered_slices(f: SampledField, multipliers):
     """Yield the values of inverse(f_hat * m) per multiplier m, in
     multiplier order: the slices of a scale stack, which is never built.
 
-    Below ``_PARALLEL_MIN_POINTS`` the half products of a real field under
-    real multipliers are written straight into one block of at most
+    Below ``_PARALLEL_MIN_POINTS`` the signed half products of a real field
+    under real multipliers are written straight into one block of at most
     ``_BLOCK_BYTES``, reused block to block, and each block is inverted by
     ``_half_inverse`` in one batched pass per spatial axis into a new block
     of results, which gives each slice the bytes of its own
@@ -408,7 +459,7 @@ def filtered_slices(f: SampledField, multipliers):
             continue
         if halves is None:
             halves = np.empty((rows,) + spec.values.shape, dtype=complex)
-        _product(spec, m, halves[n])
+        _product(spec._signed_half(), m, g.shape, halves[n])
         n += 1
         if n == rows:
             yield from _half_inverse(halves, g.shape, scale)

@@ -7,7 +7,9 @@ return a complex array of shape (...), so the same spec works in 1-d and 2-d.
 A radial kernel also carries its profile r -> value, symbol(xi) =
 profile(|xi|), so its dilates on a grid are evaluated on the grid's distinct
 |xi|; on a grid below the large-grid gate (``fields._PARALLEL_MIN_POINTS``
-points) the kernel keeps them.
+points) the kernel keeps them.  ``dilates`` takes the field the dilates
+will multiply and reads its dtype: a real field's spectrum is its half, so
+it gets them on the half grid.
 
 The builtin kernels are the entries of ``CATALOG``: each name with the
 parameter counts it accepts, a one-line description and its constructor.
@@ -121,16 +123,35 @@ def _distinct_radii(grid: Grid) -> tuple:
     return ru, inv
 
 
-def dilates(k: KernelSpec, grid: Grid, ts):
-    """Yield xi -> symbol(t xi) on the frequency grid of ``grid``, one array
-    per scale t; other kernels evaluate the symbol at the scaled coordinates.
-    A radial kernel evaluates its profile at t * r on the grid's distinct
-    radii r and gathers that row to every frequency.  Below the large-grid
-    gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
+@functools.lru_cache(maxsize=8)
+def _half_index(grid: Grid):
+    """Where each point of the half grid [..., :P/2 + 1] finds its |xi| in
+    ``_distinct_radii(grid)``'s ru: the reversing slice where the half's
+    |xi| are ru in reverse order (a 1-d grid), so a row needs no gather,
+    and a contiguous read-only index otherwise; computed once."""
+    inv = np.ascontiguousarray(_distinct_radii(grid)[1][..., :grid.points_per_axis // 2 + 1])
+    if np.array_equal(inv, np.arange(inv.size)[::-1]):
+        return slice(None, None, -1)
+    inv.setflags(write=False)
+    return inv
+
+
+def dilates(k: KernelSpec, on, ts):
+    """Yield xi -> symbol(t xi) on the frequency grid of ``on``, one array
+    per scale t, where ``on`` is a Grid or the field whose spectrum the
+    arrays will multiply; other kernels evaluate the symbol at the scaled
+    coordinates.  A radial kernel evaluates its profile at t * r on the
+    grid's distinct radii r and gathers that row to every frequency, or,
+    for a real field (whose spectrum is its half) and a real profile, to
+    the half grid [..., :P/2 + 1] (``_half_index``): in 1-d the reversed
+    row, with no gather, and in 2-d one contiguous gather.  Below the
+    large-grid gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
     (grid, t) for every later call, since there a row costs about as much
     as the inverse it feeds; at and above the gate it keeps none: at 256^2
     a row costs about a tenth of its inverse, and the 176 rows of one
     ``cor31`` member held 8 MiB."""
+    grid = on if isinstance(on, Grid) else on.grid
+    real = not (isinstance(on, Grid) or np.iscomplexobj(on.values))
     if k.profile is not None:
         ru, inv = _distinct_radii(grid)
         keep = grid.cell_count < _PARALLEL_MIN_POINTS
@@ -141,7 +162,7 @@ def dilates(k: KernelSpec, grid: Grid, ts):
                 if keep:
                     row.setflags(write=False)
                     k._rows[(grid, t)] = row
-            yield row[inv]
+            yield row[_half_index(grid) if real and not np.iscomplexobj(row) else inv]
     else:
         coords = grid.frequency_grid().coords()
         for t in ts:

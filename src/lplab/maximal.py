@@ -6,7 +6,8 @@ grid itself.  The Peetre operator
 
     F**_{N,R}(x) = sup_y |F(x - y)| / (1 + R |y|)^N
 
-runs over every grid offset y with the periodic (wrapped) distance.  The
+runs over every grid offset y with the periodic (wrapped) distance, a
+large sweep split across the cores into runs of shift blocks.  The
 Hardy-Littlewood operator takes uncentered averages over grid-aligned balls
 containing the point: every contiguous window in 1-d, discs of sampled radii
 in 2-d.  In 1-d the best window containing each cell comes from a recurrence
@@ -21,14 +22,15 @@ scale grid of mollifications |Phi_t * f|, Phi the unit Gaussian.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import fields
 from .fields import Grid, SampledField, ScaleGrid, filtered
 from .kernels import KernelSpec, coordinate_multiplier, dilates, make_builtin
 
@@ -65,6 +67,12 @@ def _shift_window_view(absf: np.ndarray):
 # 11.7 ms, 2-d 64^2: 41 against 38 ms): the block drops out of cache between
 # its weighting and its max.
 _PEETRE_BLOCK_VALUES = 1 << 17
+# a sweep of at least 64 blocks' worth of products (2^23: 1-d from 4096
+# points, 2-d from 64^2) is split across the cores.  On a 2-core VM two
+# threads lost at 2^20 (1-d 1024: 1.7 -> 1.8-2.4 ms, 2-d 32^2: 2.4 -> 3.2
+# ms), broke even at 2^22 (1-d 2048: 6.3 -> 5.8-6.7 ms) and won at 2^24
+# (1-d 4096: 9.9-10.8 -> 6.2-8.4 ms, 2-d 64^2: 28.9-29.9 -> 18.2-18.8 ms)
+_PEETRE_SPLIT_PRODUCTS = 64 * _PEETRE_BLOCK_VALUES
 
 
 def peetre_max(F: SampledField, params: PeetreParams) -> SampledField:
@@ -72,25 +80,44 @@ def peetre_max(F: SampledField, params: PeetreParams) -> SampledField:
     by brute force over the full periodic grid: rolls along the first axis
     (a 1-d field is one row), the last axis vectorized in blocks of shifts.
     Each block is a slice of the zero-copy window view, weighted into one
-    buffer that the call reuses; max is exact, so the block order and size
-    leave the bytes as they are."""
+    buffer.  A sweep of ``_PEETRE_SPLIT_PRODUCTS`` products or more is cut
+    into one contiguous run of blocks per core (``fields._ordered_map``), each
+    with its own buffer and running max, combined by np.maximum; max is
+    exact, so the split, the block order and size leave the bytes as they
+    are."""
     g = F.grid
     p = g.points_per_axis
     absf = np.abs(F.values).reshape(-1, p)
     w = ((1.0 + params.R * _wrapped_offsets(g)) ** (-params.N)).reshape(absf.shape)
     w_rows = w[:, (-np.arange(p)) % p]  # the weight of each window row's shift
-    out = np.zeros(absf.shape)
     # a power of two, as p is, so the blocks tile the p shifts
     chunk = max(1, min(p, _PEETRE_BLOCK_VALUES // absf.size))
-    block = np.empty((chunk,) + absf.shape)
-    for s1 in range(absf.shape[0]):
-        # (p + 1, rows, x): the shift axis first, so a block's max runs over
-        # whole contiguous fields
-        win = _shift_window_view(np.roll(absf, s1, axis=0)).transpose(1, 0, 2)
-        for k in range(0, p, chunk):
+    per_row = p // chunk
+    blocks = absf.shape[0] * per_row
+
+    def sweep(run: range) -> np.ndarray:
+        """The running max over blocks ``run``: block b weights the shifts
+        from (b % per_row) * chunk of row shift b // per_row."""
+        out = np.zeros(absf.shape)
+        block = np.empty((chunk,) + absf.shape)
+        row = None
+        for b in run:
+            s1, k = divmod(b, per_row)
+            k *= chunk
+            if s1 != row:
+                # (p + 1, rows, x): the shift axis first, so a block's max
+                # runs over whole contiguous fields
+                win = _shift_window_view(np.roll(absf, s1, axis=0)).transpose(1, 0, 2)
+                row = s1
             np.multiply(win[k : k + chunk], w_rows[s1, k : k + chunk, None, None], out=block)
             np.maximum(out, np.max(block, axis=0), out=out)
-    return SampledField(g, out.reshape(g.shape))
+        return out
+
+    split = absf.size * absf.size >= _PEETRE_SPLIT_PRODUCTS  # one product per shift and point
+    parts = min(fields._spectral_workers(), blocks) if split else 1
+    runs = [range(blocks * i // parts, blocks * (i + 1) // parts) for i in range(parts)]
+    maxima = fields._ordered_map(sweep, runs, split, "peetre")
+    return SampledField(g, functools.reduce(np.maximum, maxima).reshape(g.shape))
 
 
 def _window_means(vals: np.ndarray, widths):
@@ -215,7 +242,7 @@ class GrandMaxConfig:
     dilate rows it keeps on a small grid are freed with the config."""
 
     scales: ScaleGrid
-    mollifier: KernelSpec = field(default_factory=partial(make_builtin, "gaussian"),
+    mollifier: KernelSpec = field(default_factory=functools.partial(make_builtin, "gaussian"),
                                   init=False, repr=False, compare=False)
 
 
@@ -228,7 +255,7 @@ def grand_max(f: SampledField, cfg: GrandMaxConfig) -> SampledField:
     """Pointwise max over the config's scale grid of |Phi_t * f|, Phi its unit
     Gaussian (convolutions spectral)."""
     out = np.zeros(f.grid.shape)
-    for conv in filtered(f, dilates(cfg.mollifier, f.grid, cfg.scales.scales)):
+    for conv in filtered(f, dilates(cfg.mollifier, f, cfg.scales.scales)):
         np.maximum(out, np.abs(conv.values), out=out)
     return SampledField(f.grid, out)
 

@@ -75,7 +75,7 @@ def scale_transform(f: SampledField, psi: KernelSpec, scales: ScaleGrid, fold) -
     folded as it streams: ``fold(k, values)`` is called on each slice in
     scale order, and no stack is kept.  An error in ``fold`` closes the
     stream before it propagates."""
-    with closing(filtered_slices(f, dilates(psi, f.grid, scales.scales))) as slices:
+    with closing(filtered_slices(f, dilates(psi, f, scales.scales))) as slices:
         for k, values in enumerate(slices):
             fold(k, values)
 
@@ -106,8 +106,9 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
     if inside.size == 0:
         return SampledField(h.grid, np.zeros(h.grid.shape, dtype=h.values.dtype))
     acc = 0.0  # 0.0 + the first term, as a zero array plus it
-    for k, sym in zip(inside, dilates(psi, h.grid, sg.scales[inside])):
-        acc += _product(to_spectrum(h.slice(k)), sg.log_width * np.asarray(sym))
+    for k, sym in zip(inside, dilates(psi, h, sg.scales[inside])):
+        spec = to_spectrum(h.slice(k))
+        acc += _product(spec.values, sg.log_width * np.asarray(sym), h.grid.shape)
     return from_spectrum(_adopt(SpectralField, acc, grid=h.grid.frequency_grid()))
 
 

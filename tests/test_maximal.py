@@ -1,11 +1,16 @@
 import math
+import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
+from lplab import fields, maximal
 from lplab import (
     GrandMaxConfig,
     Grid,
@@ -94,6 +99,85 @@ class TestPeetre:
             for s2 in range(16):
                 brute = np.maximum(brute, np.abs(np.roll(np.roll(vals, s1, 0), s2, 1)) * w[s1, s2])
         assert np.max(np.abs(out - brute)) == 0.0
+
+
+def _peetre_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("lplab-")]
+
+
+class _RecordingPool(fields.ThreadPoolExecutor):
+    """A pool that records the worker count of each pool made."""
+
+    made = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.made.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+# both sides of the split's 2^23-product gate in each dimension
+SPLIT_GRIDS = {(1, False): Grid(1, 2048, 8.0), (1, True): Grid(1, 4096, 16.0),
+               (2, False): Grid(2, 32, 4.0), (2, True): Grid(2, 64, 8.0)}
+
+
+def _peetre_values(grid, kind, seed):
+    """Values with ties, zeros or spikes, or plain noise."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        return rng.integers(0, 3, grid.shape).astype(float)
+    if kind == "zeros":
+        return np.where(rng.random(grid.shape) < 0.9, 0.0, rng.standard_normal(grid.shape))
+    if kind == "spikes":
+        vals = np.zeros(grid.shape)
+        vals.flat[rng.integers(0, vals.size, 3)] = 10.0 ** rng.uniform(-3, 3, 3)
+        return vals
+    return rng.standard_normal(grid.shape)
+
+
+class TestPeetreSplit:
+    """A sweep of 2^23 products or more runs on ``fields._spectral_workers()``
+    threads, each with its own block and running max; max is exact, so the
+    bytes are the serial sweep's at every worker count."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(dimension=st.sampled_from([1, 2]), large=st.booleans(),
+           kind=st.sampled_from(["ties", "zeros", "spikes", "noise"]),
+           seed=st.integers(0, 2**32 - 1), n=st.floats(0.5, 4.0), r=st.floats(0.1, 8.0))
+    def test_split_keeps_the_serial_bytes(self, dimension, large, kind, seed, n, r):
+        grid = SPLIT_GRIDS[dimension, large]
+        f = SampledField(grid, _peetre_values(grid, kind, seed))
+        params = PeetreParams(n, r)
+        got = {}
+        for workers in (1, 2, 3):
+            _RecordingPool.made.clear()
+            with mock.patch.object(fields, "_spectral_workers", lambda w=workers: w), \
+                    mock.patch.object(fields, "ThreadPoolExecutor", _RecordingPool):
+                got[workers] = peetre_max(f, params).values.tobytes()
+            # below the gate, or on one worker, no thread starts
+            assert _RecordingPool.made == ([workers] if large and workers > 1 else [])
+            assert not _peetre_threads()
+        assert got[1] == got[2] == got[3]
+
+    def test_the_gate_is_two_to_the_twenty_three_products(self):
+        assert maximal._PEETRE_SPLIT_PRODUCTS == 2**23
+        for (dimension, large), grid in SPLIT_GRIDS.items():
+            assert (grid.cell_count**2 >= 2**23) == large
+
+    def test_no_thread_outlives_a_worker_error(self, monkeypatch):
+        grid = Grid(1, 4096, 16.0)
+        f = SampledField(grid, np.random.default_rng(0).standard_normal(4096))
+        window = maximal._shift_window_view
+
+        def failing(absf):
+            if threading.current_thread().name.startswith("lplab-peetre"):
+                raise RuntimeError("worker failed")
+            return window(absf)
+
+        monkeypatch.setattr(fields, "_spectral_workers", lambda: 2)
+        monkeypatch.setattr(maximal, "_shift_window_view", failing)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            peetre_max(f, PeetreParams(2.0, 1.0))
+        assert not _peetre_threads()
 
 
 class TestHardyLittlewood:

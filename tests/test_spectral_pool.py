@@ -290,7 +290,7 @@ def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkey
     # members not started are cancelled and the running ones waited out
     recorded = []
 
-    class RecordingPool(experiments.ThreadPoolExecutor):
+    class RecordingPool(fields.ThreadPoolExecutor):
         """A pool that keeps the futures submitted to it."""
 
         def __init__(self, *args, **kwargs):
@@ -303,7 +303,7 @@ def test_abandoning_the_generator_leaves_no_pending_future(grid, workers, monkey
             self.futures.append(fut)
             return fut
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", RecordingPool)
     _fail_second_member(monkeypatch)
     with pytest.raises(RuntimeError, match="member failed"):
         run_experiment(_cor31(grid))
@@ -328,12 +328,12 @@ def test_member_pool_report_does_not_depend_on_the_worker_count(grid, monkeypatc
     monkeypatch.setattr(FamilyMember, "sample",
                         lambda *a: threads.append(threading.current_thread()) or sample(*a))
 
-    class CountingPool(experiments.ThreadPoolExecutor):
+    class CountingPool(fields.ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
     pooled = grid.cell_count >= fields._PARALLEL_MIN_POINTS
     reports, csvs = [], []
     for workers in (1, 2, 3):
