@@ -38,7 +38,8 @@ spectrum makes on first use and keeps (c * (c * v) = v, and a product with
 +-1 is exact).  A real multiplier must be even, as every one the library
 builds is (radial dilates, ``make_atom``'s low-pass), and only its half
 is read, as numpy.fft.irfft reads its input; it may be given on the half
-grid, as ``kernels.dilates`` gives a real field's.  Under a complex
+grid (``_half_columns`` says where), as ``kernels.dilates`` gives a real
+field's.  Under a complex
 multiplier, such as 2 pi i xi_k, which is not Hermitian on the Nyquist
 line, a half spectrum takes the complex path on its expansion
 (``_full``), which the spectrum also makes once and keeps.  A complex
@@ -316,16 +317,22 @@ def _full(F: SpectralField) -> np.ndarray:
     return full
 
 
-def _product(values: np.ndarray, multiplier, shape: tuple, out=None) -> np.ndarray:
-    """``values`` (a spectrum on a grid of ``shape``, or its half) times
-    ``multiplier``, in ``out`` (a new array if None).  A multiplier of the
-    values' shape is multiplied as it is; of a full one on a half its half
-    [..., :P/2 + 1] is read.  A multiplier of any other shape raises the
-    one message of every inverse."""
+def _product(F: SpectralField, multiplier, signed: bool = False, out=None) -> np.ndarray:
+    """F's values times ``multiplier``, an array on F's grid or, for a half
+    product, on its half grid, in ``out`` (a new array if None).  Of a half
+    spectrum a real multiplier multiplies the half (its signed half, the
+    input of ``_half_inverse``, if ``signed``), reading a full multiplier's
+    half [..., :P/2 + 1]; a complex one multiplies its full expansion.  A
+    multiplier of any other shape raises the one message of every
+    inverse."""
     m = np.asarray(multiplier)
+    if not _is_half(F, m):
+        values = F._full_values()
+    else:
+        values = F._signed_half() if signed else F.values
     if m.shape != values.shape:
-        if m.shape != shape:
-            raise ValueError(f"multiplier shape {m.shape} does not match {shape}")
+        if m.shape != F.grid.shape:
+            raise ValueError(f"multiplier shape {m.shape} does not match {F.grid.shape}")
         m = m[..., :values.shape[-1]]
     return np.multiply(values, m, out=out)
 
@@ -334,6 +341,17 @@ def _is_half(F: SpectralField, multiplier) -> bool:
     """Whether F times ``multiplier`` inverts through the half: F is a real
     field's half spectrum and the multiplier None or real."""
     return F.values.shape != F.grid.shape and not np.iscomplexobj(multiplier)
+
+
+def _half_columns(on, multiplier) -> int | None:
+    """P/2 + 1, the columns of the half grid [..., :P/2 + 1] on which a
+    multiplier of ``multiplier``'s dtype may be given for the spectrum of
+    ``on``: a real field's spectrum is its half, and a real multiplier is
+    read on the half (``_is_half``).  None where the multiplier must be
+    full: ``on`` a Grid or a complex field, or the multiplier complex."""
+    if isinstance(on, Grid) or np.iscomplexobj(on.values) or np.iscomplexobj(multiplier):
+        return None
+    return on.grid.points_per_axis // 2 + 1
 
 
 def to_spectrum(f: SampledField) -> SpectralField:
@@ -371,12 +389,12 @@ def from_spectrum(F: SpectralField, multiplier=None) -> SampledField:
         if multiplier is None:
             half = F.values * _signs(spatial.shape, 1.0)[..., :F.values.shape[-1]]
         else:
-            half = _product(F._signed_half(), multiplier, spatial.shape)
+            half = _product(F, multiplier, signed=True)
         vals = _half_inverse(half, spatial.shape, scale)
     elif multiplier is None:
         vals = _centred(F.values, np.fft.ifft, spatial.shape, scale)
     else:
-        vals = _product(F._full_values(), multiplier, spatial.shape)
+        vals = _product(F, multiplier)
         _centred(vals, np.fft.ifft, spatial.shape, scale, out=vals)
     return _adopt(SampledField, vals, grid=spatial)
 
@@ -459,7 +477,7 @@ def filtered_slices(f: SampledField, multipliers):
             continue
         if halves is None:
             halves = np.empty((rows,) + spec.values.shape, dtype=complex)
-        _product(spec._signed_half(), m, g.shape, halves[n])
+        _product(spec, m, signed=True, out=halves[n])
         n += 1
         if n == rows:
             yield from _half_inverse(halves, g.shape, scale)

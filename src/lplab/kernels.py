@@ -8,8 +8,8 @@ A radial kernel also carries its profile r -> value, symbol(xi) =
 profile(|xi|), so its dilates on a grid are evaluated on the grid's distinct
 |xi|; on a grid below the large-grid gate (``fields._PARALLEL_MIN_POINTS``
 points) the kernel keeps them.  ``dilates`` takes the field the dilates
-will multiply and reads its dtype: a real field's spectrum is its half, so
-it gets them on the half grid.
+will multiply, and ``fields._half_columns`` says whether they may come on
+its spectrum's half grid, as a real field's do.
 
 The builtin kernels are the entries of ``CATALOG``: each name with the
 parameter counts it accepts, a one-line description and its constructor.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import _PARALLEL_MIN_POINTS, Grid, ScaleGrid
+from .fields import _PARALLEL_MIN_POINTS, Grid, ScaleGrid, _half_columns
 
 
 def smoothstep(s):
@@ -124,14 +124,11 @@ def _distinct_radii(grid: Grid) -> tuple:
 
 
 @functools.lru_cache(maxsize=8)
-def _half_index(grid: Grid):
-    """Where each point of the half grid [..., :P/2 + 1] finds its |xi| in
-    ``_distinct_radii(grid)``'s ru: the reversing slice where the half's
-    |xi| are ru in reverse order (a 1-d grid), so a row needs no gather,
-    and a contiguous read-only index otherwise; computed once."""
-    inv = np.ascontiguousarray(_distinct_radii(grid)[1][..., :grid.points_per_axis // 2 + 1])
-    if np.array_equal(inv, np.arange(inv.size)[::-1]):
-        return slice(None, None, -1)
+def _half_index(grid: Grid, columns: int) -> np.ndarray:
+    """``_distinct_radii(grid)``'s index on the first ``columns`` columns
+    of the last axis (the half grid), contiguous and read-only, computed
+    once."""
+    inv = np.ascontiguousarray(_distinct_radii(grid)[1][..., :columns])
     inv.setflags(write=False)
     return inv
 
@@ -141,17 +138,15 @@ def dilates(k: KernelSpec, on, ts):
     per scale t, where ``on`` is a Grid or the field whose spectrum the
     arrays will multiply; other kernels evaluate the symbol at the scaled
     coordinates.  A radial kernel evaluates its profile at t * r on the
-    grid's distinct radii r and gathers that row to every frequency, or,
-    for a real field (whose spectrum is its half) and a real profile, to
-    the half grid [..., :P/2 + 1] (``_half_index``): in 1-d the reversed
-    row, with no gather, and in 2-d one contiguous gather.  Below the
-    large-grid gate (``_PARALLEL_MIN_POINTS`` points) it keeps the row per
-    (grid, t) for every later call, since there a row costs about as much
-    as the inverse it feeds; at and above the gate it keeps none: at 256^2
-    a row costs about a tenth of its inverse, and the 176 rows of one
-    ``cor31`` member held 8 MiB."""
+    grid's distinct radii r and gathers that row to every frequency, or to
+    the half grid where ``fields._half_columns`` allows it (a real field
+    and a real profile), through one contiguous index (``_half_index``).
+    Below the large-grid gate (``_PARALLEL_MIN_POINTS`` points) it keeps
+    the row per (grid, t) for every later call, since there a row costs
+    about as much as the inverse it feeds; at and above the gate it keeps
+    none: at 256^2 a row costs about a tenth of its inverse, and the 176
+    rows of one ``cor31`` member held 8 MiB."""
     grid = on if isinstance(on, Grid) else on.grid
-    real = not (isinstance(on, Grid) or np.iscomplexobj(on.values))
     if k.profile is not None:
         ru, inv = _distinct_radii(grid)
         keep = grid.cell_count < _PARALLEL_MIN_POINTS
@@ -162,7 +157,8 @@ def dilates(k: KernelSpec, on, ts):
                 if keep:
                     row.setflags(write=False)
                     k._rows[(grid, t)] = row
-            yield row[_half_index(grid) if real and not np.iscomplexobj(row) else inv]
+            columns = _half_columns(on, row)
+            yield row[inv if columns is None else _half_index(grid, columns)]
     else:
         coords = grid.frequency_grid().coords()
         for t in ts:

@@ -107,8 +107,7 @@ def synthesize(h: ScaleField, psi: KernelSpec, epsilon: float) -> SampledField:
         return SampledField(h.grid, np.zeros(h.grid.shape, dtype=h.values.dtype))
     acc = 0.0  # 0.0 + the first term, as a zero array plus it
     for k, sym in zip(inside, dilates(psi, h, sg.scales[inside])):
-        spec = to_spectrum(h.slice(k))
-        acc += _product(spec.values, sg.log_width * np.asarray(sym), h.grid.shape)
+        acc += _product(to_spectrum(h.slice(k)), sg.log_width * np.asarray(sym))
     return from_spectrum(_adopt(SpectralField, acc, grid=h.grid.frequency_grid()))
 
 
